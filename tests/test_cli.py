@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +158,5 @@ def test_verify_paper_all_rows(tmp_path, capsys):
     assert doc["all_pass"] is True
     assert len(doc["rows"]) >= 30
     assert err.count("PASS") == len(doc["rows"])
+    golden = Path(__file__).parent / "golden" / "verify_paper_seed1.json"
+    assert out.read_bytes() == golden.read_bytes()
