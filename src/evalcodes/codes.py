@@ -36,7 +36,7 @@ import numpy as np
 from .gf import FiniteField, batched
 from . import gflinalg
 from .poly import HomogPoly, monomials
-from .projective import BudgetExceeded, Surface, normalize_rows
+from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows, normalizing_scalars
 
 DEFAULT_DISTANCE_BUDGET = 50_000_000
 DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
@@ -61,12 +61,11 @@ class LinearCode:
             raise ValueError("generator matrix shape disagrees with (k, n)")
         if len(self.provenance) != self.n or len(self.columns) != self.n:
             raise ValueError("one provenance point per column is required")
+        if not np.array_equal(gflinalg.nonzero_rows(self.fld, self.matrix), self.matrix):
+            raise ValueError("generator matrix must be a full-rank RREF matrix")
 
     def params(self) -> tuple[int, int]:
         return self.n, self.k
-
-    def encode(self, message) -> np.ndarray:
-        return gflinalg.vecmat(self.fld, message, self.matrix)
 
     def contains_word(self, word) -> bool:
         pivots = [int(np.nonzero(row)[0][0]) for row in self.matrix]
@@ -370,6 +369,8 @@ def _weight_w_scan(
     m = fld.n
     nz = np.arange(1, q, dtype=np.int64)
     repeats = (q - 1) ** (w - 1)
+    if state.work + repeats > budget:
+        return False
     vals = np.ones((repeats, w), dtype=np.int64)
     idx = np.arange(repeats, dtype=np.int64)
     for c in range(w - 1, 0, -1):
@@ -535,14 +536,12 @@ def apply_projective_transform(code: LinearCode, transform) -> tuple[LinearCode,
     if gflinalg.rank(fld, a) != dim:
         raise ValueError("transform matrix is singular")
     raw = gflinalg.matmul(fld, code.columns, a.T)
-    nz = raw != 0
-    last = raw.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
-    scalings = fld.inv(raw[np.arange(len(raw)), last])
+    scalings = normalizing_scalars(fld, raw)
     normalized = fld.mul(raw, scalings[:, None])
     # canonical witness: first scaling is 1 (a global scalar moves into the
     # row transform), so projectively trivial transforms get all-1 scalings
     scalings = fld.mul(scalings, fld.inv(int(scalings[0])))
-    order = np.lexsort(tuple(normalized[:, c] for c in range(dim - 1, -1, -1)))
+    order = canonical_order(normalized)
     new_points = normalized[order]
     new_gen = gflinalg.nonzero_rows(fld, new_points.T)
     new_code = LinearCode(

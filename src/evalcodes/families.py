@@ -8,6 +8,7 @@ order.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +26,12 @@ from .poly import HomogPoly, monomials
 from .projective import (
     BudgetExceeded,
     Surface,
-    _generators_over,
+    canonical_order,
     enumerate_points,
-    iter_zero_point_batches,
+    level_scan,
     lines_on_surface,
     normalize_rows,
+    normalizing_scalars,
 )
 
 
@@ -141,6 +143,11 @@ class ClassificationResult:
     line_count: int
     checked_depth: int
     note: str = ""
+    screened_depth: int = 0  # extension levels screened for singular points
+
+    @property
+    def smooth_label(self) -> str:
+        return f"heuristically smooth (R={self.screened_depth})"
 
     def to_json(self):
         return {
@@ -155,12 +162,25 @@ class ClassificationResult:
 NOT_RHO_ONE = "not-rho-one-consistent"
 
 
-def classify_cubic(surface: Surface, max_depth: int = 3, *, max_enum: int = 500_000_000) -> ClassificationResult:
-    """Match a smooth cubic against the rank-one zeta classes by point counts.
+def classify_cubic(
+    surface: Surface,
+    max_depth: int = 3,
+    *,
+    screen_depth: int = 0,
+    stop_when_unmatched: bool = False,
+    max_enum: int = 500_000_000,
+) -> ClassificationResult:
+    """Match a cubic against the rank-one zeta classes by point counts N_r.
 
-    A rational line, or a point count no class predicts, rules every class
-    out.  Counting starts at r=1 and abandons candidates as soon as they
-    disagree, so rejected surfaces stay cheap.
+    One zero scan per level r = 1, 2, ... counts N_r and drops the classes
+    that predict otherwise; a rational line or a count no class predicts
+    rules every class out.  Levels r <= screen_depth are also screened, and
+    the first singular one raises DegenerateInput.  A level above max_enum
+    points ends the counting with a budget note.
+
+    On a cubic with a rational line, classify (no stop_when_unmatched) keeps
+    counting until no class fits; a search (stop_when_unmatched) stops at
+    the line before any count, and later at the first level no class fits.
     """
     if surface.ambient != 3 or surface.degree != 3:
         raise ValueError("classification applies to cubic surfaces in P^3")
@@ -168,29 +188,43 @@ def classify_cubic(surface: Surface, max_depth: int = 3, *, max_enum: int = 500_
     lines = lines_on_surface(surface)
     observed: dict[int, int] = {}
     predicted = {tag: {} for tag in CUBIC_CLASSES}
-    note = ""
     candidates = list(CUBIC_CLASSES)
-    depth = 0
-    for r in range(1, max_depth + 1):
-        if not candidates:
+    note = ""
+    depth = screened = 0
+    for r in range(1, max(max_depth, screen_depth) + 1):
+        if stop_when_unmatched and (len(lines) or not candidates):
+            break
+        want_screen = r <= screen_depth
+        want_count = r <= max_depth
+        if not (want_screen or (want_count and candidates)):
             break
         try:
-            observed[r] = surface.count_points(r, max_enum=max_enum)
+            n_r, singular = level_scan(surface, r, singular=want_screen, max_enum=max_enum)
         except BudgetExceeded:
             note = f"extension counting stopped at r={r - 1} (budget)"
             break
-        depth = r
-        for tag in list(candidates):
-            predicted[tag][r] = predicted_Nr(tag, q, r)
-            if predicted[tag][r] != observed[r]:
-                candidates.remove(tag)
+        if len(singular):
+            raise DegenerateInput(f"singular at extension degree {r}")
+        if want_screen:
+            screened = r
+        if want_count:
+            observed[r] = n_r
+            depth = r
+            for tag in list(candidates):
+                predicted[tag][r] = predicted_Nr(tag, q, r)
+                if predicted[tag][r] != n_r:
+                    candidates.remove(tag)
     if len(lines) or not candidates:
         matched = NOT_RHO_ONE
     elif len(candidates) == 1:
         matched = candidates[0]
     else:
         matched = "unknown"
-    return ClassificationResult(matched, observed, predicted, len(lines), depth, note)
+    return ClassificationResult(matched, observed, predicted, len(lines), depth, note, screened)
+
+
+# Searches are budgeted in samples drawn, so their point counts are not capped.
+_SEARCH_MAX_ENUM = sys.maxsize
 
 
 # -- Cayley-Salmon sampler ----------------------------------------------------------------
@@ -258,74 +292,10 @@ def cayley_salmon_c12(
         fld, 3, [cubic], degree=3, sectional_genus=1,
         family="cayley-salmon-c12", label=f"c12-q{fld.q}",
     )
-    classification, label = _screen_and_classify(surface, classify_depth, screen_depth)
-    return C12Sample(surface, classification, True, label)
-
-
-def _cubic_level_scan(surface: Surface, r: int, check_singular: bool) -> tuple[int, bool]:
-    """(N_r, any singular point) in a single enumeration of P^3 over F_{q^r}."""
-    fld0 = surface.fld
-    ext = None if r == 1 else make_field(fld0.p, fld0.n * r)
-    gens, fld = _generators_over(surface.generators, ext)
-    jac = [gens[0].partial_derivative(i) for i in range(4)] if check_singular else []
-    count = 0
-    singular = False
-    for _, coords in iter_zero_point_batches(fld, gens, 3):
-        count += len(coords)
-        if check_singular and not singular and len(coords):
-            jv = np.stack([d.eval_points(coords) for d in jac])
-            singular = bool((jv == 0).all(axis=0).any())
-    return count, singular
-
-
-def _screen_and_classify(
-    surface: Surface,
-    classify_depth: int,
-    screen_depth: int,
-    *,
-    stop_when_unmatched: bool = False,
-) -> tuple[ClassificationResult, str]:
-    """Fused smoothness screen and zeta classification, one scan per level.
-
-    Raises DegenerateInput at the first singular level.  stop_when_unmatched
-    abandons deeper (expensive) levels once no class fits the observed
-    counts, leaving the screen partial for surfaces that will be discarded
-    anyway.
-    """
-    q = surface.fld.q
-    lines = lines_on_surface(surface)
-    observed: dict[int, int] = {}
-    predicted = {tag: {} for tag in CUBIC_CLASSES}
-    candidates = [] if len(lines) else list(CUBIC_CLASSES)
-    depth = 0
-    screened = 0
-    for r in range(1, max(classify_depth, screen_depth) + 1):
-        if stop_when_unmatched and not candidates:
-            break
-        want_screen = r <= screen_depth
-        want_count = r <= classify_depth
-        if not (want_screen or (want_count and candidates)):
-            break
-        n_r, singular = _cubic_level_scan(surface, r, want_screen)
-        if singular:
-            raise DegenerateInput(f"singular at extension degree {r}")
-        if want_screen:
-            screened = r
-        if want_count:
-            observed[r] = n_r
-            depth = r
-            for tag in list(candidates):
-                predicted[tag][r] = predicted_Nr(tag, q, r)
-                if predicted[tag][r] != n_r:
-                    candidates.remove(tag)
-    if len(lines) or not candidates:
-        matched = NOT_RHO_ONE
-    elif len(candidates) == 1 and depth >= 1:
-        matched = candidates[0]
-    else:
-        matched = "unknown"
-    result = ClassificationResult(matched, observed, predicted, len(lines), depth)
-    return result, f"heuristically smooth (R={screened})"
+    classification = classify_cubic(
+        surface, classify_depth, screen_depth=screen_depth, max_enum=_SEARCH_MAX_ENUM
+    )
+    return C12Sample(surface, classification, True, classification.smooth_label)
 
 
 def _draw_c12(fld: FiniteField, rng: random.Random, classify_depth: int, screen_depth: int) -> C12Sample | None:
@@ -419,13 +389,15 @@ def random_cubic_search(
         surface = Surface(fld, 3, [cubic], degree=3, sectional_genus=1,
                           family="random-cubic", label=f"cubic-q{fld.q}-s{seed}.{substream}.{index}")
         try:
-            classification, label = _screen_and_classify(
-                surface, classify_depth, screen_depth, stop_when_unmatched=True
+            classification = classify_cubic(
+                surface, classify_depth, screen_depth=screen_depth,
+                stop_when_unmatched=True, max_enum=_SEARCH_MAX_ENUM,
             )
         except DegenerateInput:
             continue
         if classification.matched in CUBIC_CLASSES and (tag is None or classification.matched == tag):
-            hits.append(SearchHit(surface, classification, label, seed, substream, index))
+            hits.append(SearchHit(surface, classification, classification.smooth_label,
+                                  seed, substream, index))
     return hits
 
 
@@ -530,14 +502,27 @@ class DelPezzo6Parametrization:
         fld = self.orbit.base
         _, image = self.column_data()
         rows = normalize_rows(fld, image)
-        order = np.lexsort(tuple(rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)))
-        rows = rows[order]
+        rows = rows[canonical_order(rows)]
         if len(np.unique(rows, axis=0)) != len(rows):
             raise AssertionError("parametrization image has collisions")
         return rows
 
     def count_points(self, r: int) -> int:
         return delpezzo6_Nr(self.orbit.base.q, r)
+
+    def degree2_products(self) -> np.ndarray:
+        """Sextic coefficient rows of the quadric monomials in the 7 cubics,
+        one row per monomial of monomials(7, 2)."""
+        fld = self.orbit.base
+        sext_basis = monomials(3, 6)
+        rows = []
+        for mono in monomials(7, 2):
+            prod = HomogPoly(fld, 3, 0, {(0, 0, 0): 1})
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    prod = prod * self.cubics[i]
+            rows.append(prod.coeff_vector(sext_basis))
+        return np.stack(rows)
 
 
 def del_pezzo6(orbit: FrobeniusOrbit) -> Surface:
@@ -573,17 +558,8 @@ def dp6_quadric_ideal(surface: Surface) -> list[HomogPoly]:
     if not isinstance(param, DelPezzo6Parametrization):
         raise ValueError("expects a del-pezzo-6 surface")
     fld = surface.fld
-    sext_basis = monomials(3, 6)
-    quad_basis = monomials(7, 2)
-    rows = []
-    for mono in quad_basis:
-        prod = HomogPoly(fld, 3, 0, {(0, 0, 0): 1})
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                prod = prod * param.cubics[i]
-        rows.append(prod.coeff_vector(sext_basis))
-    kernel = gflinalg.kernel_basis(fld, np.stack(rows).T)
-    quadrics = [HomogPoly.from_coeff_vector(fld, 7, 2, quad_basis, row) for row in kernel]
+    kernel = gflinalg.kernel_basis(fld, param.degree2_products().T)
+    quadrics = [HomogPoly.from_coeff_vector(fld, 7, 2, monomials(7, 2), row) for row in kernel]
     if len(quadrics) != 9:
         raise AssertionError(f"image ideal has {len(quadrics)} quadrics, expected 9")
     return quadrics
@@ -616,7 +592,6 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
     if q <= 5:
         raise ValueError("construction needs q > 5")
     pts = enumerate_points(fld, 2)
-    n = len(pts)
     conic_cond = _orbit_condition_matrix(param.orbit, 2)
     conic_kernel = gflinalg.kernel_basis(fld, conic_cond)
     if len(conic_kernel) != 3:
@@ -652,9 +627,7 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
             sextic = conic_a * line_a * conic_b * line_b
             _assert_in_degree2_span(fld, param, sextic)
             _, image = param.column_data()
-            nzmask = image != 0
-            last = image.shape[1] - 1 - np.argmax(nzmask[:, ::-1], axis=1)
-            mu = fld.inv(image[np.arange(n), last])
+            mu = normalizing_scalars(fld, image)
             codeword = fld.mul(sextic.eval_points(pts), fld.pow(mu, 2))
             zeros = int((codeword == 0).sum())
             if zeros != 4 * q + 2:
@@ -667,15 +640,7 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
 
 
 def _assert_in_degree2_span(fld: FiniteField, param: DelPezzo6Parametrization, sextic: HomogPoly):
-    sext_basis = monomials(3, 6)
-    rows = []
-    for mono in monomials(7, 2):
-        prod = HomogPoly(fld, 3, 0, {(0, 0, 0): 1})
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                prod = prod * param.cubics[i]
-        rows.append(prod.coeff_vector(sext_basis))
-    rmat, pivots = gflinalg.rref(fld, np.stack(rows))
+    rmat, pivots = gflinalg.rref(fld, param.degree2_products())
     rmat = rmat[: len(pivots)]
-    if not gflinalg.in_rowspace(fld, rmat, pivots, sextic.coeff_vector(sext_basis)):
+    if not gflinalg.in_rowspace(fld, rmat, pivots, sextic.coeff_vector(monomials(3, 6))):
         raise AssertionError("witness sextic is outside the degree-2 span")

@@ -19,8 +19,6 @@ operation is pure and safe under any amount of concurrency.
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
 FULL_TABLE_MAX = 1024
@@ -164,6 +162,9 @@ class FiniteField:
             raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
+        if n * (p - 1) ** 2 >= 1 << 63:
+            # digit multiplication sums n products below p^2 in int64
+            raise ValueError(f"GF({p}^{n}) products cannot be computed exactly in int64")
         if modulus is None:
             modulus = _canonical_modulus(p, n)
         else:
@@ -695,11 +696,6 @@ def get_embedding(source: FiniteField, target: FiniteField) -> FieldEmbedding:
     return _EMBED_CACHE[key]
 
 
-def extension_of(field: FiniteField, r: int) -> FiniteField:
-    """The canonical absolute field GF(p^(n*r)) containing field to degree r."""
-    return make_field(field.p, field.n * r)
-
-
 def parse_field_spec(spec: str) -> FiniteField:
     """Parse "p", "p^n", or "p^n/c0,c1,...,cn" (modulus coefficients, constant
     term first) into a field."""
@@ -724,8 +720,3 @@ def batched(total: int, batch: int):
     """Yield (start, stop) covering range(total) in deterministic order."""
     for start in range(0, total, batch):
         yield start, min(start + batch, total)
-
-
-def gf_sum(field: FiniteField, values):
-    """Field sum of an iterable of encodings."""
-    return reduce(field.add, values, 0)

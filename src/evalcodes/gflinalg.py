@@ -89,7 +89,7 @@ def matmul(field: FiniteField, a, b) -> np.ndarray:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if field.n == 1:
+    if field.n == 1 and (field.p - 1) ** 2 * a.shape[1] < 1 << 53:  # float64 sums stay exact
         return (a.astype(np.float64) @ b.astype(np.float64)).round().astype(np.int64) % field.p
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for k in range(a.shape[1]):

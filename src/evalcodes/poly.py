@@ -366,8 +366,3 @@ def eval_affine_grid_chunks(field: FiniteField, tensors: list[np.ndarray]):
     for start in range(0, q, block):
         x = np.arange(start, min(start + block, q), dtype=np.int64)
         yield x, [_horner_outer(field, subs, x, t - 1) for subs in subevals]
-
-
-def eval_many(field: FiniteField, polys: list[HomogPoly], points: np.ndarray) -> np.ndarray:
-    """Stack eval_points results: shape (len(polys), N)."""
-    return np.stack([g.eval_points(points) for g in polys]) if polys else np.zeros((0, len(points)), dtype=np.int64)

@@ -30,15 +30,27 @@ def projective_space_size(q: int, r: int) -> int:
     return (q ** (r + 1) - 1) // (q - 1)
 
 
-def normalize_rows(fld: FiniteField, rows: np.ndarray) -> np.ndarray:
-    """Scale each row so its rightmost nonzero entry is 1."""
+def normalizing_scalars(fld: FiniteField, rows: np.ndarray) -> np.ndarray:
+    """Per row, the inverse of its rightmost nonzero entry: the scalar that
+    normalizes the row."""
     rows = np.asarray(rows, dtype=np.int64)
     nz = rows != 0
     if not np.all(nz.any(axis=1)):
         raise ValueError("cannot normalize a zero vector")
     last = rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1)
-    scale = fld.inv(rows[np.arange(len(rows)), last])
-    return fld.mul(rows, scale[:, None])
+    return fld.inv(rows[np.arange(len(rows)), last])
+
+
+def normalize_rows(fld: FiniteField, rows: np.ndarray) -> np.ndarray:
+    """Scale each row so its rightmost nonzero entry is 1."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return fld.mul(rows, normalizing_scalars(fld, rows)[:, None])
+
+
+def canonical_order(points: np.ndarray) -> np.ndarray:
+    """The permutation sorting point rows lexicographically, first coordinate
+    most significant."""
+    return np.lexsort(np.asarray(points).T[::-1])
 
 
 def normalize_point(fld: FiniteField, coords) -> tuple[int, ...]:
@@ -52,10 +64,6 @@ class ProjPoint:
 
     fld: FiniteField
     coords: tuple[int, ...]
-
-    @classmethod
-    def from_raw(cls, fld: FiniteField, coords) -> "ProjPoint":
-        return cls(fld, normalize_point(fld, coords))
 
     def __post_init__(self):
         nz = [c for c in self.coords if c]
@@ -82,8 +90,7 @@ def enumerate_points(fld: FiniteField, r: int, max_points: int = DEFAULT_POINT_B
         block[:, ell] = 1
         charts.append(block)
     pts = np.concatenate(charts, axis=0)
-    order = np.lexsort(tuple(pts[:, c] for c in range(r, -1, -1)))
-    return pts[order]
+    return pts[canonical_order(pts)]
 
 
 def _generators_over(gens: list[HomogPoly], ext: FiniteField | None):
@@ -111,6 +118,27 @@ def rational_points(
     return pts[mask]
 
 
+def _chart_zero_masks(fld: FiniteField, gens: list[HomogPoly], r: int):
+    """Yield (chart, x0, mask) for every grid chunk of every affine chart of P^r.
+
+    Chart c holds the points with x_c = 1 and later coordinates 0; its grid
+    axes are (x_0, ..., x_{c-1}) with the last one fastest, chunked along x_0,
+    whose values in the chunk are x0.  mask flags the common zeros of the
+    generators.  Chart 0 is the single point (1:0:...:0).
+    """
+    for chart in range(r + 1):
+        if chart == 0:
+            origin = tuple(int(i == 0) for i in range(r + 1))
+            yield 0, np.ones(1, dtype=np.int64), np.array([all(g.eval_at(origin) == 0 for g in gens)])
+            continue
+        tensors = [dehomogenize(g, chart) for g in gens]
+        for x0, vals in eval_affine_grid_chunks(fld, tensors):
+            mask = vals[0] == 0
+            for v in vals[1:]:
+                mask &= v == 0
+            yield chart, x0, mask
+
+
 def count_rational_points(
     gens: list[HomogPoly],
     extension_field: FiniteField | None = None,
@@ -129,51 +157,26 @@ def count_rational_points(
     total_pts = projective_space_size(fld.q, r)
     if total_pts > max_enum:
         raise BudgetExceeded(f"{total_pts} points exceeds budget {max_enum}")
-    count = 0
-    for chart in range(r + 1):
-        if chart == 0:
-            point = tuple(1 if i == 0 else 0 for i in range(r + 1))
-            if all(g.eval_at(point) == 0 for g in gens):
-                count += 1
-            continue
-        tensors = [dehomogenize(g, chart) for g in gens]
-        for _, vals in eval_affine_grid_chunks(fld, tensors):
-            mask = vals[0] == 0
-            for v in vals[1:]:
-                mask &= v == 0
-            count += int(mask.sum())
-    return count
+    return sum(int(mask.sum()) for _, _, mask in _chart_zero_masks(fld, gens, r))
 
 
 def iter_zero_point_batches(fld: FiniteField, gens: list[HomogPoly], r: int):
     """Yield (chart, coordinate-array) batches of the generators' common
     projective zeros; coordinates arrive normalized (x_chart = 1, later
     coordinates 0)."""
-    for chart in range(r + 1):
-        if chart == 0:
-            point = np.zeros((1, r + 1), dtype=np.int64)
-            point[0, 0] = 1
-            if all(g.eval_at(tuple(point[0])) == 0 for g in gens):
-                yield chart, point
+    q = fld.q
+    for chart, x0, mask in _chart_zero_masks(fld, gens, r):
+        if not mask.any():
             continue
-        tensors = [dehomogenize(g, chart) for g in gens]
-        q = fld.q
-        for x0, vals in eval_affine_grid_chunks(fld, tensors):
-            mask = vals[0] == 0
-            for v in vals[1:]:
-                mask &= v == 0
-            if not mask.any():
-                continue
-            flat = np.nonzero(mask.reshape(len(x0), -1))
-            coords = np.zeros((len(flat[0]), r + 1), dtype=np.int64)
-            coords[:, 0] = x0[flat[0]]
-            # grid axes are (x0, x1, ..., x_{chart-1}) with the last one fastest
-            rem = flat[1]
-            for var in range(chart - 1, 0, -1):
-                coords[:, var] = rem % q
-                rem //= q
-            coords[:, chart] = 1
-            yield chart, coords
+        flat = np.nonzero(mask.reshape(len(x0), -1))
+        coords = np.zeros((len(flat[0]), r + 1), dtype=np.int64)
+        coords[:, 0] = x0[flat[0]]
+        rem = flat[1]
+        for var in range(chart - 1, 0, -1):
+            coords[:, var] = rem % q
+            rem //= q
+        coords[:, chart] = 1
+        yield chart, coords
 
 
 @dataclass
@@ -328,13 +331,6 @@ def lines_on_surface(surface: Surface, *, max_lines: int = 2_000_000) -> np.ndar
     return lines[keep]
 
 
-def points_on_line(fld: FiniteField, line: np.ndarray) -> np.ndarray:
-    """The q+1 normalized points spanned by a 2-row basis."""
-    u, v = np.asarray(line[0]), np.asarray(line[1])
-    rows = [v] + [fld.add(u, fld.mul(c, v)) for c in range(fld.q)]
-    return normalize_rows(fld, np.stack(rows))
-
-
 def component_search(curve: HomogPoly, max_factor_degree: int, *, max_candidates: int = 300_000) -> list[HomogPoly]:
     """Exhaustive low-degree factor search by trial division.
 
@@ -359,6 +355,49 @@ def component_search(curve: HomogPoly, max_factor_degree: int, *, max_candidates
     return out
 
 
+def level_scan(
+    surface: Surface,
+    r: int,
+    *,
+    singular: bool = True,
+    max_enum: int = 500_000_000,
+) -> tuple[int, np.ndarray]:
+    """(N_r, singular zeros) of X over F_{q^r} from one zero scan of P^ambient.
+
+    A zero is singular where the Jacobian drops rank: for a hypersurface all
+    partials vanish; for codimension-c intersections the c x (ambient+1)
+    Jacobian has rank < c.  singular=False skips that test and returns no
+    rows.
+    """
+    fld0 = surface.fld
+    ext = fld0 if r == 1 else make_field(fld0.p, fld0.n * r)
+    if projective_space_size(ext.q, surface.ambient) > max_enum:
+        raise BudgetExceeded(f"extension degree {r} exceeds enumeration budget")
+    gens, fld = _generators_over(surface.generators, ext)
+    codim = len(gens)
+    jac = [[g.partial_derivative(i) for i in range(surface.ambient + 1)] for g in gens] if singular else []
+    count = 0
+    bad = []
+    for _, coords in iter_zero_point_batches(fld, gens, surface.ambient):
+        count += len(coords)
+        if not jac:
+            continue
+        jvals = np.stack(
+            [np.stack([d.eval_points(coords) for d in row]) for row in jac]
+        )  # (codim, ambient+1, npts)
+        if codim == 1:
+            sing = (jvals[0] == 0).all(axis=0)
+        else:
+            sing = np.array([
+                gflinalg.rank(fld, jvals[:, :, t]) < codim
+                for t in range(jvals.shape[2])
+            ])
+        if sing.any():
+            bad.append(coords[sing])
+    pts = np.concatenate(bad, axis=0) if bad else np.zeros((0, surface.ambient + 1), dtype=np.int64)
+    return count, pts
+
+
 def singular_points(
     surface: Surface,
     max_extension_degree: int = 3,
@@ -367,48 +406,13 @@ def singular_points(
 ) -> dict[int, np.ndarray]:
     """Points of X over F_{q^r}, r <= R, where the Jacobian drops rank.
 
-    For a hypersurface this means all partials vanish; for codimension-c
-    intersections the c x (r+1) Jacobian has rank < c.  An empty result is
-    heuristic smoothness evidence only (labelled by the screening level), not
-    a closure-level certificate.
+    An empty result is heuristic smoothness evidence only (labelled by the
+    screening level), not a closure-level certificate.
     """
-    out: dict[int, np.ndarray] = {}
-    codim = len(surface.generators)
-    for r_ext in range(1, max_extension_degree + 1):
-        ext = surface.fld if r_ext == 1 else make_field(surface.fld.p, surface.fld.n * r_ext)
-        if projective_space_size(ext.q, surface.ambient) > max_enum:
-            raise BudgetExceeded(f"extension degree {r_ext} exceeds enumeration budget")
-        gens, fld = _generators_over(surface.generators, ext if r_ext > 1 else None)
-        jac = [[g.partial_derivative(i) for i in range(surface.ambient + 1)] for g in gens]
-        bad = []
-        for _, coords in iter_zero_point_batches(fld, gens, surface.ambient):
-            jvals = np.stack(
-                [np.stack([d.eval_points(coords) for d in row]) for row in jac]
-            )  # (codim, r+1, npts)
-            if codim == 1:
-                sing = (jvals[0] == 0).all(axis=0)
-            else:
-                sing = np.array([
-                    gflinalg.rank(fld, jvals[:, :, t]) < codim
-                    for t in range(jvals.shape[2])
-                ])
-            if sing.any():
-                bad.append(coords[sing])
-        pts = np.concatenate(bad, axis=0) if bad else np.zeros((0, surface.ambient + 1), dtype=np.int64)
-        if len(pts):
-            pts = normalize_rows(fld, pts)
-        out[r_ext] = pts
-    return out
-
-
-def smoothness_screen(surface: Surface, max_extension_degree: int = 3) -> tuple[bool, str]:
-    """(passed, label); the label records the screening depth."""
-    sing = singular_points(surface, max_extension_degree)
-    clean = all(len(v) == 0 for v in sing.values())
-    label = f"heuristically smooth (R={max_extension_degree})" if clean else (
-        f"singular at extension degrees {[r for r, v in sing.items() if len(v)]}"
-    )
-    return clean, label
+    return {
+        r: level_scan(surface, r, max_enum=max_enum)[1]
+        for r in range(1, max_extension_degree + 1)
+    }
 
 
 def ideal_degree_part(gens: list[HomogPoly], ell: int):

@@ -1,12 +1,14 @@
 """CLI wiring: flags, JSON shapes, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import evalcodes
 from evalcodes.cli import main
 from evalcodes.families import del_pezzo4_fixture
 from evalcodes.projective import surface_to_text
@@ -139,10 +141,13 @@ def test_input_errors_exit_2(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the child interpreter finds the package the way this one did, installed or not
+    src = str(Path(evalcodes.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "evalcodes.cli", "scan-sections", "--family",
          "del-pezzo-4", "--field", "7"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -1,6 +1,7 @@
 """Code construction, distance engines, enumerators, equivalence machinery."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,29 @@ def test_information_set_budget_interval():
     assert d.lower <= d.upper
     full = min_distance(code, "exhaustive")
     assert d.lower <= full.d <= d.upper
+
+
+def test_weight_round_checks_budget_before_allocating():
+    # weight 2 over GF(2^20) has ~10^6 messages per support; a 50-codeword
+    # budget must end the scan before they are built
+    code = _random_code(make_field(2, 20), 4, 12, random.Random(8))
+    tracemalloc.start()
+    try:
+        d = min_distance(code, "isd", budget=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.work == 12 and not d.exact
+    assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0, 1, 1], [2, 0, 2, 2]],  # rank 1 given as k = 2
+    [[2, 0, 0, 1], [0, 1, 0, 3]],  # full rank, pivot not scaled to 1
+])
+def test_linear_code_requires_full_rank_rref(matrix):
+    with pytest.raises(ValueError, match="full-rank RREF"):
+        _plain_code(F7, matrix)
 
 
 def test_weight_enumerator_repetition_code():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from evalcodes import gflinalg
 from evalcodes.gf import (
     FiniteField,
     NotInSubfield,
@@ -197,6 +198,18 @@ def test_large_field_digit_arithmetic():
     assert fld.mul(ab, fld.inv(b)) == a
     assert fld.add(a, fld.neg(a)) == 0
     assert fld.pow(a, fld.q - 1) == 1
+
+
+def test_products_beyond_float64_stay_exact():
+    p = 2**31 - 1
+    fld = make_field(p)
+    assert fld.mul(p - 1, p - 1) == 1
+    assert gflinalg.matmul(fld, [[p - 1, p - 1]], [[p - 1], [p - 1]]).tolist() == [[2]]
+
+
+def test_field_refuses_products_that_overflow_int64():
+    with pytest.raises(ValueError, match="exactly"):
+        make_field(4294967311)
 
 
 def test_relative_basis_linearity():

@@ -8,20 +8,25 @@ module, which re-run here against plain modular arithmetic.
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from evalcodes.families import DegenerateInput, classify_cubic
 from evalcodes.gf import get_embedding, make_field
-from evalcodes.poly import HomogPoly
+from evalcodes.poly import HomogPoly, monomials
 from evalcodes.projective import (
     BudgetExceeded,
     ProjPoint,
     Surface,
+    canonical_order,
     component_search,
     count_rational_points,
     enumerate_points,
     fq_general_check,
     hyperplane_section,
     ideal_degree_part,
+    iter_zero_point_batches,
     lines_on_surface,
     normalize_point,
     projective_space_size,
@@ -107,6 +112,51 @@ def test_count_matches_list_mode_over_extensions():
     listed = rational_points(quad.generators, f49)
     counted = count_rational_points(quad.generators, f49)
     assert len(listed) == counted == 2500  # (q^2+1)^2 over GF(q^2)
+
+
+@st.composite
+def cubic_surfaces(draw, min_q=2):
+    """A nonzero cubic form over GF(2), GF(3), GF(4), GF(5) or GF(7), and r in {1, 2}."""
+    p, n = draw(st.sampled_from([f for f in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1))
+                                 if f[0] ** f[1] >= min_q]))
+    fld = make_field(p, n)
+    coeffs = draw(st.lists(st.integers(0, fld.q - 1), min_size=20, max_size=20).filter(any))
+    cubic = HomogPoly(fld, 4, 3, dict(zip(monomials(4, 3), coeffs)))
+    return Surface(fld, 3, [cubic], degree=3), draw(st.sampled_from([1, 2]))
+
+
+def _over(surface, r):
+    ext = make_field(surface.fld.p, surface.fld.n * r)
+    return ext, [g.embed_coeffs(get_embedding(surface.fld, ext)) for g in surface.generators]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(cubic_surfaces())
+def test_zero_scan_matches_rational_points(case):
+    surface, r = case
+    ext, gens = _over(surface, r)
+    listed = rational_points(gens)
+    assert count_rational_points(gens) == len(listed)
+    batches = [coords for _, coords in iter_zero_point_batches(ext, gens, 3)]
+    scanned = np.concatenate(batches) if batches else np.zeros((0, 4), dtype=np.int64)
+    assert np.array_equal(scanned[canonical_order(scanned)], listed)
+    partials = [gens[0].partial_derivative(i) for i in range(4)]
+    singular = listed[np.all([d.eval_points(listed) == 0 for d in partials], axis=0)]
+    found = singular_points(surface, r)[r]
+    assert np.array_equal(found[canonical_order(found)], singular)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(cubic_surfaces(min_q=4), st.booleans())
+def test_classifier_counts_match_rational_points(case, search):
+    surface, r = case
+    try:
+        result = classify_cubic(surface, r, screen_depth=r if search else 0,
+                                stop_when_unmatched=search)
+    except DegenerateInput:
+        return
+    for level, n_r in result.observed.items():
+        assert n_r == len(rational_points(surface.generators, _over(surface, level)[0]))
 
 
 def test_frobenius_stability_of_point_sets():
