@@ -1,15 +1,19 @@
-"""Byte-for-byte goldens of the CLI's search and classify outputs.
+"""Byte-for-byte goldens of the CLI's search, classify and min-dist outputs.
 
 The files under tests/golden/ pin the reproducibility contract: the same
 flags must write the same bytes.  The verify-paper golden is checked by the
 slow test in test_cli.py.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from evalcodes.cli import main
+from evalcodes.codes import build_code, min_distance
+from evalcodes.families import del_pezzo6, frobenius_orbit, geometric_witness_dp6
+from evalcodes.gf import parse_field_spec
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -25,8 +29,24 @@ GOLDEN = Path(__file__).parent / "golden"
     # a cubic with a rational line: classify keeps counting through depth 2
     ("classify_lined_cubic_q5_depth2.json",
      ["classify", "--surface", str(GOLDEN / "lined_cubic_q5.surface"), "--depth", "2"]),
+    # information-set run over an extension field, truncated by its budget
+    ("min_dist_dp6_q9_s2_budget200k.json",
+     ["min-dist", "--family", "del-pezzo-6", "--field", "3^2", "--seed", "1",
+      "--degree", "2", "--budget", "200000"]),
 ])
 def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_truncated_isd_witness_matches_golden():
+    # the min-dist JSON carries only the witness weight; pin the codeword
+    surface = del_pezzo6(frobenius_orbit(parse_field_spec("3^2"), seed=1))
+    code = build_code(surface, 2)
+    hint = geometric_witness_dp6(surface).codeword
+    d = min_distance(code, "isd", 200_000, upper_hint=hint)
+    golden = json.loads((GOLDEN / "min_dist_dp6_q9_s2_budget200k.witness.json").read_text())
+    assert (d.lower, d.upper, d.work) == (12, 53, 194_370)
+    assert [int(v) for v in d.witness] == golden
+    assert code.contains_word(d.witness)
