@@ -17,9 +17,9 @@ Distance engines:
     chosen information sets, messages enumerated by weight, with the certified
     lower bound sum(max(0, w + 1 - (k - r_i))) after each completed round.
 
-Both work over any GF(p^n) by expanding messages and generator matrices to
-GF(p) coordinates and batching the encoding products through float64 matrix
-multiplication (exact far below 2^53 at these sizes).
+Both work over any GF(p^n).  Every encoding product goes through
+gflinalg.matmul, which uses float64 BLAS only while its sums stay below 2^53
+and an exact int64 loop otherwise.
 
 Budgets are counted in enumerated codewords.  A sweep that exhausts its
 budget returns the best certified interval with exact=False; that is a
@@ -41,7 +41,7 @@ from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows
 DEFAULT_DISTANCE_BUDGET = 50_000_000
 DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
 EXHAUSTIVE_AUTO_LIMIT = 100_000_000  # q^k above this switches auto to info-set
-_BATCH_TARGET = 1 << 21  # float64 elements per encoding batch
+_BATCH_TARGET = 1 << 21  # GF(p) coordinates per encoding batch
 
 
 @dataclass
@@ -116,33 +116,6 @@ def build_code(surface: Surface, s: int) -> LinearCode:
 # -- message sweeps ---------------------------------------------------------------
 
 
-def _expanded_generator(fld: FiniteField, matrix: np.ndarray) -> np.ndarray:
-    """Generator matrix over GF(p) coordinates, as float64 for BLAS matmuls."""
-    k, n = matrix.shape
-    m = fld.n
-    if m == 1:
-        return matrix.astype(np.float64)
-    tensor = np.empty((k, m, n, m), dtype=np.float64)
-    for a in range(m):
-        rows = fld.mul(fld.p**a, matrix)
-        tensor[:, a, :, :] = fld._digits_of(rows)
-    return tensor.reshape(k * m, n * m)
-
-
-def _expand_messages(fld: FiniteField, msgs: np.ndarray) -> np.ndarray:
-    if fld.n == 1:
-        return msgs.astype(np.float64)
-    b, k = msgs.shape
-    return fld._digits_of(msgs).reshape(b, k * fld.n).astype(np.float64)
-
-
-def _fold_codewords(fld: FiniteField, raw: np.ndarray) -> np.ndarray:
-    """(B, n*m) GF(p) coordinate rows -> (B, n) GF(q) encodings."""
-    if fld.n == 1:
-        return raw
-    return raw.reshape(raw.shape[0], -1, fld.n) @ fld._pow_p
-
-
 class _SweepState:
     """Running minimum / witness / histogram; merges are commutative, so any
     partition of the message space gives the same final state."""
@@ -165,7 +138,7 @@ class _SweepState:
         if batch_min > self.min_weight:
             return
         rows = codewords_q[weights == batch_min]
-        cand = min(tuple(int(v) for v in row) for row in rows)
+        cand = tuple(int(v) for v in rows[canonical_order(rows)[0]])
         if batch_min < self.min_weight:
             self.min_weight = batch_min
             self.witness = cand
@@ -220,9 +193,8 @@ def _exhaustive_scan(
     q = fld.q
     total = projective_message_count(q, k)
     lo, hi = index_range if index_range else (0, total)
-    gx = _expanded_generator(fld, matrix)
     state = _SweepState(n)
-    batch = max(256, _BATCH_TARGET // max(gx.shape[1], 1))
+    batch = max(256, _BATCH_TARGET // (n * fld.n))
     completed = True
     block_begin = 0
     for lead in range(k):
@@ -233,14 +205,14 @@ def _exhaustive_scan(
         if local_lo >= local_hi:
             continue
         for c_lo, c_hi in batched(local_hi - local_lo, batch):
-            if state.work + (c_hi - c_lo) > budget:
+            take = min(c_hi - c_lo, budget - state.work)  # the last batch is clipped
+            if take > 0:
+                msgs = _message_block(fld, k, lead, local_lo + c_lo, local_lo + c_lo + take)
+                words = gflinalg.matmul(fld, msgs, matrix)
+                state.update((words != 0).sum(axis=1), words, histogram)
+            if take < c_hi - c_lo:
                 completed = False
                 break
-            msgs = _message_block(fld, k, lead, local_lo + c_lo, local_lo + c_hi)
-            raw = np.rint(_expand_messages(fld, msgs) @ gx).astype(np.int64) % fld.p
-            folded = _fold_codewords(fld, raw)
-            weights = (folded != 0).sum(axis=1)
-            state.update(weights, folded, histogram)
         if not completed:
             break
     return state, completed
@@ -248,10 +220,7 @@ def _exhaustive_scan(
 
 def _scan_worker(args):
     fld, matrix, budget, histogram, index_range = args
-    state, completed = _exhaustive_scan(
-        fld, matrix, budget=budget, histogram=histogram, index_range=index_range
-    )
-    return state.min_weight, state.witness, state.histogram, state.work, completed
+    return _exhaustive_scan(fld, matrix, budget=budget, histogram=histogram, index_range=index_range)
 
 
 def exhaustive_sweep(
@@ -275,14 +244,14 @@ def exhaustive_sweep(
 
     step = -(-total // workers)
     ranges = [(w * step, min((w + 1) * step, total)) for w in range(workers) if w * step < total]
-    share = -(-budget // len(ranges))
+    parts = len(ranges)
     state = _SweepState(code.n)
     completed = True
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        args = [(code.fld, code.matrix, share, histogram, r) for r in ranges]
-        for min_w, witness, hist, work, done in pool.map(_scan_worker, args):
-            part = _SweepState(code.n)
-            part.min_weight, part.witness, part.histogram, part.work = min_w, witness, hist, work
+        # the shares sum to the budget: a truncated scan spends all of its share
+        args = [(code.fld, code.matrix, budget // parts + (i < budget % parts), histogram, r)
+                for i, r in enumerate(ranges)]
+        for part, done in pool.map(_scan_worker, args):
             state.merge(part)
             completed &= done
     return state, completed
@@ -356,40 +325,29 @@ def _chunked(iterable, size):
 
 def _weight_w_scan(
     fld: FiniteField,
-    gx: np.ndarray,
-    k: int,
-    n: int,
+    sysmat: np.ndarray,
     w: int,
     state: _SweepState,
     budget: int,
 ) -> bool:
     """Enumerate weight-w projective messages against one systematic matrix;
     False when the budget ran out mid-scan."""
+    k, n = sysmat.shape
     q = fld.q
-    m = fld.n
-    nz = np.arange(1, q, dtype=np.int64)
     repeats = (q - 1) ** (w - 1)
     if state.work + repeats > budget:
         return False
     vals = np.ones((repeats, w), dtype=np.int64)
     idx = np.arange(repeats, dtype=np.int64)
     for c in range(w - 1, 0, -1):
-        vals[:, c] = nz[idx % (q - 1)]
+        vals[:, c] = idx % (q - 1) + 1
         idx //= q - 1
-    vals_x = _expand_messages(fld, vals)  # (V, w*m)
-    support_chunk = max(1, _BATCH_TARGET // max(repeats * n * m, 1))
+    support_chunk = max(1, _BATCH_TARGET // max(repeats * n * fld.n, 1))
     for supports in _chunked(itertools.combinations(range(k), w), support_chunk):
-        count = len(supports) * repeats
-        if state.work + count > budget:
+        if state.work + len(supports) * repeats > budget:
             return False
-        rows = np.stack([
-            np.concatenate([gx[j * m : (j + 1) * m] for j in sup]) for sup in supports
-        ])  # (S, w*m, n*m)
-        prods = np.matmul(np.broadcast_to(vals_x, (len(supports),) + vals_x.shape), rows)
-        raw = np.rint(prods).astype(np.int64).reshape(-1, n * m) % fld.p
-        folded = _fold_codewords(fld, raw)
-        weights = (folded != 0).sum(axis=1)
-        state.update(weights, folded, histogram=False)
+        words = gflinalg.matmul(fld, vals, sysmat[np.array(supports)]).reshape(-1, n)
+        state.update((words != 0).sum(axis=1), words, histogram=False)
     return True
 
 
@@ -402,7 +360,6 @@ def information_set_distance(
     """Brouwer-Zimmermann certification within a codeword budget."""
     fld = code.fld
     sets = _information_sets(fld, code.matrix)
-    gxs = [(_expanded_generator(fld, mat), rank_i) for mat, rank_i in sets]
     state = _SweepState(code.n)
     if upper_hint is not None:
         state.offer(np.asarray(upper_hint, dtype=np.int64))
@@ -411,13 +368,13 @@ def information_set_distance(
     w = 0
     while w < code.k:
         w += 1
-        for gx, _ in gxs:
-            if not _weight_w_scan(fld, gx, code.k, code.n, w, state, budget):
+        for sysmat, _ in sets:
+            if not _weight_w_scan(fld, sysmat, w, state, budget):
                 ran_out = True
                 break
         if ran_out:
             break
-        lower = sum(max(0, (w + 1) - (code.k - r_i)) for _, r_i in gxs)
+        lower = sum(max(0, (w + 1) - (code.k - r_i)) for _, r_i in sets)
         if lower >= state.min_weight:
             break
     if w == code.k and not ran_out:

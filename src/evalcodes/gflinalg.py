@@ -85,15 +85,34 @@ def kernel_basis(field: FiniteField, mat) -> np.ndarray:
 
 
 def matmul(field: FiniteField, a, b) -> np.ndarray:
-    """Exact GF matrix product; meant for small/medium shapes."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
+    """Exact GF matrix product, broadcast over leading stack dimensions.
+
+    Over GF(p^m) with m > 1 the product is GF(p)-linear in the base-p digits
+    of `a`: row j*m + i of the expanded right factor holds the digits of
+    p^i * b[j] (p^i encodes the i-th power basis element), and the GF(p)
+    result folds back to encodings.  The GF(p) product runs through float64
+    BLAS only while every sum stays below 2^53; otherwise an int64 loop
+    reduces each product mod p before adding (FiniteField keeps (p-1)^2
+    below 2^63, so no product overflows).
+    """
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    if field.n == 1 and (field.p - 1) ** 2 * a.shape[1] < 1 << 53:  # float64 sums stay exact
-        return (a.astype(np.float64) @ b.astype(np.float64)).round().astype(np.int64) % field.p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for k in range(a.shape[1]):
-        out = field.add(out, field.mul(a[:, k, None], b[None, k, :]))
+    p, m = field.p, field.n
+    cols = b.shape[-1]
+    if m > 1:
+        a = field._digits_of(a).reshape(a.shape[:-1] + (-1,))
+        powers_b = field.mul(b[..., None, :], field._pow_p[:, None])  # (..., inner, m, cols)
+        b = field._digits_of(powers_b).reshape(b.shape[:-2] + (-1, cols * m))
+    inner = a.shape[-1]
+    if (p - 1) ** 2 * inner < 1 << 53:  # every partial sum is an exact integer
+        out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p
+    else:
+        out = 0
+        for j in range(inner):
+            out = (out + a[..., j, None] * b[..., None, j, :] % p) % p
+    if m > 1:
+        out = out.reshape(out.shape[:-1] + (cols, m)) @ field._pow_p
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 from evalcodes import gflinalg
 from evalcodes.codes import (
     LinearCode,
+    _exhaustive_scan,
     apply_projective_transform,
     build_code,
     equivalence_evidence,
@@ -63,11 +64,16 @@ def test_projective_message_count():
 def test_exhaustive_matches_information_set_on_random_codes():
     rng = random.Random(20240)
     cases = 0
-    fields = [make_field(2), make_field(3), make_field(2, 2), make_field(5), make_field(7)]
+    # the last three take k = 2: GF(2^11) log tables, GF(131101) and GF(2^18)
+    # digit vectors
+    fields = [make_field(2), make_field(3), make_field(2, 2), make_field(5), make_field(7),
+              make_field(2, 11), make_field(131101), make_field(2, 18)]
     while cases < 50:
         fld = fields[cases % len(fields)]
         k = rng.randrange(3, 7)
-        if fld.q**k > 1_000_000:
+        if fld.q > 1024:
+            k = 2
+        elif fld.q**k > 1_000_000:
             k = 3
         n = rng.randrange(k + 4, 26)
         code = _random_code(fld, k, n, rng)
@@ -96,6 +102,8 @@ def test_budget_exhaustion_gives_partial_interval():
     d = min_distance(code, "exhaustive", budget=1000)
     assert not d.exact
     assert d.method == "exhaustive-partial"
+    # the budget is below one batch: the batch is clipped, not skipped
+    assert d.work == 1000 and d.witness is not None
     assert 1 == d.lower <= d.upper <= code.n
     full = min_distance(code, "exhaustive")
     assert full.exact and full.d >= d.lower and full.d <= d.upper
@@ -123,6 +131,29 @@ def test_weight_round_checks_budget_before_allocating():
         tracemalloc.stop()
     assert d.work == 12 and not d.exact
     assert peak < 64 << 20
+
+
+P31 = 2**31 - 1
+
+
+def test_isd_over_gf_2_31_minus_1_certifies_without_huge_rows():
+    # the weight-1 round closes the interval; nothing of size q may be built
+    code = _plain_code(make_field(P31), [[1, 0, 0, P31 - 1, P31 - 2],
+                                         [0, 1, 0, P31 - 3, P31 - 1],
+                                         [0, 0, 1, P31 - 1, P31 - 5]])
+    d = min_distance(code, "isd")
+    assert d.exact and d.d == 3
+    assert code.contains_word(d.witness)
+
+
+def test_exhaustive_scan_over_gf_2_31_minus_1_encodes_exactly():
+    fld = make_field(P31)
+    code = _plain_code(fld, [[1, 0, 288545019, 1222356006], [0, 1, 1819850096, 1722851097]])
+    # the start of the second worker's range under exhaustive_sweep(workers=2)
+    state, completed = _exhaustive_scan(fld, code.matrix, budget=400_000, histogram=False,
+                                        index_range=(2**30, 2**30 + 349_525))
+    assert completed and state.work == 349_525
+    assert code.contains_word(np.array(state.witness, dtype=np.int64))
 
 
 @pytest.mark.parametrize("matrix", [
@@ -178,6 +209,9 @@ def test_worker_partition_is_invisible():
     assert lone.min_weight == duo.min_weight
     assert lone.witness == duo.witness
     assert np.array_equal(lone.histogram, duo.histogram)
+    # a truncated split sweep spends exactly its budget
+    cut, done_c = exhaustive_sweep(code, budget=1001, workers=2)
+    assert not done_c and cut.work == 1001
 
 
 def test_apply_projective_transform_witness_and_invariance(dp4):

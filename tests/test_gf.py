@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evalcodes import gflinalg
 from evalcodes.gf import (
@@ -205,6 +206,58 @@ def test_products_beyond_float64_stay_exact():
     fld = make_field(p)
     assert fld.mul(p - 1, p - 1) == 1
     assert gflinalg.matmul(fld, [[p - 1, p - 1]], [[p - 1], [p - 1]]).tolist() == [[2]]
+
+
+def _reference_matmul(fld, a, b):
+    """Schoolbook product on Python ints: polynomial products modulo the
+    field modulus, sums digit by digit mod p."""
+    def add(x, y):
+        out, scale = 0, 1
+        for _ in range(fld.n):
+            out += (x % fld.p + y % fld.p) % fld.p * scale
+            x, y, scale = x // fld.p, y // fld.p, scale * fld.p
+        return out
+
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            acc = 0
+            for x, y in zip(row, col):
+                acc = add(acc, fld._mul_scalar_raw(int(x), int(y)))
+            out[-1].append(acc)
+    return out
+
+
+@st.composite
+def stacked_products(draw):
+    """Factors over GF(7), GF(2^11) (log tables), GF(2^18) (digit vectors) or
+    GF(2^31 - 1) (beyond float64); one or both factors carry a stack axis."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 11), (2, 18), (2**31 - 1, 1)])))
+    stack, rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(4))
+    elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
+
+    def factor(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elems, min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+
+    a = factor((stack, rows, inner) if draw(st.booleans()) else (rows, inner))
+    b = factor((stack, inner, cols) if draw(st.booleans()) or a.ndim == 2 else (inner, cols))
+    return fld, a, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stacked_products())
+def test_stacked_matmul_matches_python_ints(case):
+    fld, a, b = case
+    out = gflinalg.matmul(fld, a, b)
+    stack = a.shape[0] if a.ndim == 3 else b.shape[0]
+    assert out.shape == (stack, a.shape[-2], b.shape[-1])
+    for i in range(stack):
+        ai = a[i] if a.ndim == 3 else a
+        bi = b[i] if b.ndim == 3 else b
+        assert out[i].tolist() == _reference_matmul(fld, ai.tolist(), bi.tolist())
 
 
 def test_field_refuses_products_that_overflow_int64():
