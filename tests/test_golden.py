@@ -33,6 +33,13 @@ GOLDEN = Path(__file__).parent / "golden"
     ("min_dist_dp6_q9_s2_budget200k.json",
      ["min-dist", "--family", "del-pezzo-6", "--field", "3^2", "--seed", "1",
       "--degree", "2", "--budget", "200000"]),
+    # a completed exhaustive sweep and weight enumerator over an extension
+    # field; its 299593 messages are enough to engage the worker pool, and
+    # the output must not depend on the worker count
+    *[("build_code_dp6_q8_s1_exhaustive.json",
+       ["build-code", "--family", "del-pezzo-6", "--field", "2^3", "--seed", "1",
+        "--degree", "1", "--strategy", "exhaustive", "--enumerator", "--workers", workers])
+      for workers in ("1", "2")],
 ])
 def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
@@ -48,5 +55,16 @@ def test_truncated_isd_witness_matches_golden():
     d = min_distance(code, "isd", 200_000, upper_hint=hint)
     golden = json.loads((GOLDEN / "min_dist_dp6_q9_s2_budget200k.witness.json").read_text())
     assert (d.lower, d.upper, d.work) == (12, 53, 194_370)
+    assert [int(v) for v in d.witness] == golden
+    assert code.contains_word(d.witness)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_exhaustive_witness_matches_golden(workers):
+    surface = del_pezzo6(frobenius_orbit(parse_field_spec("2^3"), seed=1))
+    code = build_code(surface, 1)
+    d = min_distance(code, "exhaustive", workers=workers)
+    golden = json.loads((GOLDEN / "build_code_dp6_q8_s1_exhaustive.witness.json").read_text())
+    assert (d.lower, d.upper, d.work) == (55, 55, 299_593)
     assert [int(v) for v in d.witness] == golden
     assert code.contains_word(d.witness)
