@@ -17,18 +17,28 @@ Distance engines:
     chosen information sets, messages enumerated by weight, with the certified
     lower bound sum(max(0, w + 1 - (k - r_i))) after each completed round.
 
-Both work over any GF(p^n).  Every encoding product goes through
-gflinalg.matmul, which uses float64 BLAS only while its sums stay below 2^53
-and an exact int64 loop otherwise.
+Both run one kernel, _weight_scan, which encodes the messages of weight w
+(first nonzero value 1) against a systematic matrix.  The RREF generator is
+systematic on its pivots, so the exhaustive sweep is the weight loop
+w = 1..k on it without early stop.  Messages are encoded in chunks, whole
+supports or slices of one support's messages, each through gflinalg.matmul,
+which uses float64 BLAS only while its sums stay below 2^53 and an exact
+int64 loop otherwise.
 
-Budgets are counted in enumerated codewords.  A sweep that exhausts its
-budget returns the best certified interval with exact=False; that is a
-partial result, not an error.
+Budgets are counted in enumerated codewords.  A chunk runs whole or not at
+all: the first chunk that does not fit the budget left ends the scan.  A
+sweep that exhausts its budget returns the best certified interval, exact
+only when its bounds meet; that is a partial result, not an error.  A
+truncated exhaustive sweep that enumerated every message of weight <= w*
+certifies d >= min(upper, w* + 1).  With W workers, chunk c of each round
+goes to worker c mod W; a budget short of the message count is split into
+W shares.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,69 +168,67 @@ class _SweepState:
         self.histogram += other.histogram
         if other.witness is not None:
             self.offer(np.array(other.witness, dtype=np.int64))
-        elif other.min_weight < self.min_weight:
-            self.min_weight = other.min_weight
 
 
 def projective_message_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def _message_block(fld: FiniteField, k: int, lead: int, start: int, stop: int) -> np.ndarray:
-    """Messages with first nonzero entry 1 at position `lead`; tail indices
-    [start, stop) decode most-significant-first, so the global enumeration is
-    lexicographic."""
-    q = fld.q
-    msgs = np.zeros((stop - start, k), dtype=np.int64)
-    msgs[:, lead] = 1
-    idx = np.arange(start, stop, dtype=np.int64)
-    for c in range(k - 1, lead, -1):
-        msgs[:, c] = idx % q
-        idx //= q
-    return msgs
-
-
-def _exhaustive_scan(
+def _weight_scan(
     fld: FiniteField,
-    matrix: np.ndarray,
-    *,
+    sysmat: np.ndarray,
+    w: int,
+    state: _SweepState,
     budget: int,
-    histogram: bool,
-    index_range: tuple[int, int] | None = None,
-) -> tuple[_SweepState, bool]:
-    """Scan projective messages with global indices in [lo, hi)."""
-    k, n = matrix.shape
+    *,
+    histogram: bool = False,
+    part: tuple[int, int] = (0, 1),
+) -> bool:
+    """Encode the weight-w projective messages against a systematic matrix.
+
+    A message is 1, v_2, ..., v_w (each v_i nonzero, v_w fastest) on a support
+    of w rows, supports in combinations order.  The messages are walked in
+    chunks: whole supports while one support's (q-1)^(w-1) messages fit a
+    batch, slices of one support's messages otherwise.  With part = (i, W),
+    chunk c belongs to worker c mod W and a chunk holds at most a W-th of
+    the round.  A chunk that does not fit the budget left ends the scan
+    before it is built, and the scan returns False.
+    """
+    k, n = sysmat.shape
     q = fld.q
-    total = projective_message_count(q, k)
-    lo, hi = index_range if index_range else (0, total)
-    state = _SweepState(n)
-    batch = max(256, _BATCH_TARGET // (n * fld.n))
-    completed = True
-    block_begin = 0
-    for lead in range(k):
-        block_size = q ** (k - 1 - lead)
-        local_lo = max(lo, block_begin) - block_begin
-        local_hi = min(hi, block_begin + block_size) - block_begin
-        block_begin += block_size
-        if local_lo >= local_hi:
+    index, parts = part
+    repeats = (q - 1) ** (w - 1)
+    per_worker = -(-math.comb(k, w) * repeats // parts)
+    rows = max(1, min(_BATCH_TARGET // (n * fld.n), per_worker))
+    supports = itertools.combinations(range(k), w)
+    if repeats <= rows:
+        groups = iter(lambda: list(itertools.islice(supports, rows // repeats)), [])
+        chunks = ((group, 0, repeats) for group in groups)
+    else:
+        chunks = (([sup], lo, hi) for sup in supports for lo, hi in batched(repeats, rows))
+    for c, (group, lo, hi) in enumerate(chunks):
+        if c % parts != index:
             continue
-        for c_lo, c_hi in batched(local_hi - local_lo, batch):
-            take = min(c_hi - c_lo, budget - state.work)  # the last batch is clipped
-            if take > 0:
-                msgs = _message_block(fld, k, lead, local_lo + c_lo, local_lo + c_lo + take)
-                words = gflinalg.matmul(fld, msgs, matrix)
-                state.update((words != 0).sum(axis=1), words, histogram)
-            if take < c_hi - c_lo:
-                completed = False
-                break
-        if not completed:
-            break
-    return state, completed
+        if state.work + len(group) * (hi - lo) > budget:
+            return False
+        vals = np.ones((hi - lo, w), dtype=np.int64)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        for col in range(w - 1, 0, -1):
+            vals[:, col] = idx % (q - 1) + 1
+            idx //= q - 1
+        words = gflinalg.matmul(fld, vals, sysmat[np.array(group)]).reshape(-1, n)
+        state.update((words != 0).sum(axis=1), words, histogram)
+    return True
 
 
-def _scan_worker(args):
-    fld, matrix, budget, histogram, index_range = args
-    return _exhaustive_scan(fld, matrix, budget=budget, histogram=histogram, index_range=index_range)
+def _sweep(args) -> tuple[_SweepState, int]:
+    fld, matrix, budget, histogram, part = args
+    k, n = matrix.shape
+    state = _SweepState(n)
+    for w in range(1, k + 1):
+        if not _weight_scan(fld, matrix, w, state, budget, histogram=histogram, part=part):
+            return state, w - 1
+    return state, k
 
 
 def exhaustive_sweep(
@@ -229,32 +237,33 @@ def exhaustive_sweep(
     budget: int = DEFAULT_DISTANCE_BUDGET,
     histogram: bool = False,
     workers: int = 1,
-) -> tuple[_SweepState, bool]:
-    """Projective message sweep, optionally split over worker processes.
+) -> tuple[_SweepState, int]:
+    """Projective message sweep by message weight w = 1..k on the RREF
+    generator, optionally split over worker processes.
 
-    Work is partitioned into contiguous index ranges and merged with
-    commutative operations, so a completed sweep is identical for any worker
-    count.  (A budget-truncated sweep visits a partition-dependent prefix;
-    its interval is still certified.)
+    Returns (state, swept): every message of weight <= swept was enumerated,
+    and swept == k means the sweep completed, which it does exactly when the
+    budget covers every message.  Each worker runs the chunks of its part,
+    on budget // workers codewords when the budget falls short; the states
+    merge with commutative operations, so a completed sweep is identical for
+    any worker count.
     """
-    total = projective_message_count(code.fld.q, code.k)
+    fld, matrix = code.fld, code.matrix
+    total = projective_message_count(fld.q, code.k)
     if workers <= 1 or total < (1 << 16):
-        return _exhaustive_scan(code.fld, code.matrix, budget=budget, histogram=histogram)
+        return _sweep((fld, matrix, budget, histogram, (0, 1)))
     from concurrent.futures import ProcessPoolExecutor
 
-    step = -(-total // workers)
-    ranges = [(w * step, min((w + 1) * step, total)) for w in range(workers) if w * step < total]
-    parts = len(ranges)
-    state = _SweepState(code.n)
-    completed = True
+    state, swept = _SweepState(code.n), code.k
+    shares = [budget // workers + (i < budget % workers) for i in range(workers)]
+    if budget >= total:  # whole chunks do not divide it evenly: no split
+        shares = [budget] * workers
+    args = [(fld, matrix, share, histogram, (i, workers)) for i, share in enumerate(shares)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        # the shares sum to the budget: a truncated scan spends all of its share
-        args = [(code.fld, code.matrix, budget // parts + (i < budget % parts), histogram, r)
-                for i, r in enumerate(ranges)]
-        for part, done in pool.map(_scan_worker, args):
+        for part, done in pool.map(_sweep, args):
             state.merge(part)
-            completed &= done
-    return state, completed
+            swept = min(swept, done)
+    return state, swept
 
 
 @dataclass
@@ -314,43 +323,6 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     return sets
 
 
-def _chunked(iterable, size):
-    it = iter(iterable)
-    while True:
-        chunk = list(itertools.islice(it, size))
-        if not chunk:
-            return
-        yield chunk
-
-
-def _weight_w_scan(
-    fld: FiniteField,
-    sysmat: np.ndarray,
-    w: int,
-    state: _SweepState,
-    budget: int,
-) -> bool:
-    """Enumerate weight-w projective messages against one systematic matrix;
-    False when the budget ran out mid-scan."""
-    k, n = sysmat.shape
-    q = fld.q
-    repeats = (q - 1) ** (w - 1)
-    if state.work + repeats > budget:
-        return False
-    vals = np.ones((repeats, w), dtype=np.int64)
-    idx = np.arange(repeats, dtype=np.int64)
-    for c in range(w - 1, 0, -1):
-        vals[:, c] = idx % (q - 1) + 1
-        idx //= q - 1
-    support_chunk = max(1, _BATCH_TARGET // max(repeats * n * fld.n, 1))
-    for supports in _chunked(itertools.combinations(range(k), w), support_chunk):
-        if state.work + len(supports) * repeats > budget:
-            return False
-        words = gflinalg.matmul(fld, vals, sysmat[np.array(supports)]).reshape(-1, n)
-        state.update((words != 0).sum(axis=1), words, histogram=False)
-    return True
-
-
 def information_set_distance(
     code: LinearCode,
     *,
@@ -369,7 +341,7 @@ def information_set_distance(
     while w < code.k:
         w += 1
         for sysmat, _ in sets:
-            if not _weight_w_scan(fld, sysmat, w, state, budget):
+            if not _weight_scan(fld, sysmat, w, state, budget):
                 ran_out = True
                 break
         if ran_out:
@@ -405,19 +377,15 @@ def min_distance(
         strategy = "exhaustive" if code.fld.q**code.k <= EXHAUSTIVE_AUTO_LIMIT else "information-set"
     if strategy in ("information-set", "isd"):
         return information_set_distance(code, budget=budget, upper_hint=upper_hint)
-    state, completed = exhaustive_sweep(code, budget=budget, workers=workers)
+    state, swept = exhaustive_sweep(code, budget=budget, workers=workers)
     if upper_hint is not None:
         state.offer(np.asarray(upper_hint, dtype=np.int64))
     upper = min(state.min_weight, code.n)
+    # a message of weight > swept puts as many nonzeros on the pivot columns
+    lower = upper if swept == code.k else min(upper, swept + 1)
     witness = np.array(state.witness, dtype=np.int64) if state.witness else None
-    return DistanceResult(
-        lower=upper if completed else 1,
-        upper=upper,
-        exact=completed,
-        witness=witness,
-        method="exhaustive" if completed else "exhaustive-partial",
-        work=state.work,
-    )
+    method = "exhaustive" if swept == code.k else "exhaustive-partial"
+    return DistanceResult(lower, upper, lower == upper, witness, method, state.work)
 
 
 @dataclass
@@ -447,8 +415,8 @@ def weight_enumerator(code: LinearCode, budget: int = DEFAULT_ENUMERATOR_BUDGET)
         raise BudgetExceeded(
             f"weight enumerator needs ~{msgs * code.n} field ops, budget {budget}"
         )
-    state, completed = exhaustive_sweep(code, budget=msgs, histogram=True)
-    assert completed
+    state, swept = exhaustive_sweep(code, budget=msgs, histogram=True)
+    assert swept == code.k
     counts = state.histogram * (code.fld.q - 1)
     counts[0] = 1
     if int(counts.sum()) != code.fld.q**code.k:

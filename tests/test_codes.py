@@ -9,7 +9,6 @@ import pytest
 from evalcodes import gflinalg
 from evalcodes.codes import (
     LinearCode,
-    _exhaustive_scan,
     apply_projective_transform,
     build_code,
     equivalence_evidence,
@@ -102,9 +101,10 @@ def test_budget_exhaustion_gives_partial_interval():
     d = min_distance(code, "exhaustive", budget=1000)
     assert not d.exact
     assert d.method == "exhaustive-partial"
-    # the budget is below one batch: the batch is clipped, not skipped
-    assert d.work == 1000 and d.witness is not None
-    assert 1 == d.lower <= d.upper <= code.n
+    # weights 1-3 (6 + 90 + 720 messages) fit; the weight-4 chunk does not,
+    # so every codeword not enumerated has at least 4 nonzeros
+    assert d.work == 816 and d.witness is not None
+    assert 4 == d.lower <= d.upper <= code.n
     full = min_distance(code, "exhaustive")
     assert full.exact and full.d >= d.lower and full.d <= d.upper
 
@@ -133,6 +133,20 @@ def test_weight_round_checks_budget_before_allocating():
     assert peak < 64 << 20
 
 
+def test_weight_round_slices_large_supports():
+    # weight 2 over GF(2^16) has 65535 messages per support, more than one
+    # batch of 16384 rows at n*m = 128: each support is encoded in slices
+    code = _random_code(make_field(2, 16), 4, 8, random.Random(3))
+    tracemalloc.start()
+    try:
+        d = min_distance(code, "isd", 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.lower, d.upper, d.work) == (4, 5, 196_613)
+    assert peak < 64 << 20
+
+
 P31 = 2**31 - 1
 
 
@@ -147,12 +161,12 @@ def test_isd_over_gf_2_31_minus_1_certifies_without_huge_rows():
 
 
 def test_exhaustive_scan_over_gf_2_31_minus_1_encodes_exactly():
-    fld = make_field(P31)
-    code = _plain_code(fld, [[1, 0, 288545019, 1222356006], [0, 1, 1819850096, 1722851097]])
-    # the start of the second worker's range under exhaustive_sweep(workers=2)
-    state, completed = _exhaustive_scan(fld, code.matrix, budget=400_000, histogram=False,
-                                        index_range=(2**30, 2**30 + 349_525))
-    assert completed and state.work == 349_525
+    code = _plain_code(make_field(P31), [[1, 0, 288545019, 1222356006],
+                                         [0, 1, 1819850096, 1722851097]])
+    # each worker takes one weight-1 message and one 2^19-message weight-2
+    # slice of its 550000-codeword share; the next slice does not fit
+    state, swept = exhaustive_sweep(code, budget=1_100_000, workers=2)
+    assert swept == 1 and state.work == 1_048_578
     assert code.contains_word(np.array(state.witness, dtype=np.int64))
 
 
@@ -209,9 +223,12 @@ def test_worker_partition_is_invisible():
     assert lone.min_weight == duo.min_weight
     assert lone.witness == duo.witness
     assert np.array_equal(lone.histogram, duo.histogram)
-    # a truncated split sweep spends exactly its budget
-    cut, done_c = exhaustive_sweep(code, budget=1001, workers=2)
-    assert not done_c and cut.work == 1001
+    # a budget of exactly the message count completes at any worker count
+    _, swept = exhaustive_sweep(code, budget=projective_message_count(7, 7), workers=2)
+    assert swept == code.k
+    # a truncated split sweep stops at the first chunk past a worker's share
+    cut, swept = exhaustive_sweep(code, budget=1001, workers=2)
+    assert swept < code.k and cut.work <= 1001
 
 
 def test_apply_projective_transform_witness_and_invariance(dp4):

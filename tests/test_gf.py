@@ -201,6 +201,43 @@ def test_large_field_digit_arithmetic():
     assert fld.pow(a, fld.q - 1) == 1
 
 
+DIGIT_FIELDS = [(2, 18), (131101, 1), (3, 12), (2**31 - 1, 1)]  # beyond the log tables
+
+
+@st.composite
+def digit_regime_elements(draw):
+    fld = make_field(*draw(st.sampled_from(DIGIT_FIELDS)))
+    edges = [0, 1, fld.p ** (fld.n - 1), fld.q - 1]  # x^(n-1) is the top basis element
+    elems = st.one_of(st.sampled_from(edges), st.integers(0, fld.q - 1))
+    a, b, c = (draw(elems) for _ in range(3))
+    return fld, a, b, c, draw(st.integers(0, fld.q))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(digit_regime_elements())
+def test_digit_regime_field_axioms(case):
+    fld, a, b, c, e = case
+    assert fld._digits is None and fld._exp is None  # table-free digit vectors
+    ref = fld._mul_scalar_raw
+    mul, add = fld.mul, fld.add
+    assert mul(a, b) == ref(a, b) == ref(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    if a:
+        assert mul(a, fld.inv(a)) == 1
+        assert fld.pow(a, fld.q - 1) == 1
+    assert fld.pow(a, 3) == ref(ref(a, a), a)
+    assert fld.pow(a, e) == fld._pow_scalar_raw(a, e)
+    assert fld.frobenius(add(a, b)) == add(fld.frobenius(a), fld.frobenius(b))
+    # the array paths agree with the scalar ones
+    v, w = np.array([a, b, c]), np.array([c, a, b])
+    assert mul(v, w).tolist() == [ref(x, y) for x, y in zip(v.tolist(), w.tolist())]
+    assert add(v, w).tolist() == [add(x, y) for x, y in zip(v.tolist(), w.tolist())]
+    assert fld.pow(v, e).tolist() == [fld._pow_scalar_raw(x, e) for x in v.tolist()]
+    nonzero = v[v != 0]
+    assert fld.inv(nonzero).tolist() == [fld.inv(x) for x in nonzero.tolist()]
+
+
 def test_products_beyond_float64_stay_exact():
     p = 2**31 - 1
     fld = make_field(p)
