@@ -238,6 +238,34 @@ def test_digit_regime_field_axioms(case):
     assert fld.inv(nonzero).tolist() == [fld.inv(x) for x in nonzero.tolist()]
 
 
+TABLE_FIELDS = [(7, 3), (2, 10),  # full add/mul tables
+                (2, 11), (3, 7), (5, 6), (7, 6), (131, 2)]  # exp/log tables
+
+
+@st.composite
+def exp_table_indices(draw):
+    fld = make_field(*draw(st.sampled_from(TABLE_FIELDS)))
+    i = draw(st.one_of(st.sampled_from([0, 1, fld.q - 2]), st.integers(0, fld.q - 2)))
+    return fld, i
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(exp_table_indices())
+def test_exp_log_tables_follow_the_smallest_generator(case):
+    fld, i = case
+    q, g = fld.q, fld.generator
+    assert fld._exp is not None and (fld._add_table is not None) == (q <= 1024)
+    cofactors = [(q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0
+                 and all(ell % f for f in range(2, int(ell**0.5) + 1))]
+
+    def primitive(h):
+        return all(fld._pow_scalar_raw(h, c) != 1 for c in cofactors)
+
+    assert primitive(g) and not any(primitive(h) for h in range(2, g))
+    assert fld._exp[i] == fld._pow_scalar_raw(g, i)
+    assert fld._log[fld._exp[i]] == i
+
+
 def test_products_beyond_float64_stay_exact():
     p = 2**31 - 1
     fld = make_field(p)
