@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import make_field
+from .gf import _prime_factors, make_field
 
 
 def floor_2sqrt(q: int) -> int:
@@ -100,33 +100,14 @@ class CubicClass:
 
 def _euler_phi(d: int) -> int:
     out = d
-    m = d
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out -= out // f
-            while m % f == 0:
-                m //= f
-        f += 1
-    if m > 1:
-        out -= out // m
+    for f in _prime_factors(d):
+        out -= out // f
     return out
 
 
 def _moebius(d: int) -> int:
-    out = 1
-    m = d
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            m //= f
-            if m % f == 0:
-                return 0
-            out = -out
-        f += 1
-    if m > 1:
-        out = -out
-    return out
+    factors = _prime_factors(d)
+    return (-1) ** len(factors) if math.prod(factors) == d else 0
 
 
 def ramanujan_sum(d: int, r: int) -> int:
@@ -196,17 +177,13 @@ def optimal_g1_count(q: int) -> OptimalG1:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                n += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, n
-    raise ValueError(f"{q} is not a prime power")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    p, n = factors[0], 1
+    while p**n < q:
+        n += 1
+    return p, n
 
 
 def _max_weierstrass_count(p: int, n: int) -> int:
@@ -221,12 +198,8 @@ def _max_weierstrass_count(p: int, n: int) -> int:
         )
         keep = disc != 0
         a, b = a[keep], b[keep]
-        best = 0
         x = np.arange(q, dtype=np.int64)
-        sq_count = np.zeros(q, dtype=np.int64)  # #y with y^2 = v
-        ys = fld.pow(x, 2)
-        for v in ys:
-            sq_count[v] += 1
+        sq_count = np.bincount(fld.pow(x, 2), minlength=q)  # #y with y^2 = v
         rhs = fld.add(fld.add(fld.pow(x, 3)[None, :], fld.mul(a[:, None], x[None, :])), b[:, None])
         counts = sq_count[rhs].sum(axis=1) + 1
         return int(counts.max())

@@ -446,21 +446,10 @@ def frobenius_orbit(fld: FiniteField, seed: int | None = None, point=None) -> Fr
                 raise DegenerateInput("point is rational over GF(q); orbit has size 1")
             continue
         tri = np.stack([p0, p1, p2])
-        det = _det3(ext, tri)
-        if det == 0 and point is None:
+        collinear = gflinalg.rank(ext, tri) < 3
+        if collinear and point is None:
             continue
-        return FrobeniusOrbit(fld, ext, tuple(int(v) for v in p0), tri, collinear=(det == 0))
-
-
-def _det3(fld: FiniteField, m: np.ndarray) -> int:
-    def mul3(a, b, c):
-        return fld.mul(int(a), fld.mul(int(b), int(c)))
-
-    pos = fld.add(fld.add(mul3(m[0, 0], m[1, 1], m[2, 2]), mul3(m[0, 1], m[1, 2], m[2, 0])),
-                  mul3(m[0, 2], m[1, 0], m[2, 1]))
-    neg = fld.add(fld.add(mul3(m[0, 2], m[1, 1], m[2, 0]), mul3(m[0, 0], m[1, 2], m[2, 1])),
-                  mul3(m[0, 1], m[1, 0], m[2, 2]))
-    return fld.sub(pos, neg)
+        return FrobeniusOrbit(fld, ext, tuple(int(v) for v in p0), tri, collinear=collinear)
 
 
 def _orbit_condition_matrix(orbit: FrobeniusOrbit, degree: int) -> np.ndarray:

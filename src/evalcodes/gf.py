@@ -29,20 +29,8 @@ class NotInSubfield(ValueError):
     """Raised when descending an element that is not fixed at the target level."""
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m % 2 == 0:
-        return m == 2
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(m: int) -> list[int]:
+    """Distinct prime factors of m in increasing order, by trial division."""
     out = []
     f = 2
     while f * f <= m:
@@ -54,6 +42,10 @@ def _prime_factors(m: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
+
+
+def _is_prime(m: int) -> bool:
+    return m >= 2 and _prime_factors(m) == [m]
 
 
 # -- dense univariate polynomials over GF(p), used only at construction time --
@@ -190,24 +182,14 @@ class FiniteField:
         self._digits = None
         self._exp = self._log = self._inv = None
         self._add_table = self._mul_table = self._neg_table = None
+        self.generator = self._find_primitive_scalar() if self.q > 2 else 1
         if self.q <= LOG_TABLE_MAX:
-            self._digits = self._build_digit_table()
+            self._digits = self._digits_of(np.arange(self.q))
             self._build_log_tables()
             if self.q <= FULL_TABLE_MAX:
                 self._build_full_tables()
-        self.generator = int(self._exp[1]) if self._exp is not None and self.q > 2 else (
-            1 if self.q == 2 else self._find_primitive_scalar()
-        )
 
     # -- construction helpers ------------------------------------------------
-
-    def _build_digit_table(self) -> np.ndarray:
-        e = np.arange(self.q, dtype=np.int64)
-        dig = np.empty((self.q, self.n), dtype=np.int64)
-        for i in range(self.n):
-            dig[:, i] = e % self.p
-            e //= self.p
-        return dig
 
     def _digits_of(self, a):
         """Base-p digit rows for encodings; works with or without the table."""
@@ -247,23 +229,15 @@ class FiniteField:
         raise AssertionError("no primitive element (unreachable)")
 
     def _build_log_tables(self) -> None:
-        q, p, n = self.q, self.p, self.n
-        g = self._find_primitive_scalar() if q > 2 else 1
-        # two-level fill: baby powers sequentially, then one matmul per block
-        s = max(int((q - 1) ** 0.5) + 1, 1)
-        baby = [1]
-        for _ in range(min(s, q - 1) - 1):
-            baby.append(self._mul_scalar_raw(baby[-1], g))
-        baby_dig = self._digits[np.array(baby, dtype=np.int64)]  # (s, n)
-        big = self._pow_scalar_raw(g, len(baby))
+        q, p = self.q, self.p
+        # fill by doubling: exp[m:2m] = exp[:m] * g^m, one GF(p) product per step
         exp = np.empty(q - 1, dtype=np.int64)
-        giant = 1
-        for blk in range(0, q - 1, len(baby)):
-            m = self._mul_by_matrix(giant)
-            vals = self._recompose(baby_dig @ m.T % p)
-            take = min(len(baby), q - 1 - blk)
-            exp[blk : blk + take] = vals[:take]
-            giant = self._mul_scalar_raw(giant, big)
+        exp[0] = 1
+        m, g_m = 1, self.generator
+        while m < q - 1:
+            take = min(m, q - 1 - m)
+            exp[m : m + take] = self._recompose(self._digits[exp[:take]] @ self._mul_by_matrix(g_m).T % p)
+            m, g_m = 2 * m, self._mul_scalar_raw(g_m, g_m)
         self._exp = exp
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(q - 1, dtype=np.int64)
@@ -278,12 +252,10 @@ class FiniteField:
 
     def _mul_by_matrix(self, e: int) -> np.ndarray:
         """n x n GF(p) matrix of multiplication by the element encoded e."""
-        cols = []
-        cur = e
-        for _ in range(self.n):
-            cols.append([(cur // self.p**i) % self.p for i in range(self.n)])
-            cur = self._mul_scalar_raw(cur, self.p)  # times x
-        return np.array(cols, dtype=np.int64).T
+        cols = [e]
+        for _ in range(self.n - 1):
+            cols.append(self._mul_scalar_raw(cols[-1], self.p))  # times x
+        return self._digits_of(cols).T
 
     def _build_full_tables(self) -> None:
         q, p = self.q, self.p
@@ -291,11 +263,10 @@ class FiniteField:
         add_dig = (dig[:, None, :] + dig[None, :, :]) % p
         self._add_table = self._recompose(add_dig)
         la, lb = np.meshgrid(self._log, self._log, indexing="ij")
-        mul = self._exp[(la + lb) % (q - 1)] if q > 2 else np.array([[0, 0], [0, 1]], dtype=np.int64)
-        if q > 2:
-            mul[0, :] = 0
-            mul[:, 0] = 0
-        self._mul_table = np.asarray(mul, dtype=np.int64)
+        mul = self._exp[(la + lb) % (q - 1)]
+        mul[0, :] = 0
+        mul[:, 0] = 0
+        self._mul_table = mul
 
     # -- arithmetic on encodings (ints or numpy arrays) ----------------------
 
@@ -353,16 +324,11 @@ class FiniteField:
         if isinstance(a, (int, np.integer)):
             if a == 0:
                 raise ZeroDivisionError("inverse of 0 in GF")
-            if self._inv is not None:
-                return int(self._inv[a])
-            return self._pow_scalar_raw(int(a), self.q - 2)
+            return int(self._inv[a]) if self._inv is not None else self.pow(a, self.q - 2)
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of 0 in GF")
-        if self._inv is not None:
-            return self._inv[a]
-        return np.array([self._pow_scalar_raw(int(v), self.q - 2) for v in a.ravel()],
-                        dtype=np.int64).reshape(a.shape)
+        return self._inv[a] if self._inv is not None else self.pow(a, self.q - 2)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -371,21 +337,18 @@ class FiniteField:
         """a**e with 0**0 = 1; e must be a nonnegative integer."""
         if e < 0:
             raise ValueError("negative exponent; use inv() first")
-        if isinstance(a, (int, np.integer)):
+        scalar = isinstance(a, (int, np.integer))
+        if scalar and self._log is not None:
             if e == 0:
                 return 1
-            if a == 0:
-                return 0
-            if self._log is not None:
-                return int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
-            return self._pow_scalar_raw(int(a), e)
+            return 0 if a == 0 else int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
-            return np.ones_like(a)
+            return 1 if scalar else np.ones_like(a)
         if self._log is not None:
             out = self._exp[(self._log[a] * e) % (self.q - 1)]
             return np.where(a == 0, 0, out)
-        out = np.ones_like(a)
+        out = np.ones_like(a)  # digit regime: square-and-multiply on digit vectors
         base = a.copy()
         while e:
             if e & 1:
@@ -393,7 +356,7 @@ class FiniteField:
             e >>= 1
             if e:
                 base = self._mul_digits(base, base)
-        return out
+        return int(out) if scalar else out
 
     def frobenius(self, a, base_power: int = 1):
         """The p^base_power-power map; an automorphism fixing GF(p^base_power)."""
@@ -464,11 +427,7 @@ class FieldElement:
 
     def coeffs(self) -> tuple[int, ...]:
         """GF(p) coefficient vector, constant term first."""
-        e, out = self.val, []
-        for _ in range(self.field.n):
-            out.append(e % self.field.p)
-            e //= self.field.p
-        return tuple(out)
+        return tuple(self.field._digits_of(self.val).tolist())
 
     def __add__(self, other):
         return FieldElement(self.field, self.field.add(self.val, self._check(other)))
@@ -550,7 +509,7 @@ class FieldEmbedding:
         for _ in range(source.n - 1):
             powers.append(target.mul(powers[-1], self.gen_image))
         self._embed_matrix = target._digits_of(np.array(powers, dtype=np.int64)).T % target.p
-        self._solver, self._pivots = self._build_solver()
+        self._solver = self._build_solver()
 
     def _find_root(self) -> int:
         mod = self.source.modulus
@@ -570,27 +529,14 @@ class FieldEmbedding:
             raise AssertionError("source modulus has no root in target (unreachable)")
         return int(roots[0])
 
-    def _build_solver(self):
-        """Row-reduce [E | I] over GF(p) so descent is one matmul plus a check."""
-        p = self.target.p
-        a, b = self.source.n, self.target.n
-        aug = np.concatenate([self._embed_matrix % p, np.eye(b, dtype=np.int64)], axis=1)
-        pivots = []
-        row = 0
-        for col in range(a):
-            hit = next((r for r in range(row, b) if aug[r, col] % p), None)
-            if hit is None:
-                continue
-            aug[[row, hit]] = aug[[hit, row]]
-            aug[row] = aug[row] * pow(int(aug[row, col]), p - 2, p) % p
-            for r in range(b):
-                if r != row and aug[r, col] % p:
-                    aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-            pivots.append(col)
-            row += 1
-        if len(pivots) != a:
+    def _build_solver(self) -> np.ndarray:
+        """T with T @ E in RREF over GF(p), so descent is one matmul plus a check."""
+        from . import gflinalg  # local import; gflinalg depends on gf
+
+        _, pivots, t = gflinalg.rref(make_field(self.target.p), self._embed_matrix, want_transform=True)
+        if len(pivots) != self.source.n:
             raise AssertionError("embedding matrix is rank-deficient (unreachable)")
-        return aug[:, a:], pivots
+        return t
 
     def embed(self, a):
         """Image in the target field; accepts an encoding/array or FieldElement."""

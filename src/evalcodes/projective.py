@@ -483,11 +483,7 @@ def fq_general_check(surface: Surface, m: int) -> list[GeneralityVerdict]:
 def _coeff_to_text(fld: FiniteField, c: int) -> str:
     if fld.n == 1:
         return str(c)
-    digits = []
-    for _ in range(fld.n):
-        digits.append(c % fld.p)
-        c //= fld.p
-    return ",".join(str(d) for d in digits)
+    return ",".join(str(d) for d in fld._digits_of(c).tolist())
 
 
 def _coeff_from_text(fld: FiniteField, s: str) -> int:
