@@ -173,7 +173,7 @@ def cmd_search(args) -> int:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if obj.get("substream_complete") is not None:
+            if isinstance(obj, dict) and obj.get("substream_complete") is not None:
                 done_substreams.add(obj["substream_complete"])
     sink = out_path.open("a") if out_path else sys.stdout
     try:
@@ -437,6 +437,8 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
     args = ap.parse_args(argv)
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config file {args.config} does not hold a JSON object")
         explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
         for key, value in overrides.items():
             attr = key.replace("-", "_")

@@ -10,7 +10,14 @@ Three internal regimes, chosen by field size:
   * q <= LOG_TABLE_MAX:   exp/log/inverse tables plus digit tables,
   * larger q:             table-free digit-vector arithmetic (slower but
                           unbounded; keeps large-characteristic searches
-                          possible).
+                          possible); every power and inverse is one
+                          vectorized square-and-multiply in ``pow``.
+
+A field is built the same way every time: the modulus is the smallest monic
+irreducible of degree n, ``generator`` is the smallest element of order
+q - 1, and the exp table is filled by doubling (exp[m:2m] = exp[:m] * g^m,
+one GF(p) matrix product per step).  ``_digits_of`` is the one base-p
+expansion of encodings, and ``_prime_factors`` the one trial division.
 
 Fields are immutable after construction and cached, so repeated
 ``make_field(p, n)`` calls share tables.  Elements are plain values; every

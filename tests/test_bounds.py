@@ -2,11 +2,13 @@
 
 import cmath
 import math
+import time
 
 import pytest
 
 from evalcodes.bounds import (
     CUBIC_CLASSES,
+    _prime_power,
     build_bound_report,
     d1_bound,
     delpezzo6_Nr,
@@ -140,6 +142,17 @@ def test_optimal_g1_counts():
         assert q + 2 <= res.value <= hws_bound(q, 1)
     big = optimal_g1_count(17)
     assert not big.certified and big.value == hws_bound(17, 1)
+
+
+def test_prime_power_check_is_fast_beyond_the_table():
+    # the prime-power check trial-divides up to sqrt(q), not up to q
+    start = time.perf_counter()
+    res = optimal_g1_count(2**31 - 1)
+    assert time.perf_counter() - start < 5
+    assert not res.certified and res.value == hws_bound(2**31 - 1, 1)
+    assert _prime_power(3**12) == (3, 12)
+    with pytest.raises(ValueError):
+        _prime_power(12)
 
 
 def test_bound_report_assembly():

@@ -105,6 +105,16 @@ def test_search_jsonl_deterministic_and_resumable(tmp_path, capsys):
     assert out1.read_text() == before
 
 
+def test_search_resume_skips_lines_that_are_not_objects(tmp_path, capsys):
+    out = tmp_path / "r.jsonl"
+    out.write_text('[1]\nnot json\n{"substream_complete": 0, "hits": 0}\n')
+    before = out.read_text()
+    code, _, err = run_cli(["search", "--family", "cayley-salmon", "--field", "7",
+                            "--budget", "10", "--out", str(out)], capsys)
+    assert code == 0 and "already complete" in err
+    assert out.read_text() == before
+
+
 def test_build_code_reruns_are_diff_clean(tmp_path, capsys):
     args = ["build-code", "--family", "del-pezzo-6", "--field", "7", "--seed", "3",
             "--degree", "1", "--strategy", "exhaustive", "--enumerator", "--matrix"]
@@ -138,6 +148,10 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert code == 2
     code, _, _ = run_cli(["build-code", "--family", "shioda", "--field", "7"], capsys)
     assert code == 2  # missing --m
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    code, _, err = run_cli(["--config", str(cfg), "build-code", "--family", "del-pezzo-4"], capsys)
+    assert code == 2 and "error:" in err
 
 
 def test_console_entry_point():
