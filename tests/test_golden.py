@@ -29,10 +29,12 @@ GOLDEN = Path(__file__).parent / "golden"
     # a cubic with a rational line: classify keeps counting through depth 2
     ("classify_lined_cubic_q5_depth2.json",
      ["classify", "--surface", str(GOLDEN / "lined_cubic_q5.surface"), "--depth", "2"]),
-    # information-set run over an extension field, truncated by its budget
-    ("min_dist_dp6_q9_s2_budget200k.json",
-     ["min-dist", "--family", "del-pezzo-6", "--field", "3^2", "--seed", "1",
-      "--degree", "2", "--budget", "200000"]),
+    # information-set runs truncated by their budget, over an odd prime, a
+    # binary extension and an odd extension field
+    *[(f"min_dist_dp6_{tag}_s2_budget200k.json",
+       ["min-dist", "--family", "del-pezzo-6", "--field", spec, "--seed", "1",
+        "--degree", "2", "--budget", "200000"])
+      for tag, spec in (("q7", "7"), ("q8", "2^3"), ("q9", "3^2"))],
     # a completed exhaustive sweep and weight enumerator over an extension
     # field; its 299593 messages are enough to engage the worker pool, and
     # the output must not depend on the worker count
@@ -40,6 +42,10 @@ GOLDEN = Path(__file__).parent / "golden"
        ["build-code", "--family", "del-pezzo-6", "--field", "2^3", "--seed", "1",
         "--degree", "1", "--strategy", "exhaustive", "--enumerator", "--workers", workers])
       for workers in ("1", "2")],
+    # the same over an odd extension field: its histogram pins the weights
+    ("build_code_dp6_q9_s1_exhaustive.json",
+     ["build-code", "--family", "del-pezzo-6", "--field", "3^2", "--seed", "1",
+      "--degree", "1", "--strategy", "exhaustive", "--enumerator"]),
 ])
 def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
@@ -47,14 +53,20 @@ def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_truncated_isd_witness_matches_golden():
-    # the min-dist JSON carries only the witness weight; pin the codeword
-    surface = del_pezzo6(frobenius_orbit(parse_field_spec("3^2"), seed=1))
+@pytest.mark.parametrize("tag, spec, interval", [
+    ("q7", "7", (10, 27, 180_436)),
+    ("q8", "2^3", (9, 39, 196_004)),
+    ("q9", "3^2", (12, 53, 194_370)),
+])
+def test_truncated_isd_witness_matches_golden(tag, spec, interval):
+    # the min-dist JSON carries only the witness weight; pin the codeword,
+    # which the scan found ahead of the geometric hint
+    surface = del_pezzo6(frobenius_orbit(parse_field_spec(spec), seed=1))
     code = build_code(surface, 2)
     hint = geometric_witness_dp6(surface).codeword
     d = min_distance(code, "isd", 200_000, upper_hint=hint)
-    golden = json.loads((GOLDEN / "min_dist_dp6_q9_s2_budget200k.witness.json").read_text())
-    assert (d.lower, d.upper, d.work) == (12, 53, 194_370)
+    golden = json.loads((GOLDEN / f"min_dist_dp6_{tag}_s2_budget200k.witness.json").read_text())
+    assert (d.lower, d.upper, d.work) == interval
     assert [int(v) for v in d.witness] == golden
     assert code.contains_word(d.witness)
 
