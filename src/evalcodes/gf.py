@@ -353,7 +353,8 @@ class FiniteField:
         if e == 0:
             return 1 if scalar else np.ones_like(a)
         if self._log is not None:
-            out = self._exp[(self._log[a] * e) % (self.q - 1)]
+            # e > 0 here; reduced first so the int64 product cannot overflow
+            out = self._exp[(self._log[a] * (e % (self.q - 1))) % (self.q - 1)]
             return np.where(a == 0, 0, out)
         out = np.ones_like(a)  # digit regime: square-and-multiply on digit vectors
         base = a.copy()

@@ -52,6 +52,15 @@ def test_power_q_fixes_everything(p, n):
     assert np.all(fld.pow(v, fld.q) == v)
 
 
+@pytest.mark.parametrize("e", [2**62 + 5, 2**64 + 5])
+def test_array_pow_with_huge_exponent_matches_scalar(e):
+    # log-table regime: the exponent is reduced mod q - 1 before it meets int64
+    fld = make_field(2, 11)
+    expected = fld._pow_scalar_raw(3, e % (fld.q - 1))
+    assert fld.pow(3, e) == expected
+    assert fld.pow(np.array([0, 3]), e).tolist() == [0, expected]
+
+
 def test_prime_field_basics():
     f7 = make_field(7)
     assert f7.add(3, 5) == 1
