@@ -137,28 +137,15 @@ class _SweepState:
         self.histogram = np.zeros(n + 1, dtype=np.int64)
         self.work = 0
 
-    def update(self, weights: np.ndarray, codewords_q: np.ndarray, histogram: bool):
+    def update(self, weights: np.ndarray, histogram: bool):
         self.work += len(weights)
         if histogram:
             self.histogram += np.bincount(weights, minlength=self.n + 1)[: self.n + 1]
-        positive = weights > 0
-        if not positive.any():
-            return
-        batch_min = int(weights[positive].min())
-        if batch_min > self.min_weight:
-            return
-        rows = codewords_q[weights == batch_min]
-        cand = tuple(int(v) for v in rows[canonical_order(rows)[0]])
-        if batch_min < self.min_weight:
-            self.min_weight = batch_min
-            self.witness = cand
-        elif self.witness is None or cand < self.witness:
-            self.witness = cand
 
     def offer(self, codeword: np.ndarray):
-        """Merge one externally supplied codeword (e.g. a geometric witness)."""
+        """Merge one codeword: the lighter wins, the lexicographically smaller on a tie."""
         w = int((codeword != 0).sum())
-        cand = tuple(int(v) for v in codeword)
+        cand = tuple(np.asarray(codeword).tolist())
         if w < self.min_weight or (w == self.min_weight and (self.witness is None or cand < self.witness)):
             self.min_weight = w
             self.witness = cand
@@ -170,8 +157,146 @@ class _SweepState:
             self.offer(np.array(other.witness, dtype=np.int64))
 
 
+def _first_in_canonical_order(rows: np.ndarray) -> np.ndarray:
+    """rows[canonical_order(rows)[0]], narrowing the candidates column by
+    column instead of sorting on all n columns."""
+    at = np.arange(len(rows))
+    for col in rows.T:
+        vals = col[at]
+        at = at[vals == vals.min()]
+        if len(at) == 1:
+            break
+    return rows[at[0]]
+
+
 def projective_message_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
+
+
+def _smallest_uint(bits: int):
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= bits)
+
+
+class _AdditiveForm:
+    """Field encodings in a form where a sum of multiples is a machine add.
+
+    Characteristic 2: the encodings themselves, added by XOR.  Odd p: the
+    base-p digits packed into fields of b bits, b the bit length of the
+    largest digit sum w(p - 1) of a weight-w message, so a plain add never
+    carries from one digit into the next; a sum is reduced mod p digit by
+    digit only for the nonzero test.  The width follows from w and p alone.
+    Where m fields of b bits would exceed 63 bits, sums stay encodings added
+    by FiniteField.add, which reduces every digit mod p at each addition.
+    """
+
+    def __init__(self, fld: FiniteField, w: int):
+        p, m = fld.p, fld.n
+        self.fld = fld
+        self.bits = (w * (p - 1)).bit_length()
+        self.packed = p > 2 and m * self.bits <= 63
+        if p == 2:
+            self.add, self.dtype = np.bitwise_xor, _smallest_uint(m)
+        elif self.packed:
+            self.add, self.dtype = np.add, _smallest_uint(m * self.bits)
+        else:
+            self.add, self.dtype = fld.add, np.int64
+        self._shifts = self.bits * np.arange(m)
+        # one size-q lookup maps encodings to packed digits where the digit table exists
+        self._lut = None
+        if self.packed and m > 1 and fld._digits is not None:
+            self._lut = (fld._digits << self._shifts).sum(axis=-1).astype(self.dtype)
+
+    def of(self, enc: np.ndarray) -> np.ndarray:
+        if self._lut is not None:
+            return self._lut[enc]
+        if self.packed and self.fld.n > 1:
+            return (self.fld._digits_of(enc) << self._shifts).sum(axis=-1).astype(self.dtype)
+        return enc.astype(self.dtype)
+
+    def reduce(self, sums: np.ndarray) -> np.ndarray:
+        """Packed sums with each digit reduced mod p, i.e. the form of their value."""
+        if not self.packed:
+            return sums
+        if self.fld.n == 1:
+            return sums % self.fld.p
+        mask = (1 << self.bits) - 1
+        out = np.zeros_like(sums)
+        for shift in self._shifts.tolist():
+            out |= (sums >> shift & mask) % self.fld.p << shift
+        return out
+
+
+def _message_values(t: np.ndarray, w: int, q: int) -> np.ndarray:
+    """Values 1, v_2, ..., v_w of the messages with index t on a support:
+    v_i - 1 are the base-(q - 1) digits of t, v_w the fastest."""
+    vals = np.ones((len(t), w), dtype=np.int64)
+    t = np.array(t, dtype=np.int64)
+    for col in range(w - 1, 0, -1):
+        vals[:, col] = t % (q - 1) + 1
+        t //= q - 1
+    return vals
+
+
+def _multiples(fld: FiniteField, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """values[i] * rows[u] as array [u, i, :].  Table fields gather; the digit
+    regime multiplies entry by entry through a digit convolution, so there one
+    outer product through gflinalg.matmul expands the digits only once."""
+    if fld._digits is not None:
+        return fld.mul(values[:, None], rows[:, None, :])
+    return gflinalg.matmul(fld, values[:, None], rows[:, None, :])
+
+
+def _blocks(lo: int, hi: int, width: int):
+    """Split message indices [lo, hi) into blocks (prefixes, c0, c1): every
+    index prefix * width + c with c in [c0, c1), in index order."""
+    a, c = divmod(lo, width)
+    b, d = divmod(hi, width)
+    if a == b:
+        yield np.array([a]), c, d
+        return
+    if c:
+        yield np.array([a]), c, width
+        a += 1
+    if a < b:
+        yield np.arange(a, b), 0, width
+    if d:
+        yield np.array([b]), 0, d
+
+
+def _block_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: np.ndarray,
+                   prefixes: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """Redundancy-column weights of the messages prefix * (q - 1) + c, c in
+    [c0, c1), on each support (a row of sup), as array [support, message].
+
+    A prefix fixes v_1 .. v_{w-1}: its sum gathers one multiple per position
+    from tables of the multiples the block uses.  A coordinate of a codeword
+    is zero exactly where its reduced prefix sum equals the negated multiple
+    of the last row, one broadcast comparison per block.
+    """
+    g, w = sup.shape
+    q = fld.q
+    vals = _message_values(prefixes * (q - 1), w, q)
+    prefix = np.zeros((g, 1, red.shape[1]), dtype=form.dtype)
+    if w > 1:
+        prefix = form.of(red[sup[:, :1]])
+    for j in range(1, w - 1):
+        used, at = np.unique(vals[:, j], return_inverse=True)
+        rows, row_at = np.unique(sup[:, j], return_inverse=True)
+        table = form.of(_multiples(fld, used, red[rows]))
+        prefix = form.add(prefix, table[row_at[:, None], at[None, :]])
+    rows, row_at = np.unique(sup[:, -1], return_inverse=True)
+    neg = form.of(_multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]))[row_at]
+    nonzero = form.reduce(prefix)[:, :, None, :] != neg[:, None, :, :]
+    return nonzero.sum(axis=-1, dtype=np.int32).reshape(g, -1)
+
+
+def _identity_columns(sysmat: np.ndarray) -> np.ndarray:
+    """For each row i of a systematic matrix, one column equal to e_i."""
+    unit = (sysmat == 1) & ((sysmat != 0).sum(axis=0) == 1)
+    cols = unit.argmax(axis=1)
+    if not unit[np.arange(len(sysmat)), cols].all():
+        raise ValueError("matrix is not systematic")
+    return cols
 
 
 def _weight_scan(
@@ -184,7 +309,7 @@ def _weight_scan(
     histogram: bool = False,
     part: tuple[int, int] = (0, 1),
 ) -> bool:
-    """Encode the weight-w projective messages against a systematic matrix.
+    """Enumerate the weight-w projective messages against a systematic matrix.
 
     A message is 1, v_2, ..., v_w (each v_i nonzero, v_w fastest) on a support
     of w rows, supports in combinations order.  The messages are walked in
@@ -193,6 +318,11 @@ def _weight_scan(
     chunk c belongs to worker c mod W and a chunk holds at most a W-th of
     the round.  A chunk that does not fit the budget left ends the scan
     before it is built, and the scan returns False.
+
+    The identity columns of a codeword hold its message, w nonzeros, so only
+    the n - k redundancy columns are computed, as sums of the multiples
+    c * row that the chunk uses (see _AdditiveForm).  Whole codewords are
+    encoded only for the rows at the chunk's minimum weight, for the witness.
     """
     k, n = sysmat.shape
     q = fld.q
@@ -206,18 +336,24 @@ def _weight_scan(
         chunks = ((group, 0, repeats) for group in groups)
     else:
         chunks = (([sup], lo, hi) for sup in supports for lo, hi in batched(repeats, rows))
+    red = np.delete(sysmat, _identity_columns(sysmat), axis=1)
+    form = _AdditiveForm(fld, w)
     for c, (group, lo, hi) in enumerate(chunks):
         if c % parts != index:
             continue
         if state.work + len(group) * (hi - lo) > budget:
             return False
-        vals = np.ones((hi - lo, w), dtype=np.int64)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        for col in range(w - 1, 0, -1):
-            vals[:, col] = idx % (q - 1) + 1
-            idx //= q - 1
-        words = gflinalg.matmul(fld, vals, sysmat[np.array(group)]).reshape(-1, n)
-        state.update((words != 0).sum(axis=1), words, histogram)
+        sup = np.array(group)
+        blocks = [_block_weights(fld, form, red, sup, *b) for b in _blocks(lo, hi, q - 1)]
+        weights = w + np.concatenate(blocks, axis=1).reshape(-1)
+        state.update(weights, histogram)
+        low = int(weights.min())
+        if low <= state.min_weight:
+            g, t = np.divmod(np.flatnonzero(weights == low), hi - lo)
+            msgs = np.zeros((len(g), k), dtype=np.int64)
+            msgs[np.arange(len(g))[:, None], sup[g]] = _message_values(t + lo, w, q)
+            words = gflinalg.matmul(fld, msgs, sysmat)
+            state.offer(_first_in_canonical_order(words))
     return True
 
 

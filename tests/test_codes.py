@@ -1,14 +1,20 @@
 """Code construction, distance engines, enumerators, equivalence machinery."""
 
+import itertools
+import math
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evalcodes import gflinalg
 from evalcodes.codes import (
     LinearCode,
+    _AdditiveForm,
+    _SweepState,
+    _weight_scan,
     apply_projective_transform,
     build_code,
     equivalence_evidence,
@@ -326,3 +332,101 @@ def test_k_detects_vanishing_forms():
     code = build_code(s, 3)
     assert code.function_space_dim == 10
     assert code.k < 10
+
+
+# -- the message kernel against encoding every message through matmul ----------------
+
+SCAN_BUDGET = 40_000
+# (field, largest k, range of n - k): each field's first chunk fits SCAN_BUDGET,
+# so every case scans something; GF(2^31 - 1) and GF(3^12) are cut to slices
+SCAN_FIELDS = [
+    (make_field(2), 6, (0, 8)),
+    (make_field(2, 3), 5, (0, 8)),
+    (make_field(2, 11), 2, (0, 8)),
+    (make_field(7), 6, (0, 8)),
+    (make_field(P31), 2, (80, 100)),
+    (make_field(3, 2), 6, (0, 8)),  # w = k = 6: digit sums up to 12 in 4-bit fields
+    (make_field(7, 2), 3, (0, 8)),
+    (make_field(3, 12), 2, (4, 8)),  # digit regime, packed into 36 or 24 bits
+]
+
+
+def _reference_scan(fld, sysmat, w, count):
+    """Histogram, minimum weight and witness of the first count weight-w
+    messages, each encoded through gflinalg.matmul."""
+    k, n = sysmat.shape
+
+    def values(t):  # v_2 .. v_w of message t on its support, v_w fastest
+        digits = []
+        for _ in range(w - 1):
+            t, d = divmod(t, fld.q - 1)
+            digits.append(d + 1)
+        return (1, *reversed(digits))
+
+    messages = ((sup, values(t))
+                for sup in itertools.combinations(range(k), w)
+                for t in range((fld.q - 1) ** (w - 1)))
+    sups, vals = zip(*itertools.islice(messages, count))
+    msgs = np.zeros((count, k), dtype=np.int64)
+    np.put_along_axis(msgs, np.array(sups), np.array(vals), axis=1)
+    words = gflinalg.matmul(fld, msgs, sysmat)
+    weights = (words != 0).sum(axis=1)
+    low = int(weights.min())
+    witness = min(tuple(row) for row in words[weights == low].tolist())
+    return np.bincount(weights, minlength=n + 1), low, witness
+
+
+def _check_scan(fld, sysmat, w, budget):
+    k, n = sysmat.shape
+    state = _SweepState(n)
+    done = _weight_scan(fld, sysmat, w, state, budget, histogram=True)
+    total = math.comb(k, w) * (fld.q - 1) ** (w - 1)
+    assert done == (total <= budget)
+    assert state.work == total if done else state.work <= budget
+    if state.work:
+        histogram, low, witness = _reference_scan(fld, sysmat, w, state.work)
+        assert np.array_equal(state.histogram, histogram)
+        assert (state.min_weight, state.witness) == (low, witness)
+
+
+def _systematic(fld, k, redundancy, rng):
+    """Identity columns at random positions, random entries elsewhere."""
+    n = k + redundancy
+    cols = rng.sample(range(n), n)
+    sysmat = np.zeros((k, n), dtype=np.int64)
+    sysmat[:, cols[:k]] = np.eye(k, dtype=np.int64)
+    sysmat[:, cols[k:]] = [[rng.randrange(fld.q) for _ in range(redundancy)] for _ in range(k)]
+    return sysmat
+
+
+@st.composite
+def scan_cases(draw):
+    fld, k_max, (r_lo, r_hi) = draw(st.sampled_from(SCAN_FIELDS))
+    k = draw(st.sampled_from(range(1, k_max + 1)))
+    w = draw(st.sampled_from(range(1, k + 1)))
+    redundancy = draw(st.sampled_from(range(r_lo, r_hi + 1)))
+    return fld, _systematic(fld, k, redundancy, random.Random(draw(st.integers(0, 2**32)))), w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scan_cases())
+def test_weight_scan_matches_matmul_encoding(case):
+    fld, sysmat, w = case
+    _check_scan(fld, sysmat, w, SCAN_BUDGET)
+
+
+@pytest.mark.parametrize("p, m, k, redundancy, w", [
+    (3, 2, 3, 0, 3),  # n == k: no redundancy column at all
+    (2, 3, 4, 0, 2),
+    (7, 1, 1, 0, 1),
+    # long codes: slices of one support start and end inside a prefix
+    (2, 4, 4, 196, 4),
+    (5, 2, 3, 1900, 3),
+    # 16 digits of 6 bits exceed 63 bits: sums add by FiniteField.add instead
+    (3, 12, 16, 2, 16),
+])
+def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w):
+    fld = make_field(p, m)
+    if w == 16:
+        assert not _AdditiveForm(fld, w).packed
+    _check_scan(fld, _systematic(fld, k, redundancy, random.Random(k)), w, SCAN_BUDGET)
