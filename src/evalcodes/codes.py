@@ -17,13 +17,17 @@ Distance engines:
     chosen information sets, messages enumerated by weight, with the certified
     lower bound sum(max(0, w + 1 - (k - r_i))) after each completed round.
 
-Both run one kernel, _weight_scan, which encodes the messages of weight w
+Both run one kernel, _weight_scan, which weighs the messages of weight w
 (first nonzero value 1) against a systematic matrix.  The RREF generator is
 systematic on its pivots, so the exhaustive sweep is the weight loop
-w = 1..k on it without early stop.  Messages are encoded in chunks, whole
-supports or slices of one support's messages, each through gflinalg.matmul,
-which uses float64 BLAS only while its sums stay below 2^53 and an exact
-int64 loop otherwise.
+w = 1..k on it without early stop.  Messages are walked in chunks, whole
+supports or slices of one support's messages.  A message puts exactly w
+nonzeros on the identity columns, so only the n - k redundancy columns are
+computed: each chunk builds the multiples c * row its supports and values
+use, and sums them by XOR in characteristic 2 and as packed base-p digits
+otherwise, reduced mod p only at the nonzero test (_AdditiveForm).  Whole
+codewords go through gflinalg.matmul only for the messages at a chunk's
+minimum weight, to pick the lexicographically first witness.
 
 Budgets are counted in enumerated codewords.  A chunk runs whole or not at
 all: the first chunk that does not fit the budget left ends the scan.  A
@@ -204,13 +208,16 @@ class _AdditiveForm:
         # one size-q lookup maps encodings to packed digits where the digit table exists
         self._lut = None
         if self.packed and m > 1 and fld._digits is not None:
-            self._lut = (fld._digits << self._shifts).sum(axis=-1).astype(self.dtype)
+            self._lut = self._pack(fld._digits)
+
+    def _pack(self, digits: np.ndarray) -> np.ndarray:
+        return (digits << self._shifts).sum(axis=-1).astype(self.dtype)
 
     def of(self, enc: np.ndarray) -> np.ndarray:
         if self._lut is not None:
             return self._lut[enc]
         if self.packed and self.fld.n > 1:
-            return (self.fld._digits_of(enc) << self._shifts).sum(axis=-1).astype(self.dtype)
+            return self._pack(self.fld._digits_of(enc))
         return enc.astype(self.dtype)
 
     def reduce(self, sums: np.ndarray) -> np.ndarray:
