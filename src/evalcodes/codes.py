@@ -55,7 +55,7 @@ from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows
 DEFAULT_DISTANCE_BUDGET = 50_000_000
 DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
 EXHAUSTIVE_AUTO_LIMIT = 100_000_000  # q^k above this switches auto to info-set
-_BATCH_TARGET = 1 << 21  # GF(p) coordinates per encoding batch
+_BATCH_TARGET = 1 << 21  # GF(p) coordinates of the codewords in one chunk
 
 
 @dataclass
