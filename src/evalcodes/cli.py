@@ -159,6 +159,8 @@ def cmd_search(args) -> int:
     fld = parse_field_spec(args.field) if args.field else make_field(7)
     family = args.family or "random-cubic"
     if family in ("cayley-salmon", "cayley-salmon-c12"):
+        if args.target not in (None, "C12"):
+            raise ValueError(f"the cayley-salmon family searches C12 only, not {args.target!r}")
         target = "C12"
     elif family == "random-cubic":
         target = args.target
@@ -167,14 +169,19 @@ def cmd_search(args) -> int:
     seed = args.seed if args.seed is not None else 0
     out_path = Path(args.out) if args.out else None
     done_substreams: set[int] = set()
+    written_hits: set[tuple] = set()  # hit rows of a substream cut before its end
     if out_path and out_path.exists():
         for line in out_path.read_text().splitlines():
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if isinstance(obj, dict) and obj.get("substream_complete") is not None:
+            if not isinstance(obj, dict):
+                continue
+            if obj.get("substream_complete") is not None:
                 done_substreams.add(obj["substream_complete"])
+            else:
+                written_hits.add((obj.get("seed"), obj.get("substream"), obj.get("index")))
     sink = out_path.open("a") if out_path else sys.stdout
     try:
         for sub in range(args.substreams):
@@ -186,6 +193,8 @@ def cmd_search(args) -> int:
                 classify_depth=args.depth,
             )
             for hit in hits:
+                if (hit.seed, hit.substream, hit.index) in written_hits:
+                    continue
                 code = build_code(hit.surface, 1)
                 dist = min_distance(code, "auto", args.budget_distance)
                 report = bnd.build_bound_report(
@@ -198,7 +207,7 @@ def cmd_search(args) -> int:
                     "index": hit.index,
                     "coefficients": surface_to_text(hit.surface).splitlines()[2:],
                     "classification": hit.classification.to_json(),
-                    "smooth": hit.smooth_label,
+                    "smooth": hit.classification.smooth_label,
                     "code": code_document(code, dist),
                     "bounds": report.to_json(),
                 }

@@ -167,7 +167,7 @@ def classify_cubic(
     max_depth: int = 3,
     *,
     screen_depth: int = 0,
-    stop_when_unmatched: bool = False,
+    classes: tuple[str, ...] | None = None,
     max_enum: int = 500_000_000,
 ) -> ClassificationResult:
     """Match a cubic against the rank-one zeta classes by point counts N_r.
@@ -178,9 +178,12 @@ def classify_cubic(
     the first singular one raises DegenerateInput.  A level above max_enum
     points ends the counting with a budget note.
 
-    On a cubic with a rational line, classify (no stop_when_unmatched) keeps
-    counting until no class fits; a search (stop_when_unmatched) stops at
-    the line before any count, and later at the first level no class fits.
+    classes is what a search looks for.  With None (classify) the scan goes
+    on, through a rational line, until no class fits.  A search stops at a
+    rational line before any count, and before level r+1 once none of its
+    classes fits N_1..N_r.  Either way the candidates, predicted and matched
+    range over all five classes, so a stopped sample keeps its true label at
+    the depth it reached.
     """
     if surface.ambient != 3 or surface.degree != 3:
         raise ValueError("classification applies to cubic surfaces in P^3")
@@ -192,7 +195,7 @@ def classify_cubic(
     note = ""
     depth = screened = 0
     for r in range(1, max(max_depth, screen_depth) + 1):
-        if stop_when_unmatched and (len(lines) or not candidates):
+        if classes is not None and (len(lines) or not any(tag in candidates for tag in classes)):
             break
         want_screen = r <= screen_depth
         want_count = r <= max_depth
@@ -227,15 +230,13 @@ def classify_cubic(
 _SEARCH_MAX_ENUM = sys.maxsize
 
 
-# -- Cayley-Salmon sampler ----------------------------------------------------------------
+# -- Cayley-Salmon cubics -----------------------------------------------------------------
 
 
 @dataclass
 class C12Sample:
     surface: Surface
     classification: ClassificationResult
-    smooth: bool
-    smooth_label: str
 
 
 def _proportional_to_subfield_form(coeffs: np.ndarray, fld_ext: FiniteField, emb) -> bool:
@@ -243,21 +244,7 @@ def _proportional_to_subfield_form(coeffs: np.ndarray, fld_ext: FiniteField, emb
     return all(emb.contains(int(c)) for c in vec)
 
 
-def cayley_salmon_c12(
-    fld: FiniteField,
-    l_coeffs,
-    m_coeffs,
-    *,
-    classify_depth: int = 3,
-    screen_depth: int = 3,
-) -> C12Sample:
-    """Cubic surface from the triple-conjugate-plane normal form.
-
-    l_coeffs: three GF(q^3) encodings (the x, y, z coefficients of L);
-    m_coeffs: four GF(q^2) encodings (the x, y, z, w coefficients of M).
-    The two sides expand over GF(q^6); the difference has Frobenius-fixed
-    coefficients by construction and is descended to GF(q), asserted.
-    """
+def _cayley_salmon_surface(fld: FiniteField, l_coeffs, m_coeffs) -> Surface:
     n0 = fld.n
     f3 = make_field(fld.p, 3 * n0)
     f2 = make_field(fld.p, 2 * n0)
@@ -288,69 +275,76 @@ def cayley_salmon_c12(
     if cubic6.is_zero():
         raise DegenerateInput("the two sides coincide; no cubic surface")
     cubic = cubic6.descend_coeffs(e_base)  # NotInSubfield here would be a bug
-    surface = Surface(
+    return Surface(
         fld, 3, [cubic], degree=3, sectional_genus=1,
         family="cayley-salmon-c12", label=f"c12-q{fld.q}",
     )
-    classification = classify_cubic(
-        surface, classify_depth, screen_depth=screen_depth, max_enum=_SEARCH_MAX_ENUM
-    )
-    return C12Sample(surface, classification, True, classification.smooth_label)
 
 
-def _draw_c12(fld: FiniteField, rng: random.Random, classify_depth: int, screen_depth: int) -> C12Sample | None:
-    """One draw, filtered: only Cayley-Salmon forms whose class confirms C12
-    survive (the family also contains other classes and degenerate members)."""
-    f3 = make_field(fld.p, 3 * fld.n)
-    f2 = make_field(fld.p, 2 * fld.n)
-    l_coeffs = [rng.randrange(f3.q) for _ in range(3)]
-    m_coeffs = [rng.randrange(f2.q) for _ in range(4)]
-    try:
-        quick = cayley_salmon_c12(fld, l_coeffs, m_coeffs, classify_depth=1, screen_depth=1)
-    except DegenerateInput:
-        return None
-    if quick.classification.matched != "C12":
-        return None
-    if classify_depth <= 1 and screen_depth <= 1:
-        return quick
-    try:
-        full = cayley_salmon_c12(
-            fld, l_coeffs, m_coeffs,
-            classify_depth=classify_depth, screen_depth=screen_depth,
-        )
-    except DegenerateInput:
-        return None
-    return full if full.classification.matched == "C12" else None
-
-
-def sample_cayley_salmon(
+def cayley_salmon_c12(
     fld: FiniteField,
-    seed: int,
+    l_coeffs,
+    m_coeffs,
     *,
-    max_draws: int = 500,
     classify_depth: int = 3,
     screen_depth: int = 3,
 ) -> C12Sample:
-    """First confirmed-C12 Cayley-Salmon sample along a fixed seed schedule."""
-    rng = random.Random(seed * 1_000_003)
-    for _ in range(max_draws):
-        sample = _draw_c12(fld, rng, classify_depth, screen_depth)
-        if sample is not None:
-            return sample
-    raise RuntimeError(f"no confirmed C12 sample in {max_draws} draws (seed={seed})")
+    """Cubic surface from the triple-conjugate-plane normal form, classified.
+
+    l_coeffs: three GF(q^3) encodings (the x, y, z coefficients of L);
+    m_coeffs: four GF(q^2) encodings (the x, y, z, w coefficients of M).
+    The two sides expand over GF(q^6); the difference has Frobenius-fixed
+    coefficients by construction and is descended to GF(q), asserted.  The
+    classification is unrestricted: the family also contains other classes.
+    """
+    surface = _cayley_salmon_surface(fld, l_coeffs, m_coeffs)
+    classification = classify_cubic(
+        surface, classify_depth, screen_depth=screen_depth, max_enum=_SEARCH_MAX_ENUM
+    )
+    return C12Sample(surface, classification)
 
 
-# -- random cubic search ---------------------------------------------------------------------
+# -- seeded searches -------------------------------------------------------------------------
 
 
 @dataclass
 class SearchHit:
     surface: Surface
     classification: ClassificationResult
-    smooth_label: str
     seed: int
     substream: int
     index: int
+
+
+def _search(fld: FiniteField, searched: tuple[str, ...], seed: int, substream: int, budget: int,
+            classify_depth: int, screen_depth: int):
+    """The hits among `budget` seeded draws: the draws whose class is searched.
+
+    A search for C12 alone draws Cayley-Salmon forms, any other draws uniform
+    cubic coefficient vectors; degenerate and singular draws are skipped.
+    Each draw is classified once, against the searched classes.
+    """
+    rng = random.Random(seed * 1_000_003 + substream)
+    basis = monomials(4, 3)
+    for index in range(budget):
+        try:
+            if searched == ("C12",):
+                l_coeffs = [rng.randrange(fld.q**3) for _ in range(3)]
+                m_coeffs = [rng.randrange(fld.q**2) for _ in range(4)]
+                surface = _cayley_salmon_surface(fld, l_coeffs, m_coeffs)
+            else:
+                coeffs = [rng.randrange(fld.q) for _ in range(len(basis))]
+                if not any(coeffs):
+                    continue
+                cubic = HomogPoly(fld, 4, 3, dict(zip(basis, coeffs)))
+                surface = Surface(fld, 3, [cubic], degree=3, sectional_genus=1, family="random-cubic",
+                                  label=f"cubic-q{fld.q}-s{seed}.{substream}.{index}")
+            classification = classify_cubic(surface, classify_depth, screen_depth=screen_depth,
+                                            classes=searched, max_enum=_SEARCH_MAX_ENUM)
+        except DegenerateInput:
+            continue
+        if classification.matched in searched:
+            yield SearchHit(surface, classification, seed, substream, index)
 
 
 def random_cubic_search(
@@ -367,38 +361,35 @@ def random_cubic_search(
 
     budget counts samples drawn.  target=C12 samples the Cayley-Salmon form;
     other targets (or None for "any class") draw uniform cubic coefficient
-    vectors.  An exhausted budget with no hits is an empty list, not an error.
+    vectors.  Each sample is classified once, against the target (None
+    searches all five classes): it stops at a rational line, or before level
+    r+1 once the target fits none of N_1..N_r.  An exhausted budget with no
+    hits is an empty list, not an error.
     """
     tag = target.tag if isinstance(target, CubicClass) else target
     if tag is not None and tag not in CUBIC_CLASSES:
         raise ValueError(f"unknown cubic class {tag!r}")
-    rng = random.Random(seed * 1_000_003 + substream)
-    basis = monomials(4, 3)
-    hits: list[SearchHit] = []
-    for index in range(budget):
-        if tag == "C12":
-            sample = _draw_c12(fld, rng, classify_depth, screen_depth)
-            if sample is not None:
-                hits.append(SearchHit(sample.surface, sample.classification,
-                                      sample.smooth_label, seed, substream, index))
-            continue
-        coeffs = [rng.randrange(fld.q) for _ in range(len(basis))]
-        if not any(coeffs):
-            continue
-        cubic = HomogPoly(fld, 4, 3, dict(zip(basis, coeffs)))
-        surface = Surface(fld, 3, [cubic], degree=3, sectional_genus=1,
-                          family="random-cubic", label=f"cubic-q{fld.q}-s{seed}.{substream}.{index}")
-        try:
-            classification = classify_cubic(
-                surface, classify_depth, screen_depth=screen_depth,
-                stop_when_unmatched=True, max_enum=_SEARCH_MAX_ENUM,
-            )
-        except DegenerateInput:
-            continue
-        if classification.matched in CUBIC_CLASSES and (tag is None or classification.matched == tag):
-            hits.append(SearchHit(surface, classification, classification.smooth_label,
-                                  seed, substream, index))
-    return hits
+    searched = tuple(CUBIC_CLASSES) if tag is None else (tag,)
+    return list(_search(fld, searched, seed, substream, budget, classify_depth, screen_depth))
+
+
+def sample_cayley_salmon(
+    fld: FiniteField,
+    seed: int,
+    *,
+    max_draws: int = 500,
+    classify_depth: int = 3,
+    screen_depth: int = 3,
+) -> C12Sample:
+    """First confirmed-C12 Cayley-Salmon sample along a fixed seed schedule.
+
+    The draws are those of random_cubic_search(fld, "C12", seed, max_draws),
+    each classified once against C12 alone: a draw stops at a rational line,
+    or before level r+1 once C12 fits none of N_1..N_r.
+    """
+    for hit in _search(fld, ("C12",), seed, 0, max_draws, classify_depth, screen_depth):
+        return C12Sample(hit.surface, hit.classification)
+    raise RuntimeError(f"no confirmed C12 sample in {max_draws} draws (seed={seed})")
 
 
 # -- degree-6 Del Pezzo from a Frobenius orbit ------------------------------------------------

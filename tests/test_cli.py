@@ -105,6 +105,17 @@ def test_search_jsonl_deterministic_and_resumable(tmp_path, capsys):
     assert out1.read_text() == before
 
 
+def test_search_resume_does_not_repeat_hit_rows(tmp_path, capsys):
+    # a run cut after its first hit row, before substream_complete, resumes
+    # into the same bytes as an uncut run
+    golden = Path(__file__).parent / "golden" / "search_random_cubic_q5_seed1.jsonl"
+    out = tmp_path / "cut.jsonl"
+    out.write_text(golden.read_text().splitlines(keepends=True)[0])
+    assert run_cli(["search", "--family", "random-cubic", "--field", "5", "--seed", "1",
+                    "--budget", "40", "--depth", "3", "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_search_resume_skips_lines_that_are_not_objects(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
     out.write_text('[1]\nnot json\n{"substream_complete": 0, "hits": 0}\n')
@@ -151,6 +162,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
     code, _, err = run_cli(["--config", str(cfg), "build-code", "--family", "del-pezzo-4"], capsys)
+    assert code == 2 and "error:" in err
+    code, _, err = run_cli(["search", "--family", "cayley-salmon", "--field", "7",
+                            "--target", "C14", "--budget", "1"], capsys)
     assert code == 2 and "error:" in err
 
 

@@ -128,6 +128,14 @@ def test_classifier_on_c12_sample(c12_sample):
     assert standalone.observed == {1: 64, 2: 2304}
 
 
+def test_classifier_search_stops_when_no_searched_class_fits(c12_sample):
+    # a search for C14 stops after N_1, yet the label ranges over all classes
+    cls = classify_cubic(c12_sample.surface, 3, screen_depth=3, classes=("C14",))
+    assert cls.observed == {1: 64}
+    assert cls.checked_depth == 1
+    assert cls.matched == "C12"
+
+
 def test_classifier_requires_cubic(dp4):
     with pytest.raises(ValueError):
         classify_cubic(dp4)
@@ -205,6 +213,20 @@ def test_random_search_c14_hits_have_57_points():
                                classify_depth=1, screen_depth=1)
     for hit in hits:
         assert hit.classification.observed[1] == 57
+
+
+@pytest.mark.parametrize("tag", ["C10", "C11", "C13", "C14"])
+def test_targeted_search_equals_filtered_untargeted_search(tag):
+    # narrowing the classifier to the target never changes a hit
+    f5 = make_field(5)
+
+    def key(hit):
+        return hit.index, hit.surface.generators[0].terms, hit.classification.observed
+
+    for seed in (1, 2):
+        kw = dict(seed=seed, budget=30, classify_depth=2, screen_depth=2)
+        every = [key(h) for h in random_cubic_search(f5, None, **kw) if h.classification.matched == tag]
+        assert [key(h) for h in random_cubic_search(f5, tag, **kw)] == every
 
 
 def test_random_search_substreams_differ():
