@@ -46,6 +46,7 @@ from .projective import (
 )
 
 DEFAULT_BUDGET = 2_000_000
+_CAYLEY_SALMON = ("cayley-salmon", "cayley-salmon-c12", "c12")  # names of one family
 
 
 def _info(msg: str):
@@ -74,7 +75,7 @@ def _load_surface(args) -> Surface:
         basis = monomials(4, 4)
         h = {mono: rng.randrange(fld.q) for mono in basis}
         return van_luijk_surface(HomogPoly(fld, 4, 4, h), fld)
-    if family in ("cayley-salmon", "cayley-salmon-c12", "c12"):
+    if family in _CAYLEY_SALMON:
         return sample_cayley_salmon(fld, seed).surface
     raise ValueError(f"unknown family {family!r}")
 
@@ -158,7 +159,7 @@ def cmd_scan_sections(args) -> int:
 def cmd_search(args) -> int:
     fld = parse_field_spec(args.field) if args.field else make_field(7)
     family = args.family or "random-cubic"
-    if family in ("cayley-salmon", "cayley-salmon-c12"):
+    if family in _CAYLEY_SALMON:
         if args.target not in (None, "C12"):
             raise ValueError(f"the cayley-salmon family searches C12 only, not {args.target!r}")
         target = "C12"
@@ -168,10 +169,14 @@ def cmd_search(args) -> int:
         raise ValueError(f"search supports cayley-salmon or random-cubic, not {family!r}")
     seed = args.seed if args.seed is not None else 0
     out_path = Path(args.out) if args.out else None
-    done_substreams: set[int] = set()
+    done_substreams: set[tuple] = set()  # (seed, substream) pairs
     written_hits: set[tuple] = set()  # hit rows of a substream cut before its end
     if out_path and out_path.exists():
-        for line in out_path.read_text().splitlines():
+        raw = out_path.read_bytes()
+        text = raw[: raw.rfind(b"\n") + 1]
+        if text != raw:  # drop a row cut mid-line; the rerun writes it whole
+            out_path.write_bytes(text)
+        for line in text.decode().splitlines():
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
@@ -179,13 +184,13 @@ def cmd_search(args) -> int:
             if not isinstance(obj, dict):
                 continue
             if obj.get("substream_complete") is not None:
-                done_substreams.add(obj["substream_complete"])
+                done_substreams.add((obj.get("seed"), obj["substream_complete"]))
             else:
                 written_hits.add((obj.get("seed"), obj.get("substream"), obj.get("index")))
     sink = out_path.open("a") if out_path else sys.stdout
     try:
         for sub in range(args.substreams):
-            if sub in done_substreams:
+            if (seed, sub) in done_substreams:
                 _info(f"substream {sub}: already complete, skipping")
                 continue
             hits = random_cubic_search(
@@ -212,7 +217,7 @@ def cmd_search(args) -> int:
                     "bounds": report.to_json(),
                 }
                 print(json.dumps(row, sort_keys=True), file=sink)
-            print(json.dumps({"substream_complete": sub, "hits": len(hits)}), file=sink)
+            print(json.dumps({"substream_complete": sub, "seed": seed, "hits": len(hits)}), file=sink)
             _info(f"substream {sub}: {len(hits)} hits / {args.budget} samples")
     finally:
         if out_path:

@@ -9,34 +9,30 @@ degree-s monomial span, so for surfaces that are not projectively normal
 this code can be a proper subcode of the sheaf-level code with the same
 data.
 
-Distance engines:
+Both distance engines are one weight-round loop, _rounds, over a list of
+information sets (systematic matrix, relative rank r_i):
 
-  * exhaustive -- sweeps one representative per projective message class
-    ((q^k - 1)/(q - 1) encodings) and is exact when it completes;
-  * information-set -- Brouwer-Zimmermann style: systematic forms on greedily
-    chosen information sets, messages enumerated by weight, with the certified
-    lower bound sum(max(0, w + 1 - (k - r_i))) after each completed round.
+  * exhaustive -- the RREF generator alone (r = k) without early stop: one
+    representative per projective message class, exact when it completes;
+  * information-set -- Brouwer-Zimmermann on greedily chosen sets, the first
+    of them the RREF generator, stopping once the lower bound meets the
+    lightest codeword found.
 
-Both run one kernel, _weight_scan, which weighs the messages of weight w
-(first nonzero value 1) against a systematic matrix.  The RREF generator is
-systematic on its pivots, so the exhaustive sweep is the weight loop
-w = 1..k on it without early stop.  Messages are walked in chunks, whole
-supports or slices of one support's messages.  A message puts exactly w
-nonzeros on the identity columns, so only the n - k redundancy columns are
-computed: each chunk builds the multiples c * row its supports and values
-use, and sums them by XOR in characteristic 2 and as packed base-p digits
-otherwise, reduced mod p only at the nonzero test (_AdditiveForm).  Whole
-codewords go through gflinalg.matmul only for the messages at a chunk's
-minimum weight, to pick the lexicographically first witness.
+After `swept` complete rounds the certified lower bound is
+sum(max(0, swept + 1 - (k - r_i))), or 1 when swept = 0; that is swept + 1
+for the exhaustive sweep.  A completed run takes lower = upper.
+
+Round w runs one kernel, _weight_scan, which weighs the messages of weight
+w (first nonzero value 1) against a systematic matrix in chunks, computing
+only the n - k redundancy columns by machine adds (_AdditiveForm).
 
 Budgets are counted in enumerated codewords.  A chunk runs whole or not at
-all: the first chunk that does not fit the budget left ends the scan.  A
-sweep that exhausts its budget returns the best certified interval, exact
-only when its bounds meet; that is a partial result, not an error.  A
-truncated exhaustive sweep that enumerated every message of weight <= w*
-certifies d >= min(upper, w* + 1).  With W workers, chunk c of each round
-goes to worker c mod W; a budget short of the message count is split into
-W shares.
+all: the first chunk that does not fit the budget left ends the run, which
+returns the best certified interval, exact only when its bounds meet; that
+is a partial result, not an error.  With W workers, chunk c of each round
+goes to worker c mod W, and every worker counts all chunks against the one
+budget, so all stop at the same chunk, the first in serial order that does
+not fit.
 """
 
 from __future__ import annotations
@@ -141,10 +137,9 @@ class _SweepState:
         self.histogram = np.zeros(n + 1, dtype=np.int64)
         self.work = 0
 
-    def update(self, weights: np.ndarray, histogram: bool):
+    def update(self, weights: np.ndarray):
         self.work += len(weights)
-        if histogram:
-            self.histogram += np.bincount(weights, minlength=self.n + 1)[: self.n + 1]
+        self.histogram += np.bincount(weights, minlength=self.n + 1)
 
     def offer(self, codeword: np.ndarray):
         """Merge one codeword: the lighter wins, the lexicographically smaller on a tie."""
@@ -306,16 +301,8 @@ def _identity_columns(sysmat: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _weight_scan(
-    fld: FiniteField,
-    sysmat: np.ndarray,
-    w: int,
-    state: _SweepState,
-    budget: int,
-    *,
-    histogram: bool = False,
-    part: tuple[int, int] = (0, 1),
-) -> bool:
+def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepState, budget: int,
+                 part: tuple[int, int] = (0, 1)) -> bool:
     """Enumerate the weight-w projective messages against a systematic matrix.
 
     A message is 1, v_2, ..., v_w (each v_i nonzero, v_w fastest) on a support
@@ -323,8 +310,9 @@ def _weight_scan(
     chunks: whole supports while one support's (q-1)^(w-1) messages fit a
     batch, slices of one support's messages otherwise.  With part = (i, W),
     chunk c belongs to worker c mod W and a chunk holds at most a W-th of
-    the round.  A chunk that does not fit the budget left ends the scan
-    before it is built, and the scan returns False.
+    the round.  Every chunk, each part's alike, counts against the budget
+    left: the first one that does not fit ends the scan before it is built,
+    in every part, and the scan returns False.
 
     The identity columns of a codeword hold its message, w nonzeros, so only
     the n - k redundancy columns are computed, as sums of the multiples
@@ -345,15 +333,17 @@ def _weight_scan(
         chunks = (([sup], lo, hi) for sup in supports for lo, hi in batched(repeats, rows))
     red = np.delete(sysmat, _identity_columns(sysmat), axis=1)
     form = _AdditiveForm(fld, w)
+    spent = 0
     for c, (group, lo, hi) in enumerate(chunks):
+        spent += len(group) * (hi - lo)
+        if spent > budget:
+            return False
         if c % parts != index:
             continue
-        if state.work + len(group) * (hi - lo) > budget:
-            return False
         sup = np.array(group)
         blocks = [_block_weights(fld, form, red, sup, *b) for b in _blocks(lo, hi, q - 1)]
         weights = w + np.concatenate(blocks, axis=1).reshape(-1)
-        state.update(weights, histogram)
+        state.update(weights)
         low = int(weights.min())
         if low <= state.min_weight:
             g, t = np.divmod(np.flatnonzero(weights == low), hi - lo)
@@ -364,21 +354,42 @@ def _weight_scan(
     return True
 
 
-def _sweep(args) -> tuple[_SweepState, int]:
-    fld, matrix, budget, histogram, part = args
-    k, n = matrix.shape
-    state = _SweepState(n)
+def _rounds(fld: FiniteField, sets, state: _SweepState, budget: int, stop: bool = False,
+            part: tuple[int, int] = (0, 1)) -> int:
+    """Weight rounds w = 1..k over the (systematic matrix, relative rank) sets;
+    returns the last round every set completed.  Each scan gets the budget
+    left by all parts' scans before it.  With stop, the rounds end once the
+    lower bound meets the running minimum weight."""
+    k = sets[0][0].shape[0]
+    spent = 0
     for w in range(1, k + 1):
-        if not _weight_scan(fld, matrix, w, state, budget, histogram=histogram, part=part):
-            return state, w - 1
-    return state, k
+        for sysmat, _ in sets:
+            if not _weight_scan(fld, sysmat, w, state, budget - spent, part):
+                return w - 1
+            spent += math.comb(k, w) * (fld.q - 1) ** (w - 1)
+        if stop and _lower_bound(k, sets, w) >= state.min_weight:
+            return w
+    return k
+
+
+def _lower_bound(k: int, sets, swept: int) -> int:
+    """Brouwer-Zimmermann: a codeword no round found has over swept nonzeros on
+    each set, so at least swept + 1 - (k - r_i) on the r_i columns it adds."""
+    if swept == 0:
+        return 1
+    return sum(max(0, swept + 1 - (k - r_i)) for _, r_i in sets)
+
+
+def _sweep(args) -> tuple[_SweepState, int]:
+    fld, matrix, budget, part = args
+    state = _SweepState(matrix.shape[1])
+    return state, _rounds(fld, [(matrix, len(matrix))], state, budget, part=part)
 
 
 def exhaustive_sweep(
     code: LinearCode,
     *,
     budget: int = DEFAULT_DISTANCE_BUDGET,
-    histogram: bool = False,
     workers: int = 1,
 ) -> tuple[_SweepState, int]:
     """Projective message sweep by message weight w = 1..k on the RREF
@@ -386,22 +397,18 @@ def exhaustive_sweep(
 
     Returns (state, swept): every message of weight <= swept was enumerated,
     and swept == k means the sweep completed, which it does exactly when the
-    budget covers every message.  Each worker runs the chunks of its part,
-    on budget // workers codewords when the budget falls short; the states
-    merge with commutative operations, so a completed sweep is identical for
-    any worker count.
+    budget covers every message.  Each worker runs the chunks of its part
+    and stops at the first chunk, in serial order, that does not fit the
+    budget; the states merge with commutative operations, so a completed
+    sweep is identical for any worker count.
     """
     fld, matrix = code.fld, code.matrix
-    total = projective_message_count(fld.q, code.k)
-    if workers <= 1 or total < (1 << 16):
-        return _sweep((fld, matrix, budget, histogram, (0, 1)))
+    if workers <= 1 or projective_message_count(fld.q, code.k) < (1 << 16):
+        return _sweep((fld, matrix, budget, (0, 1)))
     from concurrent.futures import ProcessPoolExecutor
 
     state, swept = _SweepState(code.n), code.k
-    shares = [budget // workers + (i < budget % workers) for i in range(workers)]
-    if budget >= total:  # whole chunks do not divide it evenly: no split
-        shares = [budget] * workers
-    args = [(fld, matrix, share, histogram, (i, workers)) for i, share in enumerate(shares)]
+    args = [(fld, matrix, budget, (i, workers)) for i in range(workers)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for part, done in pool.map(_sweep, args):
             state.merge(part)
@@ -466,6 +473,14 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     return sets
 
 
+def _distance_result(code: LinearCode, sets, state: _SweepState, swept: int, method: str) -> DistanceResult:
+    """The certified interval after `swept` complete rounds over `sets`."""
+    upper = min(state.min_weight, code.n)
+    lower = upper if swept == code.k else max(1, min(_lower_bound(code.k, sets, swept), upper))
+    witness = np.array(state.witness, dtype=np.int64) if state.witness else None
+    return DistanceResult(lower, upper, lower == upper, witness, method, state.work)
+
+
 def information_set_distance(
     code: LinearCode,
     *,
@@ -473,32 +488,13 @@ def information_set_distance(
     upper_hint: np.ndarray | None = None,
 ) -> DistanceResult:
     """Brouwer-Zimmermann certification within a codeword budget."""
-    fld = code.fld
-    sets = _information_sets(fld, code.matrix)
+    sets = _information_sets(code.fld, code.matrix)
     state = _SweepState(code.n)
-    if upper_hint is not None:
+    if upper_hint is not None:  # before the scan: the early stop reads it
         state.offer(np.asarray(upper_hint, dtype=np.int64))
-    lower = 1
-    ran_out = False
-    w = 0
-    while w < code.k:
-        w += 1
-        for sysmat, _ in sets:
-            if not _weight_scan(fld, sysmat, w, state, budget):
-                ran_out = True
-                break
-        if ran_out:
-            break
-        lower = sum(max(0, (w + 1) - (code.k - r_i)) for _, r_i in sets)
-        if lower >= state.min_weight:
-            break
-    if w == code.k and not ran_out:
-        lower = state.min_weight  # every projective message was enumerated
-    upper = min(state.min_weight, code.n)
-    lower = max(1, min(lower, upper))
-    witness = np.array(state.witness, dtype=np.int64) if state.witness else None
+    swept = _rounds(code.fld, sets, state, budget, stop=True)
     method = "information-set" + ("+geometric-witness" if upper_hint is not None else "")
-    return DistanceResult(lower, upper, lower >= upper, witness, method, state.work)
+    return _distance_result(code, sets, state, swept, method)
 
 
 def min_distance(
@@ -523,12 +519,8 @@ def min_distance(
     state, swept = exhaustive_sweep(code, budget=budget, workers=workers)
     if upper_hint is not None:
         state.offer(np.asarray(upper_hint, dtype=np.int64))
-    upper = min(state.min_weight, code.n)
-    # a message of weight > swept puts as many nonzeros on the pivot columns
-    lower = upper if swept == code.k else min(upper, swept + 1)
-    witness = np.array(state.witness, dtype=np.int64) if state.witness else None
     method = "exhaustive" if swept == code.k else "exhaustive-partial"
-    return DistanceResult(lower, upper, lower == upper, witness, method, state.work)
+    return _distance_result(code, [(code.matrix, code.k)], state, swept, method)
 
 
 @dataclass
@@ -558,7 +550,7 @@ def weight_enumerator(code: LinearCode, budget: int = DEFAULT_ENUMERATOR_BUDGET)
         raise BudgetExceeded(
             f"weight enumerator needs ~{msgs * code.n} field ops, budget {budget}"
         )
-    state, swept = exhaustive_sweep(code, budget=msgs, histogram=True)
+    state, swept = exhaustive_sweep(code, budget=msgs)
     assert swept == code.k
     counts = state.histogram * (code.fld.q - 1)
     counts[0] = 1

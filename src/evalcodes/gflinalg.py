@@ -23,11 +23,14 @@ def rref(field: FiniteField, mat, want_transform: bool = False):
     """Reduced row echelon form.
 
     Returns (R, pivots) or, with want_transform, (R, pivots, T) where T is an
-    invertible square matrix with T @ mat == R over the field.
+    invertible square matrix with T @ mat == R over the field: the row
+    operations run on [mat | I], with pivots sought in mat's columns only,
+    and T is the right block.
     """
     m = as_matrix(mat)
     rows, cols = m.shape
-    t = np.eye(rows, dtype=np.int64) if want_transform else None
+    if want_transform:
+        m = np.concatenate([m, np.eye(rows, dtype=np.int64)], axis=1)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -39,24 +42,18 @@ def rref(field: FiniteField, mat, want_transform: bool = False):
         pr = r + int(nz[0])
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-            if t is not None:
-                t[[r, pr]] = t[[pr, r]]
         inv = field.inv(int(m[r, c]))
         if inv != 1:
             m[r] = field.mul(m[r], inv)
-            if t is not None:
-                t[r] = field.mul(t[r], inv)
         fac = m[:, c].copy()
         fac[r] = 0
         hit = np.nonzero(fac)[0]
         if len(hit):
             m[hit] = field.sub(m[hit], field.mul(fac[hit, None], m[r][None, :]))
-            if t is not None:
-                t[hit] = field.sub(t[hit], field.mul(fac[hit, None], t[r][None, :]))
         pivots.append(c)
         r += 1
     if want_transform:
-        return m, pivots, t
+        return m[:, :cols], pivots, m[:, cols:]
     return m, pivots
 
 

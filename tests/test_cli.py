@@ -94,7 +94,7 @@ def test_search_jsonl_deterministic_and_resumable(tmp_path, capsys):
     assert run_cli(args + ["--out", str(out2)], capsys)[0] == 0
     assert out1.read_text() == out2.read_text()
     lines = [json.loads(x) for x in out1.read_text().splitlines()]
-    assert lines[-1] == {"substream_complete": 0, "hits": lines[-1]["hits"]}
+    assert lines[-1] == {"substream_complete": 0, "seed": 1, "hits": lines[-1]["hits"]}
     hits = [x for x in lines if "substream_complete" not in x]
     for hit in hits:
         assert hit["classification"]["matched"] == "C12"
@@ -116,9 +116,30 @@ def test_search_resume_does_not_repeat_hit_rows(tmp_path, capsys):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_search_resume_rewrites_a_row_cut_mid_line(tmp_path, capsys):
+    # the cut bytes after the last newline go; the rerun writes that row whole
+    golden = Path(__file__).parent / "golden" / "search_random_cubic_q5_seed1.jsonl"
+    out = tmp_path / "cut.jsonl"
+    out.write_bytes(golden.read_bytes()[:500])
+    assert run_cli(["search", "--family", "random-cubic", "--field", "5", "--seed", "1",
+                    "--budget", "40", "--depth", "3", "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_search_resume_skips_a_substream_only_under_its_seed(tmp_path, capsys):
+    out = tmp_path / "two_seeds.jsonl"
+    args = ["search", "--family", "random-cubic", "--field", "5", "--budget", "3",
+            "--depth", "1", "--out", str(out)]
+    assert run_cli(args + ["--seed", "1"], capsys)[0] == 0
+    code, _, err = run_cli(args + ["--seed", "2"], capsys)
+    assert code == 0 and "already complete" not in err
+    done = [json.loads(x) for x in out.read_text().splitlines() if "substream_complete" in x]
+    assert [(x["seed"], x["substream_complete"]) for x in done] == [(1, 0), (2, 0)]
+
+
 def test_search_resume_skips_lines_that_are_not_objects(tmp_path, capsys):
     out = tmp_path / "r.jsonl"
-    out.write_text('[1]\nnot json\n{"substream_complete": 0, "hits": 0}\n')
+    out.write_text('[1]\nnot json\n{"substream_complete": 0, "seed": 0, "hits": 0}\n')
     before = out.read_text()
     code, _, err = run_cli(["search", "--family", "cayley-salmon", "--field", "7",
                             "--budget", "10", "--out", str(out)], capsys)

@@ -14,6 +14,7 @@ from evalcodes.codes import (
     LinearCode,
     _AdditiveForm,
     _SweepState,
+    _information_sets,
     _weight_scan,
     apply_projective_transform,
     build_code,
@@ -125,6 +126,26 @@ def test_information_set_budget_interval():
     assert d.lower <= full.d <= d.upper
 
 
+@pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (3, 2)])
+def test_first_information_set_is_the_generator(p, m):
+    # the exhaustive sweep is the information-set loop on this one set
+    fld = make_field(p, m)
+    rng = random.Random(p * 10 + m)
+    for _ in range(5):
+        code = _random_code(fld, rng.randrange(2, 6), rng.randrange(8, 20), rng)
+        sysmat, rank = _information_sets(fld, code.matrix)[0]
+        assert np.array_equal(sysmat, code.matrix) and rank == code.k
+
+
+def test_information_set_run_out_in_round_one_reports_lower_one():
+    # five full-rank sets, but no round completes: the bound stays 1
+    code = _random_code(F7, 4, 20, random.Random(3))
+    assert [r for _, r in _information_sets(F7, code.matrix)] == [4] * 5
+    d = min_distance(code, "isd", budget=3)
+    assert (d.lower, d.upper, d.work) == (1, 20, 0)
+    assert d.method == "information-set" and not d.exact
+
+
 def test_weight_round_checks_budget_before_allocating():
     # weight 2 over GF(2^20) has ~10^6 messages per support; a 50-codeword
     # budget must end the scan before they are built
@@ -170,7 +191,7 @@ def test_exhaustive_scan_over_gf_2_31_minus_1_encodes_exactly():
     code = _plain_code(make_field(P31), [[1, 0, 288545019, 1222356006],
                                          [0, 1, 1819850096, 1722851097]])
     # each worker takes one weight-1 message and one 2^19-message weight-2
-    # slice of its 550000-codeword share; the next slice does not fit
+    # slice; the third slice would take the two past the budget
     state, swept = exhaustive_sweep(code, budget=1_100_000, workers=2)
     assert swept == 1 and state.work == 1_048_578
     assert code.contains_word(np.array(state.witness, dtype=np.int64))
@@ -208,22 +229,22 @@ def test_weight_enumerator_budget():
         weight_enumerator(code, budget=1000)
 
 
-def test_histogram_sweep_equals_plain_sweep():
+def test_completed_sweep_histogram_counts_every_message():
     rng = random.Random(10)
     code = _random_code(make_field(3, 2), 3, 12, rng)
-    st1, done1 = exhaustive_sweep(code, histogram=True)
-    st2, done2 = exhaustive_sweep(code, histogram=False)
-    assert done1 and done2
-    assert st1.min_weight == st2.min_weight
-    assert st1.witness == st2.witness
+    state, swept = exhaustive_sweep(code)
+    assert swept == code.k
+    assert int(state.histogram.sum()) == projective_message_count(9, 3)
+    assert state.histogram[0] == 0
+    assert int(np.flatnonzero(state.histogram)[0]) == state.min_weight
 
 
 def test_worker_partition_is_invisible():
     # k = 7 over GF(7): 137257 projective messages, enough to engage the pool
     rng = random.Random(11)
     code = _random_code(F7, 7, 20, rng)
-    lone, done_l = exhaustive_sweep(code, histogram=True, workers=1)
-    duo, done_d = exhaustive_sweep(code, histogram=True, workers=2)
+    lone, done_l = exhaustive_sweep(code, workers=1)
+    duo, done_d = exhaustive_sweep(code, workers=2)
     assert done_l and done_d
     assert duo.work == lone.work == projective_message_count(7, 7)
     assert lone.min_weight == duo.min_weight
@@ -232,9 +253,11 @@ def test_worker_partition_is_invisible():
     # a budget of exactly the message count completes at any worker count
     _, swept = exhaustive_sweep(code, budget=projective_message_count(7, 7), workers=2)
     assert swept == code.k
-    # a truncated split sweep stops at the first chunk past a worker's share
+    # every chunk counts against the one budget: both workers stop at the
+    # second 612-message chunk of round 3, after rounds 1-2 (133 messages)
+    # and the first chunk, which worker 0 ran
     cut, swept = exhaustive_sweep(code, budget=1001, workers=2)
-    assert swept < code.k and cut.work <= 1001
+    assert (swept, cut.work) == (2, 745)
 
 
 def test_apply_projective_transform_witness_and_invariance(dp4):
@@ -379,7 +402,7 @@ def _reference_scan(fld, sysmat, w, count):
 def _check_scan(fld, sysmat, w, budget):
     k, n = sysmat.shape
     state = _SweepState(n)
-    done = _weight_scan(fld, sysmat, w, state, budget, histogram=True)
+    done = _weight_scan(fld, sysmat, w, state, budget)
     total = math.comb(k, w) * (fld.q - 1) ** (w - 1)
     assert done == (total <= budget)
     assert state.work == total if done else state.work <= budget

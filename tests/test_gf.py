@@ -334,6 +334,39 @@ def test_stacked_matmul_matches_python_ints(case):
         assert out[i].tolist() == _reference_matmul(fld, ai.tolist(), bi.tolist())
 
 
+@st.composite
+def rref_inputs(draw):
+    """Matrices over GF(7), GF(8) or GF(2^18) whose rows past a drawn rank
+    are combinations of the rows before it, shuffled."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 3), (2, 18)])))
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    rank = draw(st.integers(0, rows))
+    elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
+
+    def entries(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(elems, min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+
+    m = np.zeros((rows, cols), dtype=np.int64)
+    if rank:
+        m[:rank] = entries((rank, cols))
+    if 0 < rank < rows:
+        m[rank:] = gflinalg.matmul(fld, entries((rows - rank, rank)), m[:rank])
+    return fld, m[draw(st.permutations(range(rows)))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rref_inputs())
+def test_rref_transform_maps_the_input_to_its_rref(case):
+    fld, m = case
+    r, pivots, t = gflinalg.rref(fld, m, want_transform=True)
+    assert np.array_equal(gflinalg.matmul(fld, t, m), r)
+    plain, plain_pivots = gflinalg.rref(fld, m)
+    assert np.array_equal(r, plain) and pivots == plain_pivots
+    assert gflinalg.rank(fld, t) == len(m)
+
+
 def test_field_refuses_products_that_overflow_int64():
     with pytest.raises(ValueError, match="exactly"):
         make_field(4294967311)

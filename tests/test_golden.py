@@ -49,6 +49,10 @@ GOLDEN = Path(__file__).parent / "golden"
        ["min-dist", "--family", "del-pezzo-6", "--field", spec, "--seed", "1",
         "--degree", "2", "--budget", "200000"])
       for tag, spec in (("q7", "7"), ("q8", "2^3"))],
+    # c12 names the cayley-salmon family in search as in every other command
+    ("search_cayley_salmon_q5_seed1.jsonl",
+     ["search", "--family", "c12", "--field", "5", "--seed", "1",
+      "--budget", "20", "--depth", "3"]),
 ])
 def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
