@@ -86,15 +86,21 @@ def _distance_hint(surface: Surface, code: LinearCode):
     return None
 
 
-def _analyze(surface: Surface, s: int, strategy: str, budget: int, workers: int):
-    """Build the degree-s code, certify distance, and attach the bound report."""
+def _certify(surface: Surface, s: int, strategy: str, budget: int, workers: int):
+    """Build the degree-s code and certify its distance, offering the family's
+    geometric witness (returned as the hint) as an upper bound."""
     code = build_code(surface, s)
     hint = _distance_hint(surface, code)
     dist = min_distance(code, strategy, budget, upper_hint=hint, workers=workers)
+    return code, dist, hint
+
+
+def _analyze(surface: Surface, s: int, strategy: str, budget: int, workers: int):
+    """Certify the degree-s code and attach the bound report."""
+    code, dist, _ = _certify(surface, s, strategy, budget, workers)
     observed = {s: (dist.upper, dist.exact)}
     if s > 1:
-        base = build_code(surface, 1)
-        base_d = min_distance(base, "auto", budget, workers=workers)
+        _, base_d, _ = _certify(surface, 1, "auto", budget, workers)
         if base_d.exact:
             observed[1] = (base_d.d, True)
     report = bnd.build_bound_report(surface.fld.q, surface.sectional_genus, code.n, observed)
@@ -115,9 +121,7 @@ def cmd_build_code(args) -> int:
 
 def cmd_min_dist(args) -> int:
     surface = _load_surface(args)
-    code = build_code(surface, args.degree)
-    hint = _distance_hint(surface, code)
-    dist = min_distance(code, args.strategy, args.budget, upper_hint=hint, workers=args.workers)
+    code, dist, _ = _certify(surface, args.degree, args.strategy, args.budget, args.workers)
     _emit(args, {"field": field_spec_string(code.fld), "n": code.n, "k": code.k,
                  **dist.to_json()})
     _info(f"d in [{dist.lower}, {dist.upper}] exact={dist.exact} work={dist.work}")
@@ -200,12 +204,7 @@ def cmd_search(args) -> int:
             for hit in hits:
                 if (hit.seed, hit.substream, hit.index) in written_hits:
                     continue
-                code = build_code(hit.surface, 1)
-                dist = min_distance(code, "auto", args.budget_distance)
-                report = bnd.build_bound_report(
-                    fld.q, hit.surface.sectional_genus, code.n,
-                    {1: (dist.upper, dist.exact)},
-                )
+                code, dist, report = _analyze(hit.surface, 1, "auto", args.budget_distance, args.workers)
                 row = {
                     "seed": hit.seed,
                     "substream": hit.substream,
@@ -263,32 +262,30 @@ def cmd_verify_paper(args) -> int:
     rho_one_reports = []
     dp6_reports = []
 
+    def certify_row(rid, surface, s, strategy, row_budget, expected, reports):
+        """Certify a code, check its [n, k, d] row (none if expected is None), pool it."""
+        code, dist, report = _analyze(surface, s, strategy, row_budget, args.workers)
+        if expected is not None:
+            t.check(rid, expected, [code.n, code.k, dist.upper if dist.exact else None])
+        singleton_rows.append((code, dist))
+        reports.append((code, report))
+        return code, dist
+
     dp4 = del_pezzo4_fixture(f7)
     t.check("dp4-q7-points", 57, int(dp4.count_points(1)))
-    code, dist, report = _analyze(dp4, 1, "exhaustive", budget, args.workers)
-    t.check("dp4-q7-s1", [57, 5, 44], [code.n, code.k, dist.upper if dist.exact else None])
+    certify_row("dp4-q7-s1", dp4, 1, "exhaustive", budget, [57, 5, 44], rho_one_reports)
     t.check("dp4-q7-lines", 0, len(lines_on_surface(dp4)))
-    dp4_scan = section_scan(dp4)
-    t.check("dp4-q7-section-max", 13, dp4_scan.max_count)
-    singleton_rows.append((code, dist))
-    rho_one_reports.append((code, report))
+    t.check("dp4-q7-section-max", 13, section_scan(dp4).max_count)
 
-    dp6_expect = {7: (57, 41), 8: (73, 55), 9: (91, 71)}
-    for (p, n), q in (((7, 1), 7), ((2, 3), 8), ((3, 2), 9)):
-        fld = make_field(p, n)
+    for p, m in ((7, 1), (2, 3), (3, 2)):
+        fld = make_field(p, m)
+        q = fld.q
         dp6 = del_pezzo6(frobenius_orbit(fld, seed=args.seed or 1))
-        n_exp, d_exp = dp6_expect[q]
-        c1, d1, rep1 = _analyze(dp6, 1, "exhaustive", max(budget, 1_000_000), args.workers)
-        t.check(f"dp6-q{q}-s1", [n_exp, 7, d_exp],
-                [c1.n, c1.k, d1.upper if d1.exact else None])
-        singleton_rows.append((c1, d1))
-        dp6_reports.append((c1, rep1))
-        c2 = build_code(dp6, 2)
+        c1, d1 = certify_row(f"dp6-q{q}-s1", dp6, 1, "exhaustive", max(budget, 1_000_000),
+                             [q * q + q + 1, 7, q * q - q - 1], dp6_reports)
+        c2, d2, wit = _certify(dp6, 2, "information-set", budget, args.workers)
         t.check(f"dp6-q{q}-s2-k", 19, c2.k)
-        wit = geometric_witness_dp6(dp6)
-        wwt = int((wit.codeword != 0).sum())
-        t.check(f"dp6-q{q}-s2-witness-weight", q * q - 3 * q - 1, wwt)
-        d2 = min_distance(c2, "information-set", budget, upper_hint=wit.codeword)
+        t.check(f"dp6-q{q}-s2-witness-weight", q * q - 3 * q - 1, int((wit != 0).sum()))
         if q in (7, 9):
             target = q * q - 3 * q - 1
             t.check_pred(
@@ -319,34 +316,18 @@ def cmd_verify_paper(args) -> int:
             sample.classification.observed)
     scan = section_scan(sample.surface)
     t.check("c12-q7-section-max", 13, scan.max_count)
-    cc1, dd1, repc1 = _analyze(sample.surface, 1, "exhaustive", budget, args.workers)
-    if scan.max_count == 13:
-        t.check("c12-q7-s1", [64, 4, 51], [cc1.n, cc1.k, dd1.upper if dd1.exact else None])
-    singleton_rows.append((cc1, dd1))
-    rho_one_reports.append((cc1, repc1))
-    cc2, dd2, repc2 = _analyze(sample.surface, 2, "auto", 20_000_000, args.workers)
-    t.check("c12-q7-s2", [64, 10, 38],
-            [cc2.n, cc2.k, dd2.upper if dd2.exact else None])
-    singleton_rows.append((cc2, dd2))
-    rho_one_reports.append((cc2, repc2))
+    _, dd1 = certify_row("c12-q7-s1", sample.surface, 1, "exhaustive", budget,
+                         [64, 4, 51] if scan.max_count == 13 else None, rho_one_reports)
+    _, dd2 = certify_row("c12-q7-s2", sample.surface, 2, "auto", 20_000_000, [64, 10, 38],
+                         rho_one_reports)
     t.check_pred("c12-q7-s2-zero-doubling", "n - d_2 == 2*(n - d_1) == 26",
                  (64 - dd2.upper) == 2 * (64 - dd1.upper) == 26,
                  [64 - dd2.upper, 2 * (64 - dd1.upper)])
 
-    f11 = make_field(11)
-    x4 = shioda_surface(4, f11)
-    c4, d4, rep4 = _analyze(x4, 1, "exhaustive", budget, args.workers)
-    t.check("shioda4-q11-s1", [144, 4, 120], [c4.n, c4.k, d4.upper if d4.exact else None])
-    t.check("shioda4-q11-lines", 0, len(lines_on_surface(x4)))
-    singleton_rows.append((c4, d4))
-    rho_one_reports.append((c4, rep4))
-    f9 = make_field(3, 2)
-    x5 = shioda_surface(5, f9)
-    c5, d5, rep5 = _analyze(x5, 1, "exhaustive", budget, args.workers)
-    t.check("shioda5-q9-s1", [91, 4, 71], [c5.n, c5.k, d5.upper if d5.exact else None])
-    t.check("shioda5-q9-lines", 0, len(lines_on_surface(x5)))
-    singleton_rows.append((c5, d5))
-    rho_one_reports.append((c5, rep5))
+    for m, fld, expected in ((4, make_field(11), [144, 4, 120]), (5, make_field(3, 2), [91, 4, 71])):
+        x = shioda_surface(m, fld)
+        certify_row(f"shioda{m}-q{fld.q}-s1", x, 1, "exhaustive", budget, expected, rho_one_reports)
+        t.check(f"shioda{m}-q{fld.q}-lines", 0, len(lines_on_surface(x)))
 
     wcub = HomogPoly.from_int_terms(f7, 3, 3, {(0, 2, 1): 1, (3, 0, 0): -1, (0, 0, 3): -3})
     from .projective import count_rational_points

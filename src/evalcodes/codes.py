@@ -481,6 +481,18 @@ def _distance_result(code: LinearCode, sets, state: _SweepState, swept: int, met
     return DistanceResult(lower, upper, lower == upper, witness, method, state.work)
 
 
+def _checked_hint(code: LinearCode, upper_hint) -> np.ndarray | None:
+    """The hint as a codeword, refused unless it is a nonzero word of the code:
+    an upper bound offered without that check could certify a false distance."""
+    if upper_hint is None:
+        return None
+    word = np.asarray(upper_hint, dtype=np.int64)
+    if (word.shape != (code.n,) or not word.any() or word.min() < 0
+            or word.max() >= code.fld.q or not code.contains_word(word)):
+        raise ValueError(f"upper_hint is not a nonzero codeword of {code!r}")
+    return word
+
+
 def information_set_distance(
     code: LinearCode,
     *,
@@ -488,12 +500,13 @@ def information_set_distance(
     upper_hint: np.ndarray | None = None,
 ) -> DistanceResult:
     """Brouwer-Zimmermann certification within a codeword budget."""
+    hint = _checked_hint(code, upper_hint)
     sets = _information_sets(code.fld, code.matrix)
     state = _SweepState(code.n)
-    if upper_hint is not None:  # before the scan: the early stop reads it
-        state.offer(np.asarray(upper_hint, dtype=np.int64))
+    if hint is not None:  # before the scan: the early stop reads it
+        state.offer(hint)
     swept = _rounds(code.fld, sets, state, budget, stop=True)
-    method = "information-set" + ("+geometric-witness" if upper_hint is not None else "")
+    method = "information-set" + ("+geometric-witness" if hint is not None else "")
     return _distance_result(code, sets, state, swept, method)
 
 
@@ -509,6 +522,7 @@ def min_distance(
 
     auto picks the exhaustive sweep iff q^k <= 10^8.  Budget exhaustion is
     reported as a certified interval with exact=False, never an exception.
+    An upper_hint that is not a nonzero codeword raises ValueError.
     """
     if strategy not in ("auto", "exhaustive", "information-set", "isd"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -516,9 +530,10 @@ def min_distance(
         strategy = "exhaustive" if code.fld.q**code.k <= EXHAUSTIVE_AUTO_LIMIT else "information-set"
     if strategy in ("information-set", "isd"):
         return information_set_distance(code, budget=budget, upper_hint=upper_hint)
+    hint = _checked_hint(code, upper_hint)
     state, swept = exhaustive_sweep(code, budget=budget, workers=workers)
-    if upper_hint is not None:
-        state.offer(np.asarray(upper_hint, dtype=np.int64))
+    if hint is not None:
+        state.offer(hint)
     method = "exhaustive" if swept == code.k else "exhaustive-partial"
     return _distance_result(code, [(code.matrix, code.k)], state, swept, method)
 

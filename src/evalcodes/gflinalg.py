@@ -98,9 +98,9 @@ def matmul(field: FiniteField, a, b) -> np.ndarray:
     p, m = field.p, field.n
     cols = b.shape[-1]
     if m > 1:
-        a = field._digits_of(a).reshape(a.shape[:-1] + (-1,))
+        a = field._digits_of(a).reshape(a.shape[:-1] + (a.shape[-1] * m,))
         powers_b = field.mul(b[..., None, :], field._pow_p[:, None])  # (..., inner, m, cols)
-        b = field._digits_of(powers_b).reshape(b.shape[:-2] + (-1, cols * m))
+        b = field._digits_of(powers_b).reshape(b.shape[:-2] + (b.shape[-2] * m, cols * m))
     inner = a.shape[-1]
     if (p - 1) ** 2 * inner < 1 << 53:  # every partial sum is an exact integer
         out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p

@@ -320,15 +320,12 @@ def lines_on_surface(surface: Surface, *, max_lines: int = 2_000_000) -> np.ndar
     lines = enumerate_lines(fld, r)
     if len(lines) > max_lines:
         raise BudgetExceeded(f"{len(lines)} candidate lines exceeds budget {max_lines}")
-    u, v = lines[:, 0, :], lines[:, 1, :]
-    samples = [v] + [fld.add(u, fld.mul(c, v)) for c in range(max_deg + 1)]
-    keep = np.ones(len(lines), dtype=bool)
     for g in surface.generators:
-        for s in samples:
-            keep &= g.eval_points(s) == 0
-            if not keep.any():
-                return lines[:0]
-    return lines[keep]
+        for c in (None, *range(max_deg + 1)):  # v, then u + c v: each on the surviving lines
+            u, v = lines[:, 0, :], lines[:, 1, :]
+            sample = v if c is None else fld.add(u, fld.mul(c, v))
+            lines = lines[g.eval_points(sample) == 0]
+    return lines
 
 
 def component_search(curve: HomogPoly, max_factor_degree: int, *, max_candidates: int = 300_000) -> list[HomogPoly]:

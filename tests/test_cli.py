@@ -35,6 +35,21 @@ def test_build_code_dp4(tmp_path, capsys):
     assert "[57,5,44]" in err
 
 
+def test_build_code_certifies_like_min_dist_at_degree_two(tmp_path, capsys):
+    # build-code and min-dist certify through one path: the same witness hint,
+    # interval and work as the min-dist golden
+    out = tmp_path / "dp6.json"
+    code, _, _ = run_cli([
+        "build-code", "--family", "del-pezzo-6", "--field", "7", "--seed", "1",
+        "--degree", "2", "--budget", "200000", "--out", str(out),
+    ], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    golden = json.loads((Path(__file__).parent / "golden" / "min_dist_dp6_q7_s2_budget200k.json").read_text())
+    keys = ("d_lower", "d_upper", "d_exact", "method", "witness_weight", "work")
+    assert {k: doc[k] for k in keys} == {k: golden[k] for k in keys}
+
+
 def test_build_code_reads_surface_file(tmp_path, capsys):
     surf = del_pezzo4_fixture()
     path = tmp_path / "dp4.surface"
@@ -203,7 +218,6 @@ def test_console_entry_point():
     assert doc["max_count"] == 13
 
 
-@pytest.mark.slow
 def test_verify_paper_all_rows(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code, _, err = run_cli(["verify-paper", "--seed", "1", "--out", str(out)], capsys)

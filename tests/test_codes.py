@@ -20,6 +20,7 @@ from evalcodes.codes import (
     build_code,
     equivalence_evidence,
     exhaustive_sweep,
+    information_set_distance,
     min_distance,
     projective_message_count,
     weight_enumerator,
@@ -100,6 +101,23 @@ def test_distance_result_witness_reverifies():
         assert code.contains_word(d.witness)
         # singleton bound
         assert code.k + d.d <= code.n + 1
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "isd"])
+def test_distance_refuses_a_hint_that_is_not_a_nonzero_codeword(dp4, strategy):
+    # offered unchecked, e_1 certified d = 1 exactly on this [57, 5, 44] code
+    # and a length-3 word certified d = 3
+    code = build_code(dp4, 1)
+    e1 = np.zeros(code.n, dtype=np.int64)
+    e1[0] = 1
+    bad = [e1, np.array([1, 2, 3]), np.zeros(code.n, dtype=np.int64), code.matrix[0] + 7]
+    for hint in bad:
+        with pytest.raises(ValueError, match="not a nonzero codeword"):
+            min_distance(code, strategy, upper_hint=hint)
+        with pytest.raises(ValueError, match="not a nonzero codeword"):
+            information_set_distance(code, upper_hint=hint)
+    d = min_distance(code, strategy, upper_hint=code.matrix[0])
+    assert (d.lower, d.upper, d.exact) == (44, 44, True)
 
 
 def test_budget_exhaustion_gives_partial_interval():

@@ -282,6 +282,14 @@ def test_products_beyond_float64_stay_exact():
     assert gflinalg.matmul(fld, [[p - 1, p - 1]], [[p - 1], [p - 1]]).tolist() == [[2]]
 
 
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2), (2, 18)])
+@pytest.mark.parametrize("a_shape, b_shape", [((0, 2), (2, 3)), ((2, 2), (2, 0)), ((2, 0), (0, 3))])
+def test_matmul_with_an_empty_factor_is_the_zero_product(p, m, a_shape, b_shape):
+    fld = make_field(p, m)
+    out = gflinalg.matmul(fld, np.ones(a_shape, dtype=np.int64), np.ones(b_shape, dtype=np.int64))
+    assert np.array_equal(out, np.zeros((a_shape[0], b_shape[1]), dtype=np.int64))
+
+
 def _reference_matmul(fld, a, b):
     """Schoolbook product on Python ints: polynomial products modulo the
     field modulus, sums digit by digit mod p."""

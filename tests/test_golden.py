@@ -1,8 +1,8 @@
 """Byte-for-byte goldens of the CLI's search, classify and min-dist outputs.
 
 The files under tests/golden/ pin the reproducibility contract: the same
-flags must write the same bytes.  The verify-paper golden is checked by the
-slow test in test_cli.py.
+flags must write the same bytes.  The verify-paper golden is checked by
+test_verify_paper_all_rows in test_cli.py.
 """
 
 import json

@@ -249,6 +249,15 @@ def test_lines_on_quadric_oracle():
     assert len(on_quadric) == 16
 
 
+def test_lines_on_two_generators():
+    # xw - yz and x cut the line pair x=y=0, x=z=0; candidates that fail the
+    # quadric's samples are never tested against x
+    x = HomogPoly.from_int_terms(F7, 4, 1, {(1, 0, 0, 0): 1})
+    surface = Surface(F7, 3, [quadric_xw_yz().generators[0], x], degree=2, sectional_genus=0)
+    lines = lines_on_surface(surface)
+    assert lines.tolist() == [[[0, 1, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]]]
+
+
 def test_component_search_examples():
     xyz = HomogPoly.from_int_terms(F7, 3, 3, {(1, 1, 1): 1})
     facs = component_search(xyz, 1)
