@@ -78,6 +78,12 @@ class LinearCode:
         return self.n, self.k
 
     def contains_word(self, word) -> bool:
+        """Whether word is a codeword; False for anything that is not a
+        length-n vector of encodings in [0, q)."""
+        word = np.asarray(word)
+        if (word.shape != (self.n,) or not np.issubdtype(word.dtype, np.integer)
+                or np.any(word < 0) or np.any(word >= self.fld.q)):
+            return False
         pivots = [int(np.nonzero(row)[0][0]) for row in self.matrix]
         return gflinalg.in_rowspace(self.fld, self.matrix, pivots, word)
 
@@ -486,11 +492,10 @@ def _checked_hint(code: LinearCode, upper_hint) -> np.ndarray | None:
     an upper bound offered without that check could certify a false distance."""
     if upper_hint is None:
         return None
-    word = np.asarray(upper_hint, dtype=np.int64)
-    if (word.shape != (code.n,) or not word.any() or word.min() < 0
-            or word.max() >= code.fld.q or not code.contains_word(word)):
+    word = np.asarray(upper_hint)
+    if not code.contains_word(word) or not word.any():
         raise ValueError(f"upper_hint is not a nonzero codeword of {code!r}")
-    return word
+    return word.astype(np.int64)
 
 
 def information_set_distance(

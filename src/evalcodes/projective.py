@@ -7,6 +7,21 @@ integers), which fixes generator-matrix column order globally.
 
 All enumerations are deterministic; chunked scans merge in index order, so
 results do not depend on how work is partitioned.
+
+Zeros are counted on a chunked Horner grid over each affine chart of P^r
+(``count_rational_points``), except that ``level_scan`` counts a cubic
+surface F = 0 in P^3 fiber by fiber when 3 is invertible.  Projecting from
+O = (0:0:0:1), every other point lies on exactly one line through O and a
+point (x:y:z) of P^2, so N = [O in X] + sum over P^2 of the roots in F_Q of
+F(x, y, z, w) = a3 w^3 + a2 w^2 + a1 w + a0.  The forms a2, a1, a0 (a3 is a
+constant) are evaluated once on the Q^2 + Q + 1 points of P^2 and each
+fiber's root count is read from a Q x Q table: of the depressed cubics
+u^3 + p u + r (w = u - a2/(3 a3)) when a3 != 0, of the monic quadratics
+where a3 = 0 and a2 != 0; a fiber with only a1 != 0 has one root, one with
+all forms zero has Q.  A singular zero other than O has dF/dw = 0, so it is
+the repeated root of its fiber (the tables record it) or lies on a fiber
+that vanishes identically; the Jacobian is evaluated at those points and at
+O only.  Characteristic 3 keeps the grid.
 """
 
 from __future__ import annotations
@@ -17,7 +32,7 @@ import numpy as np
 
 from .gf import FiniteField, get_embedding, make_field
 from . import gflinalg
-from .poly import HomogPoly, dehomogenize, eval_affine_grid_chunks, monomials
+from .poly import GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks, monomials
 
 DEFAULT_POINT_BUDGET = 20_000_000
 
@@ -118,25 +133,45 @@ def rational_points(
     return pts[mask]
 
 
-def _chart_zero_masks(fld: FiniteField, gens: list[HomogPoly], r: int):
-    """Yield (chart, x0, mask) for every grid chunk of every affine chart of P^r.
+def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int):
+    """Yield (chart, x0, values) for every grid chunk of every affine chart of P^r.
 
     Chart c holds the points with x_c = 1 and later coordinates 0; its grid
     axes are (x_0, ..., x_{c-1}) with the last one fastest, chunked along x_0,
-    whose values in the chunk are x0.  mask flags the common zeros of the
-    generators.  Chart 0 is the single point (1:0:...:0).
+    whose values in the chunk are x0.  values holds each form's values on the
+    chunk, shaped (len(x0),) + (q,)*(c-1).  Chart 0 is the single point
+    (1:0:...:0).
     """
     for chart in range(r + 1):
         if chart == 0:
             origin = tuple(int(i == 0) for i in range(r + 1))
-            yield 0, np.ones(1, dtype=np.int64), np.array([all(g.eval_at(origin) == 0 for g in gens)])
+            yield 0, np.ones(1, dtype=np.int64), [np.array([f.eval_at(origin)]) for f in forms]
             continue
-        tensors = [dehomogenize(g, chart) for g in gens]
-        for x0, vals in eval_affine_grid_chunks(fld, tensors):
-            mask = vals[0] == 0
-            for v in vals[1:]:
-                mask &= v == 0
-            yield chart, x0, mask
+        for x0, vals in eval_affine_grid_chunks(fld, [dehomogenize(f, chart) for f in forms]):
+            yield chart, x0, vals
+
+
+def _chart_zero_masks(fld: FiniteField, gens: list[HomogPoly], r: int):
+    """Yield (chart, x0, mask) per chunk of _chart_values; mask flags the
+    common zeros of the generators."""
+    for chart, x0, vals in _chart_values(fld, gens, r):
+        mask = vals[0] == 0
+        for v in vals[1:]:
+            mask &= v == 0
+        yield chart, x0, mask
+
+
+def _chart_coords(q: int, chart: int, x0: np.ndarray, flat: np.ndarray, r: int) -> np.ndarray:
+    """Normalized coordinates of the points at flat indices of one chunk of
+    _chart_values (x_chart = 1, later coordinates 0)."""
+    coords = np.zeros((len(flat), r + 1), dtype=np.int64)
+    rows, rem = np.divmod(flat, q ** (chart - 1) if chart else 1)
+    coords[:, 0] = x0[rows]
+    for var in range(chart - 1, 0, -1):
+        coords[:, var] = rem % q
+        rem //= q
+    coords[:, chart] = 1
+    return coords
 
 
 def count_rational_points(
@@ -164,19 +199,9 @@ def iter_zero_point_batches(fld: FiniteField, gens: list[HomogPoly], r: int):
     """Yield (chart, coordinate-array) batches of the generators' common
     projective zeros; coordinates arrive normalized (x_chart = 1, later
     coordinates 0)."""
-    q = fld.q
     for chart, x0, mask in _chart_zero_masks(fld, gens, r):
-        if not mask.any():
-            continue
-        flat = np.nonzero(mask.reshape(len(x0), -1))
-        coords = np.zeros((len(flat[0]), r + 1), dtype=np.int64)
-        coords[:, 0] = x0[flat[0]]
-        rem = flat[1]
-        for var in range(chart - 1, 0, -1):
-            coords[:, var] = rem % q
-            rem //= q
-        coords[:, chart] = 1
-        yield chart, coords
+        if mask.any():
+            yield chart, _chart_coords(fld.q, chart, x0, np.flatnonzero(mask), r)
 
 
 @dataclass
@@ -352,6 +377,88 @@ def component_search(curve: HomogPoly, max_factor_degree: int, *, max_candidates
     return out
 
 
+def _root_tables(fld: FiniteField, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Root counts and repeated roots of the monic t^degree + b t + c over
+    F_Q, degree 2 or 3, as flat tables indexed by b*Q + c.
+
+    t is a root exactly where c = -(t^degree + b t); it is a repeated root
+    where the derivative degree * t^(degree-1) + b vanishes too, that is at
+    b = -degree * t^(degree-1), c = (degree-1) * t^degree.  A polynomial of
+    degree <= 3 has at most one repeated root; the table holds Q where there
+    is none.
+    """
+    q = fld.q
+    t = np.arange(q, dtype=np.int64)
+    t_deg = fld.pow(t, degree)
+    counts = np.empty(q * q, dtype=np.uint8)
+    rows = max(1, GRID_CHUNK_ELEMS // q)
+    for start in range(0, q, rows):
+        b = np.arange(start, min(start + rows, q), dtype=np.int64)[:, None]
+        c = fld.neg(fld.add(t_deg, fld.mul(b, t)))
+        counts[start * q : (start + len(b)) * q] = np.bincount(
+            ((b - start) * q + c).ravel(), minlength=len(b) * q)
+    repeated = np.full(q * q, q, dtype=np.uint16 if q < 1 << 16 else np.uint32)
+    b = fld.neg(fld.mul(degree % fld.p, fld.pow(t, degree - 1)))
+    repeated[b * q + fld.mul((degree - 1) % fld.p, t_deg)] = t
+    return counts, repeated
+
+
+def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarray]:
+    """level_scan of the cubic surface cubic = 0 in P^3 over its own field,
+    fiber by fiber over P^2 as the module docstring describes; needs a
+    characteristic other than 3."""
+    fld = cubic.field
+    q = fld.q
+    # a[i](x, y, z) is the coefficient form of w^i; a[3] is a constant
+    a = [HomogPoly(fld, 3, 3 - i, {e[:3]: c for e, c in cubic.terms.items() if e[3] == i})
+         for i in range(4)]
+    lead = cubic.terms.get((0, 0, 0, 3), 0)
+    if lead:  # monic in w, then w = u - shift gives u^3 + p u + r
+        k = fld.inv(lead)
+        shift = a[2].scale(fld.div(k, 3 % fld.p))
+        c1, c0 = a[1].scale(k), a[0].scale(k)
+        forms = [c1 - (shift * shift).scale(3 % fld.p),
+                 c0 - c1 * shift + (shift * shift * shift).scale(2 % fld.p)]
+        counts, repeated = _root_tables(fld, 3)
+    else:  # O lies on X; fibers are monic quadratics where a2 != 0
+        shift = HomogPoly.zero(fld, 3, 1)
+        forms = [a[2], a[1], a[0]]
+        counts, repeated = _root_tables(fld, 2)
+    jac = [cubic.partial_derivative(i) for i in range(4)] if singular else []
+    fiber_rows = max(1, GRID_CHUNK_ELEMS // q)
+    count = 0 if lead else 1
+    candidates = []
+    for chart, x0, vals in _chart_values(fld, forms, 2):
+        vals = [np.ravel(v) for v in vals]
+        if lead:
+            pos = np.arange(len(vals[0]))
+            idx = vals[0] * q + vals[1]
+            zero = pos[:0]
+        else:
+            a2, a1, a0 = vals
+            pos = np.flatnonzero(a2)
+            inv = fld.inv(a2[pos])
+            idx = fld.mul(a1[pos], inv) * q + fld.mul(a0[pos], inv)
+            count += np.count_nonzero((a2 == 0) & (a1 != 0))  # one root each
+            zero = np.flatnonzero((a2 == 0) & (a1 == 0) & (a0 == 0))
+        count += int(counts[idx].sum()) + q * len(zero)
+        if not jac:
+            continue
+        rep = repeated[idx]
+        hit = rep < q
+        xyz = _chart_coords(q, chart, x0, pos[hit], 2)
+        candidates.append(np.column_stack([xyz, fld.sub(rep[hit].astype(np.int64), shift.eval_points(xyz))]))
+        for start in range(0, len(zero), fiber_rows):  # every point of a zero fiber
+            xyz = _chart_coords(q, chart, x0, zero[start : start + fiber_rows], 2)
+            candidates.append(np.column_stack([np.repeat(xyz, q, axis=0), np.tile(np.arange(q), len(xyz))]))
+    if not lead and jac:
+        candidates.append(np.array([[0, 0, 0, 1]], dtype=np.int64))
+    pts = [c[np.all([d.eval_points(c) == 0 for d in jac], axis=0)] for c in candidates if len(c)]
+    pts = normalize_rows(fld, np.concatenate(pts)) if pts else np.zeros((0, 4), dtype=np.int64)
+    chart = 3 - np.argmax(pts[:, ::-1] != 0, axis=1)  # the grid's order: chart, then lexicographic
+    return int(count), pts[np.lexsort(np.vstack([pts.T[::-1], chart]))]
+
+
 def level_scan(
     surface: Surface,
     r: int,
@@ -359,18 +466,27 @@ def level_scan(
     singular: bool = True,
     max_enum: int = 500_000_000,
 ) -> tuple[int, np.ndarray]:
-    """(N_r, singular zeros) of X over F_{q^r} from one zero scan of P^ambient.
+    """(N_r, singular zeros) of X over F_{q^r}, the zeros in the grid's order
+    (chart, then lexicographic).
 
     A zero is singular where the Jacobian drops rank: for a hypersurface all
     partials vanish; for codimension-c intersections the c x (ambient+1)
     Jacobian has rank < c.  singular=False skips that test and returns no
-    rows.
+    rows.  A cubic surface in P^3 outside characteristic 3 is scanned fiber
+    by fiber over P^2 (see the module docstring): the a3 w^3 + ... + a0 of
+    each fiber is read from a table of Q^2 depressed cubics or monic
+    quadratics, and the Jacobian is evaluated only at the repeated roots of
+    the fibers, on fibers that vanish identically and at O.  Every other
+    surface, and characteristic 3, takes one zero scan of the grid of
+    P^ambient.
     """
     fld0 = surface.fld
     ext = fld0 if r == 1 else make_field(fld0.p, fld0.n * r)
     if projective_space_size(ext.q, surface.ambient) > max_enum:
         raise BudgetExceeded(f"extension degree {r} exceeds enumeration budget")
     gens, fld = _generators_over(surface.generators, ext)
+    if surface.ambient == 3 and len(gens) == 1 and gens[0].degree == 3 and fld.p != 3:
+        return _fibered_cubic_scan(gens[0], singular)
     codim = len(gens)
     jac = [[g.partial_derivative(i) for i in range(surface.ambient + 1)] for g in gens] if singular else []
     count = 0

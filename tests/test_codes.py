@@ -120,6 +120,21 @@ def test_distance_refuses_a_hint_that_is_not_a_nonzero_codeword(dp4, strategy):
     assert (d.lower, d.upper, d.exact) == (44, 44, True)
 
 
+@pytest.mark.parametrize("surface", ["dp6_q7", "dp6_q8", "dp6_q9"])
+def test_contains_word_is_false_off_the_encodings(surface, request):
+    # over GF(8) and GF(9) a row plus q raised IndexError, and a float copy
+    # of a row was taken for a codeword
+    code = build_code(request.getfixturevalue(surface), 1)
+    q, row = code.fld.q, code.matrix[0]
+    assert code.contains_word(row) and code.contains_word(list(row))
+    too_big, negative = row.copy(), row.copy()
+    too_big[-1] += q
+    negative[-1] -= q
+    for word in (row + q, too_big, row - q, negative, row[:-1], np.append(row, 0), row[None, :],
+                 row.astype(float)):
+        assert not code.contains_word(word)
+
+
 def test_budget_exhaustion_gives_partial_interval():
     rng = random.Random(6)
     code = _random_code(F7, 6, 20, rng)

@@ -10,9 +10,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from evalcodes.bounds import CUBIC_CLASSES
+from evalcodes import projective
+from evalcodes.bounds import CUBIC_CLASSES, predicted_Nr
 from evalcodes.families import DegenerateInput, classify_cubic
 from evalcodes.gf import get_embedding, make_field
 from evalcodes.poly import HomogPoly, monomials
@@ -28,6 +29,7 @@ from evalcodes.projective import (
     hyperplane_section,
     ideal_degree_part,
     iter_zero_point_batches,
+    level_scan,
     lines_on_surface,
     normalize_point,
     projective_space_size,
@@ -158,6 +160,123 @@ def test_classifier_counts_match_rational_points(case, search):
         return
     for level, n_r in result.observed.items():
         assert n_r == len(rational_points(surface.generators, _over(surface, level)[0]))
+
+
+# Monomials zeroed to force a degenerate shape on a drawn cubic: no w^3 puts
+# O = (0:0:0:1) on X (a3 = 0), no w^3 or w^2 makes X singular at O, no w at
+# all makes X a cone in w, and no monomial free of x makes F = x*G, so every
+# fiber over the line x = 0 of P^2 vanishes identically.
+CUBIC_SHAPES = {
+    "general": lambda e: False,
+    "O on X": lambda e: e[3] == 3,
+    "singular at O": lambda e: e[3] >= 2,
+    "cone in w": lambda e: e[3] >= 1,
+    "zero fibers": lambda e: e[0] == 0,
+}
+
+
+@st.composite
+def shaped_cubics(draw, fld):
+    """A nonzero cubic over fld of a uniform CUBIC_SHAPES shape, its kept
+    coefficients uniform."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dropped = CUBIC_SHAPES[rng.choice(sorted(CUBIC_SHAPES))]
+    basis = [e for e in monomials(4, 3) if not dropped(e)]
+    coeffs = [rng.randrange(fld.q) for _ in basis]
+    assume(any(coeffs))
+    return Surface(fld, 3, [HomogPoly(fld, 4, 3, dict(zip(basis, coeffs)))], degree=3)
+
+
+def _grid_level_scan(surface, r):
+    """N_r and the singular zeros of a hypersurface in the grid's order, from
+    iter_zero_point_batches and the Jacobian."""
+    ext, gens = _over(surface, r)
+    partials = [gens[0].partial_derivative(i) for i in range(4)]
+    count, bad = 0, []
+    for _, coords in iter_zero_point_batches(ext, gens, 3):
+        count += len(coords)
+        bad.append(coords[np.all([d.eval_points(coords) == 0 for d in partials], axis=0)])
+    return count, np.concatenate(bad) if bad else np.zeros((0, 4), dtype=np.int64)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+@pytest.mark.parametrize("field", [(2, 2), (5, 1), (7, 1), (2, 3), (11, 1)], ids=lambda f: f"q{f[0] ** f[1]}")
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fibered_scan_matches_the_grid(field, r, data):
+    surface = data.draw(shaped_cubics(make_field(*field)))
+    count, singular = level_scan(surface, r)
+    want_count, want_singular = _grid_level_scan(surface, r)
+    assert count == want_count
+    assert singular.dtype == want_singular.dtype
+    assert np.array_equal(singular, want_singular)  # element for element, in order
+    assert level_scan(surface, r, singular=False)[0] == count
+
+
+def test_fibered_scan_finds_the_forced_singular_points():
+    f5 = make_field(5)
+    # a cone in w over the nodal cubic y^2 z = x^3 + x^2 z: the vertex O and
+    # the line through O and the node (0:0:1) are singular
+    cone = HomogPoly.from_int_terms(f5, 4, 3, {(0, 2, 1, 0): 1, (3, 0, 0, 0): -1, (2, 0, 1, 0): -1})
+    surface = Surface(f5, 3, [cone], degree=3)
+    count, singular = level_scan(surface, 1)
+    assert count == _grid_level_scan(surface, 1)[0]
+    assert singular.tolist() == [[0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1],
+                                 [0, 0, 2, 1], [0, 0, 3, 1], [0, 0, 4, 1]]
+
+
+# A cubic over GF(3) and GF(9), and a cone over a plane cubic; counts and
+# singular rows were written by the grid scan before fibered counting existed.
+CHAR3_TERMS = {(2, 1, 0, 0): 1, (0, 2, 1, 0): 1, (0, 0, 2, 1): 1, (1, 0, 0, 2): 1, (1, 1, 1, 0): 1}
+CHAR3_CONE = {(3, 0, 0, 0): 1, (0, 2, 1, 0): 1, (1, 1, 1, 0): -1}
+CHAR3_COUNTS = {  # (q, r) -> (N_r of CHAR3_TERMS, N_r of CHAR3_CONE, its singular rows)
+    (3, 1): (16, 10, 4), (3, 2): (118, 82, 10), (9, 1): (118, 82, 10), (9, 2): (6886, 6562, 82),
+}
+
+
+def test_characteristic_three_keeps_the_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a characteristic-3 cubic reached the fibered scan")
+
+    monkeypatch.setattr(projective, "_fibered_cubic_scan", refuse)
+    for (q, r), (n_smooth, n_cone, n_singular) in CHAR3_COUNTS.items():
+        fld = make_field(3, 1 if q == 3 else 2)
+        smooth = Surface(fld, 3, [HomogPoly.from_int_terms(fld, 4, 3, CHAR3_TERMS)], degree=3)
+        cone = Surface(fld, 3, [HomogPoly.from_int_terms(fld, 4, 3, CHAR3_CONE)], degree=3)
+        count, singular = level_scan(smooth, r)
+        assert (count, len(singular)) == (n_smooth, 0)
+        count, singular = level_scan(cone, r)
+        assert (count, len(singular)) == (n_cone, n_singular)
+        assert singular[:2].tolist() == [[0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+def test_fibered_scan_checks_the_budget_first(monkeypatch, c12_sample):
+    def refuse(*args):
+        raise AssertionError("root tables built past the budget")
+
+    monkeypatch.setattr(projective, "_root_tables", refuse)
+    with pytest.raises(BudgetExceeded):
+        level_scan(c12_sample.surface, 3, max_enum=projective_space_size(343, 3) - 1)
+
+
+def test_classifier_budget_note_is_unchanged(c12_sample):
+    # the note and the depth it names, as the grid scan gave them
+    surface = c12_sample.surface
+    for max_enum, depth in ((399, 0), (400, 1), (120_099, 1), (120_100, 2), (40_471_599, 2)):
+        for screen in (0, 3):
+            result = classify_cubic(surface, 3, screen_depth=screen, max_enum=max_enum)
+            assert result.note == f"extension counting stopped at r={depth} (budget)"
+            assert result.observed == {r: predicted_Nr("C12", 7, r) for r in range(1, depth + 1)}
+            assert result.screened_depth == (depth if screen else 0)
+
+
+def test_c12_sample_counts_are_the_class_counts(c12_sample):
+    # c12_sample is sample_cayley_salmon(GF(7), 1)
+    surface = c12_sample.surface
+    for r in (1, 2, 3):
+        count, singular = level_scan(surface, r)
+        assert count == predicted_Nr("C12", 7, r) and len(singular) == 0
+    assert count_rational_points(surface.generators) == predicted_Nr("C12", 7, 1)
 
 
 def test_frobenius_stability_of_point_sets():
