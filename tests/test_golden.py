@@ -53,6 +53,11 @@ GOLDEN = Path(__file__).parent / "golden"
     ("search_cayley_salmon_q5_seed1.jsonl",
      ["search", "--family", "c12", "--field", "5", "--seed", "1",
       "--budget", "20", "--depth", "3"]),
+    # information-set run on a long code (n = 2451, k = 7), truncated by its
+    # budget; its last sets are rank-deficient, with pivots on used columns
+    ("min_dist_dp6_q49_s1_isd_budget50k.json",
+     ["min-dist", "--family", "del-pezzo-6", "--field", "7^2", "--seed", "1",
+      "--degree", "1", "--strategy", "information-set", "--budget", "50000"]),
 ])
 def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
@@ -60,17 +65,21 @@ def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def _check_truncated_isd_witness(tag, spec, interval):
+def _check_isd_witness(name, code, hint, budget, interval):
     # the min-dist JSON carries only the witness weight; pin the codeword,
-    # which the scan found ahead of the geometric hint
-    surface = del_pezzo6(frobenius_orbit(parse_field_spec(spec), seed=1))
-    code = build_code(surface, 2)
-    hint = geometric_witness_dp6(surface).codeword
-    d = min_distance(code, "isd", 200_000, upper_hint=hint)
-    golden = json.loads((GOLDEN / f"min_dist_dp6_{tag}_s2_budget200k.witness.json").read_text())
+    # which the scan found ahead of the geometric hint where there is one
+    d = min_distance(code, "isd", budget, upper_hint=hint)
+    golden = json.loads((GOLDEN / f"{name}.witness.json").read_text())
     assert (d.lower, d.upper, d.work) == interval
     assert [int(v) for v in d.witness] == golden
     assert code.contains_word(d.witness)
+
+
+def _check_truncated_isd_witness(tag, spec, interval):
+    surface = del_pezzo6(frobenius_orbit(parse_field_spec(spec), seed=1))
+    code = build_code(surface, 2)
+    hint = geometric_witness_dp6(surface).codeword
+    _check_isd_witness(f"min_dist_dp6_{tag}_s2_budget200k", code, hint, 200_000, interval)
 
 
 def test_truncated_isd_witness_matches_golden():
@@ -83,6 +92,13 @@ def test_truncated_isd_witness_matches_golden():
 ])
 def test_truncated_isd_witness_matches_golden_over_more_fields(tag, spec, interval):
     _check_truncated_isd_witness(tag, spec, interval)
+
+
+def test_long_code_isd_witness_matches_golden():
+    # 354 information sets, the last six of ranks 4, 4, 4, 4, 4, 1: the
+    # golden pins the rank-deficient tail, whose pivots fall on used columns
+    code = build_code(del_pezzo6(frobenius_orbit(parse_field_spec("7^2"), seed=1)), 1)
+    _check_isd_witness("min_dist_dp6_q49_s1_isd_budget50k", code, None, 50_000, (692, 2351, 49_854))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
