@@ -7,13 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from evalcodes import gflinalg
 from evalcodes.codes import (
     LinearCode,
     _AdditiveForm,
     _SweepState,
+    _identity_columns,
     _information_sets,
     _weight_scan,
     apply_projective_transform,
@@ -486,3 +487,83 @@ def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w
     if w == 16:
         assert not _AdditiveForm(fld, w).packed
     _check_scan(fld, _systematic(fld, k, redundancy, random.Random(k)), w, SCAN_BUDGET)
+
+
+# -- information sets ----------------------------------------------------------------
+
+
+def _reference_information_sets(fld, matrix):
+    """The greedy sets by one full RREF per set: the columns in the order
+    (unused ascending, used ascending), pivots mapped back to their places."""
+    k, n = matrix.shape
+    used: set[int] = set()
+    sets = []
+    while True:
+        unused = [c for c in range(n) if c not in used]
+        if not unused:
+            break
+        perm = unused + sorted(used)
+        r, piv = gflinalg.rref(fld, matrix[:, perm])
+        back = np.empty_like(r)
+        back[:, perm] = r
+        new_cols = [perm[c] for c in piv if perm[c] not in used]
+        if not new_cols:
+            break
+        used.update(new_cols)
+        sets.append((back, len(new_cols)))
+    return sets
+
+
+# the table regimes and the digit regime (GF(131101), GF(2^18))
+SET_FIELDS = [make_field(7), make_field(2, 5), make_field(7, 2), make_field(131101), make_field(2, 18)]
+
+
+@st.composite
+def repetitive_codes(draw):
+    """Generators whose columns are mostly repeats, multiples and zeros of
+    earlier ones, so the unused columns run out of rank before they run out."""
+    fld = draw(st.sampled_from(SET_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows, n = draw(st.integers(1, 5)), draw(st.integers(1, 30))
+    cols = []
+    for _ in range(n):
+        kind = rng.random()
+        if not cols or kind < 0.3:
+            cols.append([rng.randrange(fld.q) for _ in range(rows)])
+        elif kind < 0.4:
+            cols.append([0] * rows)
+        else:
+            scalar = 1 if kind < 0.7 else rng.randrange(1, fld.q)
+            cols.append(fld.mul(np.array(rng.choice(cols)), scalar).tolist())
+    matrix = gflinalg.nonzero_rows(fld, np.array(cols, dtype=np.int64).T)
+    assume(len(matrix) > 0)
+    return fld, matrix
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(repetitive_codes())
+def test_information_sets_match_one_rref_per_set(case):
+    fld, matrix = case
+    sets = _information_sets(fld, matrix)
+    reference = _reference_information_sets(fld, matrix)
+    assert [r for _, r in sets] == [r for _, r in reference]
+    for (sysmat, _), (ref, _) in zip(sets, reference):
+        assert sysmat.astype(np.int64).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("p, m", [(2, 5), (7, 2), (3, 22)])
+def test_tied_witness_is_the_encoding_of_its_message(p, m):
+    # one field per additive form: XOR, packed digits, field additions
+    fld = make_field(p, m)
+    code = _random_code(fld, 4, 12, random.Random(m))
+    for sysmat, _ in _information_sets(fld, code.matrix):
+        for w in range(1, code.k + 1):
+            form = _AdditiveForm(fld, w)
+            assert (p == 2) or form.packed == (m == 2 or w == 1)
+            state = _SweepState(code.n)
+            _weight_scan(fld, sysmat, w, state, 100_000)
+            word = np.array(state.witness, dtype=np.int64)
+            message = word[_identity_columns(sysmat)]
+            assert (message != 0).sum() == w
+            assert np.array_equal(gflinalg.matmul(fld, message[None, :], sysmat)[0], word)
+            assert code.contains_word(word)
