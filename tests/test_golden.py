@@ -58,6 +58,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("min_dist_dp6_q49_s1_isd_budget50k.json",
      ["min-dist", "--family", "del-pezzo-6", "--field", "7^2", "--seed", "1",
       "--degree", "1", "--strategy", "information-set", "--budget", "50000"]),
+    # long codes over a prime field and a binary extension whose runs reach
+    # weight 3 before their budget ends
+    *[(f"min_dist_dp6_{tag}_s1_isd_budget300k.json",
+       ["min-dist", "--family", "del-pezzo-6", "--field", spec, "--seed", "1",
+        "--degree", "1", "--strategy", "information-set", "--budget", "300000"])
+      for tag, spec in (("q37", "37"), ("q32", "2^5"))],
 ])
 def test_cli_output_matches_golden(name, argv, tmp_path, capsys):
     out = tmp_path / name
@@ -101,6 +107,15 @@ def test_long_code_isd_witness_matches_golden():
     ranks = [r for _, r in _information_sets(code.fld, code.matrix)]
     assert (len(ranks), ranks[-6:]) == (354, [4, 4, 4, 4, 4, 1])
     _check_isd_witness("min_dist_dp6_q49_s1_isd_budget50k", code, None, 50_000, (692, 2351, 49_854))
+
+
+@pytest.mark.parametrize("tag, spec, interval", [
+    ("q37", "37", (594, 1331, 299_508)),
+    ("q32", "2^5", (445, 991, 299_997)),
+])
+def test_long_code_weight_three_isd_witness_matches_golden(tag, spec, interval):
+    code = build_code(del_pezzo6(frobenius_orbit(parse_field_spec(spec), seed=1)), 1)
+    _check_isd_witness(f"min_dist_dp6_{tag}_s1_isd_budget300k", code, None, 300_000, interval)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
