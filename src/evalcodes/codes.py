@@ -28,12 +28,19 @@ After `swept` complete rounds the certified lower bound is
 sum(max(0, swept + 1 - (k - r_i))), or 1 when swept = 0; that is swept + 1
 for the exhaustive sweep.  A completed run takes lower = upper.
 
-Round w runs one kernel, _weight_scan, which weighs the messages of weight
-w (first nonzero value 1) against a systematic matrix in chunks, computing
-only the n - k redundancy columns by machine adds (_AdditiveForm).  The
-witness candidates, the lightest codewords of each block, are read back
-from those sums: the message on the identity columns, the difference of
-prefix sum and negated last multiple on the others.
+The systematic matrices are one stack, and round 1 weighs the rows of every
+set in one pass (_weight_one_round): the weight-1 codewords of a set are
+its rows.  Round w >= 2 runs one kernel per set, _weight_scan, which weighs
+the messages of weight w (first nonzero value 1) against a systematic
+matrix in chunks, computing only the n - k redundancy columns by machine
+adds (_AdditiveForm).  A block's codewords are prefix sums P plus v times
+the last row y, and their zeros are counted in one of two exact ways,
+chosen from q alone: below _RATIO_MIN_Q and in the digit regime, by
+comparing P against each of the q - 1 negated multiples -v y; from
+_RATIO_MIN_Q on, by one histogram of the ratios P_j / (-y_j), the single v
+that zeroes coordinate j (_ratio_weights).  The witness candidates, the
+lightest codewords of each block, are read back from the sums: the message
+on the identity columns, P + v y on the others.
 
 Budgets are counted in enumerated codewords.  A chunk runs whole or not at
 all: the first chunk that does not fit the budget left ends the run, which
@@ -61,6 +68,12 @@ DEFAULT_DISTANCE_BUDGET = 50_000_000
 DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
 EXHAUSTIVE_AUTO_LIMIT = 100_000_000  # q^k above this switches auto to info-set
 _BATCH_TARGET = 1 << 21  # GF(p) coordinates of the codewords in one chunk
+# From this q on, fields with log tables count a block's zeros by ratio
+# histogram instead of comparing against each of the q - 1 last multiples.
+# Measured by information-set runs of 3*10^5 and 3*10^6 codewords on the
+# dp6 s=1 and s=2 codes: the compare is faster up to q = 13, the histogram
+# from q = 16 on (1.26 -> 1.20 s at q = 16, s = 1, 3*10^6 codewords).
+_RATIO_MIN_Q = 16
 
 
 @dataclass
@@ -218,6 +231,11 @@ class _AdditiveForm:
             return self._pack(self.fld._digits_of(enc))
         return enc.astype(self.dtype)
 
+    def _digits(self, packed: np.ndarray):
+        """The m digit fields of packed sums, lowest first."""
+        mask = (1 << self.bits) - 1
+        return [packed >> shift & mask for shift in self._shifts.tolist()]
+
     def difference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The encodings of a - b, for a and b in reduced form."""
         p = self.fld.p
@@ -228,11 +246,8 @@ class _AdditiveForm:
         a, b = a.astype(np.int64), b.astype(np.int64)
         if self.fld.n == 1:
             return (a - b) % p
-        mask = (1 << self.bits) - 1
-        out = np.zeros(a.shape, dtype=np.int64)
-        for shift, power in zip(self._shifts.tolist(), self.fld._pow_p.tolist()):
-            out += ((a >> shift & mask) - (b >> shift & mask)) % p * power
-        return out
+        return sum((da - db) % p * power
+                   for da, db, power in zip(self._digits(a), self._digits(b), self.fld._pow_p.tolist()))
 
     def reduce(self, sums: np.ndarray) -> np.ndarray:
         """Packed sums with each digit reduced mod p, i.e. the form of their value."""
@@ -240,11 +255,20 @@ class _AdditiveForm:
             return sums
         if self.fld.n == 1:
             return sums % self.fld.p
-        mask = (1 << self.bits) - 1
         out = np.zeros_like(sums)
-        for shift in self._shifts.tolist():
-            out |= (sums >> shift & mask) % self.fld.p << shift
+        for digit, shift in zip(self._digits(sums), self._shifts.tolist()):
+            out |= digit % self.fld.p << shift
         return out
+
+    def value(self, sums: np.ndarray) -> np.ndarray:
+        """The encodings of the values of sums, reduced or not."""
+        if self.fld.p == 2 or not self.packed:
+            return sums
+        sums = sums.astype(np.int64)
+        if self.fld.n == 1:
+            return sums % self.fld.p
+        return sum(digit % self.fld.p * power
+                   for digit, power in zip(self._digits(sums), self.fld._pow_p.tolist()))
 
 
 def _message_values(t: np.ndarray, w: int, q: int) -> np.ndarray:
@@ -284,44 +308,94 @@ def _blocks(lo: int, hi: int, width: int):
         yield np.array([b]), 0, d
 
 
+def _ratio_keys(fld: FiniteField, red: np.ndarray):
+    """Tables for counting zeros by ratio histogram (see _ratio_weights), or
+    None where the broadcast compare is used: below _RATIO_MIN_Q and in the
+    digit regime, which has no log table.
+
+    Returns (of_prefix, of_last): of_prefix[e] = log e, and per row of red
+    of_last[row, j] = q - 1 - log(-y_j), both 2q - 2 where the value is 0.
+    """
+    q = fld.q
+    if fld._log is None or q < _RATIO_MIN_Q:
+        return None
+    of_prefix = fld._log.copy()
+    of_prefix[0] = 2 * q - 2
+    of_last = np.where(red == 0, 2 * q - 2, q - 1 - fld._log[fld.neg(red)])
+    return of_prefix, of_last
+
+
+def _ratio_weights(fld: FiniteField, keys, prefix: np.ndarray, last: np.ndarray,
+                   c0: int, c1: int) -> np.ndarray:
+    """Nonzero counts [support, message] over the n - k coordinates of
+    P + v y, P the prefix sums [support, prefix, :] and y the last rows
+    red[last], as encodings, for the last values v = c + 1, c in [c0, c1)
+    (message = prefix * (c1 - c0) + c - c0).
+
+    Coordinate j is zero exactly when v = P_j / (-y_j), or for every v when
+    P_j = y_j = 0.  So log P_j - log(-y_j) + q - 1 is binned per prefix:
+    bin q - 1 + t and bin t (t >= 1, the wrapped difference) hold the zeros
+    of the value of log t.  A zero P_j or y_j moves the key past 2q - 3, to
+    the one bin 4q - 4 when both are zero; bin 0 stays empty.
+    """
+    q = fld.q
+    of_prefix, of_last = keys
+    g, n_pre, r = prefix.shape
+    bins = 4 * q - 3
+    key = of_prefix[prefix]
+    key += of_last[last][:, None, :]
+    key += (bins * np.arange(g * n_pre)).reshape(g, n_pre, 1)
+    hist = np.bincount(key.reshape(-1), minlength=g * n_pre * bins).reshape(g * n_pre, bins)
+    t = fld._log[c0 + 1:c1 + 1]
+    zeros = hist[:, t + q - 1] + hist[:, t] + hist[:, -1:]
+    return (r - zeros).reshape(g, -1)
+
+
 def _block_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: np.ndarray,
-                   prefixes: np.ndarray, c0: int, c1: int):
+                   prefixes: np.ndarray, c0: int, c1: int, keys):
     """Redundancy-column weights of the messages prefix * (q - 1) + c, c in
-    [c0, c1), on each support (a row of sup), as array [support, message],
-    with the reduced prefix sums [support, prefix, :] and the negated last
-    multiples [support, c - c0, :], whose difference is the redundancy part
-    of each codeword.
+    [c0, c1), on each support (a row of sup, w >= 2 rows), as array
+    [support, message], with the prefix sums [support, prefix, :] and the
+    negated last multiples [support, c - c0, :], whose difference is the
+    redundancy part of each codeword.
 
     A prefix fixes v_1 .. v_{w-1}: its sum gathers one multiple per position
-    from tables of the multiples the block uses.  A coordinate of a codeword
-    is zero exactly where its reduced prefix sum equals the negated multiple
-    of the last row, one broadcast comparison per block.
+    from tables of the multiples the block uses.  Without keys, a coordinate
+    of a codeword is zero exactly where its reduced prefix sum equals the
+    negated multiple of the last row, one broadcast comparison of q - 1
+    multiples per block.  With keys (_ratio_keys), the prefix sums become
+    encodings (at w = 2 they are the first rows themselves), _ratio_weights
+    counts the zeros of all last values at once, and the negated multiples
+    are not built: None is returned in their place.
     """
     g, w = sup.shape
     q = fld.q
-    vals = _message_values(prefixes * (q - 1), w, q)
-    prefix = np.zeros((g, 1, red.shape[1]), dtype=form.dtype)
-    if w > 1:
+    if keys is not None and w == 2:
+        prefix = red[sup[:, :1]]
+    else:
+        vals = _message_values(prefixes * (q - 1), w, q)
         prefix = form.of(red[sup[:, :1]])
-    for j in range(1, w - 1):
-        used, at = np.unique(vals[:, j], return_inverse=True)
-        rows, row_at = np.unique(sup[:, j], return_inverse=True)
-        table = form.of(_multiples(fld, used, red[rows]))
-        prefix = form.add(prefix, table[row_at[:, None], at[None, :]])
+        for j in range(1, w - 1):
+            used, at = np.unique(vals[:, j], return_inverse=True)
+            rows, row_at = np.unique(sup[:, j], return_inverse=True)
+            table = form.of(_multiples(fld, used, red[rows]))
+            prefix = form.add(prefix, table[row_at[:, None], at[None, :]])
+        prefix = form.reduce(prefix) if keys is None else form.value(prefix)
+    if keys is not None:
+        return _ratio_weights(fld, keys, prefix, sup[:, -1], c0, c1), prefix, None
     rows, row_at = np.unique(sup[:, -1], return_inverse=True)
     neg = form.of(_multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]))[row_at]
-    prefix = form.reduce(prefix)
     nonzero = prefix[:, :, None, :] != neg[:, None, :, :]
     return nonzero.sum(axis=-1, dtype=np.int32).reshape(g, -1), prefix, neg
 
 
-def _first_codeword(form: _AdditiveForm, ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray,
-                    vals: np.ndarray, prefix: np.ndarray, neg: np.ndarray) -> np.ndarray:
+def _first_codeword(ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray, vals: np.ndarray,
+                    redundant) -> np.ndarray:
     """The first in canonical order of candidate codewords, candidate i with
     message values vals[i] on the rows sup[i] (so on their identity columns
-    ident[sup[i]]) and the redundancy columns prefix[i] - neg[i] (reduced
-    forms).  The candidates narrow column by column, each column decoded only
-    for the candidates still tied on the columns before it."""
+    ident[sup[i]]) and the encodings redundant(i, cols) on the redundancy
+    columns cols.  The candidates narrow column by column, each column
+    decoded only for the candidates still tied on the columns before it."""
     n = len(ident) + len(redundancy)
     row_of, red_of = np.full(n, -1), np.full(n, -1)
     row_of[ident], red_of[redundancy] = np.arange(len(ident)), np.arange(len(redundancy))
@@ -332,10 +406,10 @@ def _first_codeword(form: _AdditiveForm, ident: np.ndarray, redundancy: np.ndarr
         if row_of[j] >= 0:
             col = (vals[at] * (sup[at] == row_of[j])).sum(axis=1)
         else:
-            col = form.difference(prefix[at, red_of[j]], neg[at, red_of[j]])
+            col = redundant(at, red_of[j])
         at = at[col == col.min()]
     word = np.zeros(n, dtype=np.int64)
-    word[redundancy] = form.difference(prefix[at[0]], neg[at[0]])
+    word[redundancy] = redundant(at[0], slice(None))
     word[ident[sup[at[0]]]] = vals[at[0]]
     return word
 
@@ -349,9 +423,49 @@ def _identity_columns(sysmat: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _chunk_rows(fld: FiniteField, n: int, messages: int, parts: int) -> int:
+    """Messages per chunk of a round of `messages` messages split over
+    `parts` workers: a batch of codewords, and at most a part's share."""
+    return max(1, min(_BATCH_TARGET // (n * fld.n), -(-messages // parts)))
+
+
+def _weight_one_round(fld: FiniteField, sysmats: np.ndarray, state: _SweepState, budget: int,
+                      part: tuple[int, int] = (0, 1)) -> bool:
+    """Round 1 of every set in one pass: the weight-1 codewords of a set are
+    the rows of its systematic matrix (sysmats[set]), so their weights are
+    nonzero counts over the stack, taken in blocks of sets without a copy.
+
+    The rows are taken as one _weight_scan per set would take them: chunks
+    of _chunk_rows rows, chunk c of each set to worker c mod W, and the
+    budget cut in serial order (set by set, chunk by chunk), which ends the
+    round at the first chunk that does not fit.  The lexicographically first
+    of the lightest rows taken is offered.  Returns whether every set's
+    round ran.
+    """
+    sets, k, n = sysmats.shape
+    index, parts = part
+    rows = _chunk_rows(fld, n, k, parts)
+    chunk = np.arange(k) // rows
+    # row r of set i is taken when its chunk ends within the budget
+    chunk_end = np.minimum(k, (chunk + 1) * rows)
+    taken = (np.arange(sets)[:, None] * k + chunk_end <= budget) & (chunk % parts == index)
+    reach = int(taken.any(axis=1).sum())  # taken rows lie in the first sets
+    weights = np.empty((reach, k), dtype=np.int64)
+    for lo, hi in batched(reach, max(1, _BATCH_TARGET // (k * n))):
+        weights[lo:hi] = np.count_nonzero(sysmats[lo:hi], axis=2)
+    taken = taken[:reach]
+    state.update(weights[taken])
+    if taken.any():
+        low = weights[taken].min()
+        at, row = np.nonzero(taken & (weights == low))
+        state.offer(np.array(min(sysmats[at, row].tolist())))
+    return sets * k <= budget
+
+
 def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepState, budget: int,
                  part: tuple[int, int] = (0, 1)) -> bool:
-    """Enumerate the weight-w projective messages against a systematic matrix.
+    """Enumerate the weight-w projective messages, w >= 2, against a
+    systematic matrix.
 
     A message is 1, v_2, ..., v_w (each v_i nonzero, v_w fastest) on a support
     of w rows, supports in combinations order.  The messages are walked in
@@ -364,17 +478,18 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
 
     The identity columns of a codeword hold its message, w nonzeros, so only
     the n - k redundancy columns are computed, as sums of the multiples
-    c * row that the chunk uses (see _AdditiveForm).  The lightest codewords
-    of each block are the witness candidates: their message fills the
-    identity columns, and their redundancy columns are read back from the
-    block's own sums, so no codeword is encoded again.
+    c * row that the chunk uses (see _AdditiveForm), their zeros counted by
+    _block_weights.  The lightest codewords of each block are the witness
+    candidates: their message fills the identity columns, and their
+    redundancy columns are read back from the block's own prefix sums and
+    the last multiples, so no codeword is encoded again.  Round 1 is
+    _weight_one_round.
     """
     k, n = sysmat.shape
     q = fld.q
     index, parts = part
     repeats = (q - 1) ** (w - 1)
-    per_worker = -(-math.comb(k, w) * repeats // parts)
-    rows = max(1, min(_BATCH_TARGET // (n * fld.n), per_worker))
+    rows = _chunk_rows(fld, n, math.comb(k, w) * repeats, parts)
     supports = itertools.combinations(range(k), w)
     if repeats <= rows:
         groups = iter(lambda: list(itertools.islice(supports, rows // repeats)), [])
@@ -384,6 +499,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     ident = _identity_columns(sysmat)
     red, redundancy = np.delete(sysmat, ident, axis=1), np.delete(np.arange(n), ident)
     form = _AdditiveForm(fld, w)
+    keys = _ratio_keys(fld, red)
     spent = 0
     for c, (group, lo, hi) in enumerate(chunks):
         spent += len(group) * (hi - lo)
@@ -393,7 +509,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
             continue
         sup = np.array(group)
         for prefixes, c0, c1 in _blocks(lo, hi, q - 1):
-            weights, prefix, neg = _block_weights(fld, form, red, sup, prefixes, c0, c1)
+            weights, prefix, neg = _block_weights(fld, form, red, sup, prefixes, c0, c1, keys)
             weights += w
             state.update(weights.reshape(-1))
             low = int(weights.min())
@@ -401,40 +517,51 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
                 g, at = np.nonzero(weights == low)
                 pre, last = np.divmod(at, c1 - c0)
                 vals = _message_values(prefixes[pre] * (q - 1) + c0 + last, w, q)
-                state.offer(_first_codeword(form, ident, redundancy, sup[g], vals, prefix[g, pre], neg[g, last]))
+                if neg is None:  # ratio count: encoding prefix sums, last multiples built here
+                    def redundant(i, cols):
+                        last_multiple = fld.mul(vals[i, -1], red[sup[g[i], -1], cols])
+                        return fld.add(prefix[g[i], pre[i], cols], last_multiple)
+                else:
+                    def redundant(i, cols):
+                        return form.difference(prefix[g[i], pre[i], cols], neg[g[i], last[i], cols])
+                state.offer(_first_codeword(ident, redundancy, sup[g], vals, redundant))
     return True
 
 
-def _rounds(fld: FiniteField, sets, state: _SweepState, budget: int, stop: bool = False,
-            part: tuple[int, int] = (0, 1)) -> int:
-    """Weight rounds w = 1..k over the (systematic matrix, relative rank) sets;
-    returns the last round every set completed.  Each scan gets the budget
-    left by all parts' scans before it.  With stop, the rounds end once the
-    lower bound meets the running minimum weight."""
-    k = sets[0][0].shape[0]
-    spent = 0
-    for w in range(1, k + 1):
-        for sysmat, _ in sets:
+def _rounds(fld: FiniteField, sysmats: np.ndarray, ranks, state: _SweepState, budget: int,
+            stop: bool = False, part: tuple[int, int] = (0, 1)) -> int:
+    """Weight rounds w = 1..k over the sets, their systematic matrices stacked
+    in sysmats and their relative ranks in ranks; returns the last round
+    every set completed.  Round 1 weighs the rows of all sets in one pass
+    (_weight_one_round); each later round runs one _weight_scan per set,
+    with the budget left by all parts' scans before it.  With stop, the
+    rounds end once the lower bound meets the running minimum weight."""
+    sets, k, _ = sysmats.shape
+    if not _weight_one_round(fld, sysmats, state, budget, part):
+        return 0
+    spent = sets * k
+    for w in range(2, k + 1):
+        if stop and _lower_bound(k, ranks, w - 1) >= state.min_weight:
+            return w - 1
+        for sysmat in sysmats:
             if not _weight_scan(fld, sysmat, w, state, budget - spent, part):
                 return w - 1
             spent += math.comb(k, w) * (fld.q - 1) ** (w - 1)
-        if stop and _lower_bound(k, sets, w) >= state.min_weight:
-            return w
     return k
 
 
-def _lower_bound(k: int, sets, swept: int) -> int:
+def _lower_bound(k: int, ranks, swept: int) -> int:
     """Brouwer-Zimmermann: a codeword no round found has over swept nonzeros on
     each set, so at least swept + 1 - (k - r_i) on the r_i columns it adds."""
     if swept == 0:
         return 1
-    return sum(max(0, swept + 1 - (k - r_i)) for _, r_i in sets)
+    return sum(max(0, swept + 1 - (k - r_i)) for r_i in ranks)
 
 
 def _sweep(args) -> tuple[_SweepState, int]:
     fld, matrix, budget, part = args
     state = _SweepState(matrix.shape[1])
-    return state, _rounds(fld, [(matrix, len(matrix))], state, budget, part=part)
+    return state, _rounds(fld, matrix[None], [len(matrix)], state, budget, part=part)
 
 
 def exhaustive_sweep(
@@ -546,7 +673,8 @@ def _stacked_inverse(fld: FiniteField, blocks: np.ndarray) -> np.ndarray:
 
 
 def _information_sets(fld: FiniteField, matrix: np.ndarray):
-    """Greedy systematic forms: list of (systematic matrix, relative rank).
+    """Greedy systematic forms: (systematic matrices stacked [set, :, :],
+    list of relative ranks).
 
     Set i takes the first k independent columns in the order (unused
     ascending, then used ascending); the sets end when one adds no unused
@@ -584,13 +712,13 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     block = max(1, (_BATCH_TARGET // 2) // (k * n * fld.n))
     for lo, hi in batched(len(bases), block):
         sysmats[lo:hi] = gflinalg.matmul(fld, inverses[lo:hi], matrix)
-    return list(zip(sysmats, ranks))
+    return sysmats, ranks
 
 
-def _distance_result(code: LinearCode, sets, state: _SweepState, swept: int, method: str) -> DistanceResult:
-    """The certified interval after `swept` complete rounds over `sets`."""
+def _distance_result(code: LinearCode, ranks, state: _SweepState, swept: int, method: str) -> DistanceResult:
+    """The certified interval after `swept` complete rounds over sets of relative ranks `ranks`."""
     upper = min(state.min_weight, code.n)
-    lower = upper if swept == code.k else max(1, min(_lower_bound(code.k, sets, swept), upper))
+    lower = upper if swept == code.k else max(1, min(_lower_bound(code.k, ranks, swept), upper))
     witness = np.array(state.witness, dtype=np.int64) if state.witness else None
     return DistanceResult(lower, upper, lower == upper, witness, method, state.work)
 
@@ -614,13 +742,13 @@ def information_set_distance(
 ) -> DistanceResult:
     """Brouwer-Zimmermann certification within a codeword budget."""
     hint = _checked_hint(code, upper_hint)
-    sets = _information_sets(code.fld, code.matrix)
+    sysmats, ranks = _information_sets(code.fld, code.matrix)
     state = _SweepState(code.n)
     if hint is not None:  # before the scan: the early stop reads it
         state.offer(hint)
-    swept = _rounds(code.fld, sets, state, budget, stop=True)
+    swept = _rounds(code.fld, sysmats, ranks, state, budget, stop=True)
     method = "information-set" + ("+geometric-witness" if hint is not None else "")
-    return _distance_result(code, sets, state, swept, method)
+    return _distance_result(code, ranks, state, swept, method)
 
 
 def min_distance(
@@ -648,7 +776,7 @@ def min_distance(
     if hint is not None:
         state.offer(hint)
     method = "exhaustive" if swept == code.k else "exhaustive-partial"
-    return _distance_result(code, [(code.matrix, code.k)], state, swept, method)
+    return _distance_result(code, [code.k], state, swept, method)
 
 
 @dataclass

@@ -16,6 +16,8 @@ from evalcodes.codes import (
     _SweepState,
     _identity_columns,
     _information_sets,
+    _rounds,
+    _weight_one_round,
     _weight_scan,
     apply_projective_transform,
     build_code,
@@ -26,6 +28,7 @@ from evalcodes.codes import (
     projective_message_count,
     weight_enumerator,
 )
+from evalcodes.families import del_pezzo6, frobenius_orbit
 from evalcodes.gf import make_field
 from evalcodes.poly import HomogPoly
 from evalcodes.projective import BudgetExceeded, Surface
@@ -167,14 +170,14 @@ def test_first_information_set_is_the_generator(p, m):
     rng = random.Random(p * 10 + m)
     for _ in range(5):
         code = _random_code(fld, rng.randrange(2, 6), rng.randrange(8, 20), rng)
-        sysmat, rank = _information_sets(fld, code.matrix)[0]
-        assert np.array_equal(sysmat, code.matrix) and rank == code.k
+        sysmats, ranks = _information_sets(fld, code.matrix)
+        assert np.array_equal(sysmats[0], code.matrix) and ranks[0] == code.k
 
 
 def test_information_set_run_out_in_round_one_reports_lower_one():
     # five full-rank sets, but no round completes: the bound stays 1
     code = _random_code(F7, 4, 20, random.Random(3))
-    assert [r for _, r in _information_sets(F7, code.matrix)] == [4] * 5
+    assert _information_sets(F7, code.matrix)[1] == [4] * 5
     d = min_distance(code, "isd", budget=3)
     assert (d.lower, d.upper, d.work) == (1, 20, 0)
     assert d.method == "information-set" and not d.exact
@@ -433,10 +436,17 @@ def _reference_scan(fld, sysmat, w, count):
     return np.bincount(weights, minlength=n + 1), low, witness
 
 
+def _scan(fld, sysmat, w, state, budget):
+    # weight 1 is weighed for a whole stack of sets at once
+    if w == 1:
+        return _weight_one_round(fld, sysmat[None], state, budget)
+    return _weight_scan(fld, sysmat, w, state, budget)
+
+
 def _check_scan(fld, sysmat, w, budget):
     k, n = sysmat.shape
     state = _SweepState(n)
-    done = _weight_scan(fld, sysmat, w, state, budget)
+    done = _scan(fld, sysmat, w, state, budget)
     total = math.comb(k, w) * (fld.q - 1) ** (w - 1)
     assert done == (total <= budget)
     assert state.work == total if done else state.work <= budget
@@ -487,6 +497,79 @@ def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w
     if w == 16:
         assert not _AdditiveForm(fld, w).packed
     _check_scan(fld, _systematic(fld, k, redundancy, random.Random(k)), w, SCAN_BUDGET)
+
+
+# -- weight rounds against encoding every message through matmul ---------------------
+
+# both sides of the zero count: the broadcast compare (q <= 9) and the ratio
+# histogram (GF(29), GF(2^5), GF(37), GF(7^2))
+ROUND_FIELDS = [make_field(7), make_field(2, 3), make_field(3, 2), make_field(29),
+                make_field(2, 5), make_field(37), make_field(7, 2)]
+
+
+@st.composite
+def round_cases(draw):
+    """Generators with zero columns, repeated columns and scalar multiples of
+    columns, and sparse ones, so that the last row's coordinate is zero both
+    where the prefix sum is and where it is not."""
+    fld = draw(st.sampled_from(ROUND_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 3 if fld.q > 9 else 4))
+    n = draw(st.integers(k + 2, k + 10))
+    cols = [[0] * k]
+    while len(cols) < n:
+        kind = rng.random()
+        if kind < 0.5:
+            cols.append([rng.randrange(fld.q) if rng.random() < 0.6 else 0 for _ in range(k)])
+        else:
+            scalar = 1 if kind < 0.7 else rng.randrange(1, fld.q)
+            cols.append(fld.mul(np.array(rng.choice(cols)), scalar).tolist())
+    rng.shuffle(cols)
+    matrix = gflinalg.nonzero_rows(fld, np.array(cols, dtype=np.int64).T)
+    assume(len(matrix) == k)
+    return fld, matrix, draw(st.integers(1, k))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(round_cases())
+def test_rounds_match_matmul_encoding(case):
+    fld, matrix, w = case
+    sysmats, ranks = _information_sets(fld, matrix)
+    k, n = matrix.shape
+    per_set = [math.comb(k, u) * (fld.q - 1) ** (u - 1) for u in range(1, w + 1)]
+    state = _SweepState(n)
+    # the budget ends the rounds exactly after round w
+    assert _rounds(fld, sysmats, ranks, state, len(sysmats) * sum(per_set)) == w
+    histogram, best = np.zeros(n + 1, dtype=np.int64), (n + 1, None)
+    for sysmat in sysmats:
+        for u, count in enumerate(per_set, start=1):
+            hist, low, witness = _reference_scan(fld, sysmat.astype(np.int64), u, count)
+            histogram += hist
+            best = min(best, (low, witness))
+    assert state.work == len(sysmats) * sum(per_set)
+    assert np.array_equal(state.histogram, histogram)
+    assert (state.min_weight, state.witness) == best
+
+
+@pytest.mark.parametrize("workers, works", [(1, (0, 0, 0, 7)), (2, (0, 4, 4, 7))])
+def test_weight_one_round_budget_cut_and_worker_split(dp6_q8, workers, works):
+    # k = 7 over GF(8): one chunk of 7 rows with one worker; with two, chunks
+    # of 4 and 3 rows, the first to worker 0, cut where the serial count
+    # passes the budget
+    code = build_code(dp6_q8, 1)
+    for budget, work in zip((3, 4, 5, 7), works):
+        state, swept = exhaustive_sweep(code, budget=budget, workers=workers)
+        assert (state.work, swept) == (work, int(budget == 7))
+        assert state.min_weight == (55 if work else code.n + 1)
+
+
+def test_weight_one_round_budget_cut_over_information_sets():
+    # 354 sets of 7 rows over GF(49), each set's round one chunk: the cut
+    # falls between sets, and only a completed round raises the bound
+    code = build_code(del_pezzo6(frobenius_orbit(make_field(7, 2), seed=1)), 1)
+    got = [(d.lower, d.upper, d.work)
+           for d in (min_distance(code, "isd", budget) for budget in (6, 7, 700, 2477, 2478))]
+    assert got == [(1, 2451, 0), (1, 2351, 7), (1, 2351, 700), (1, 2351, 2471), (692, 2351, 2478)]
 
 
 # -- information sets ----------------------------------------------------------------
@@ -544,10 +627,10 @@ def repetitive_codes(draw):
 @given(repetitive_codes())
 def test_information_sets_match_one_rref_per_set(case):
     fld, matrix = case
-    sets = _information_sets(fld, matrix)
+    sysmats, ranks = _information_sets(fld, matrix)
     reference = _reference_information_sets(fld, matrix)
-    assert [r for _, r in sets] == [r for _, r in reference]
-    for (sysmat, _), (ref, _) in zip(sets, reference):
+    assert ranks == [r for _, r in reference]
+    for sysmat, (ref, _) in zip(sysmats, reference):
         assert sysmat.astype(np.int64).tobytes() == ref.tobytes()
 
 
@@ -556,12 +639,12 @@ def test_tied_witness_is_the_encoding_of_its_message(p, m):
     # one field per additive form: XOR, packed digits, field additions
     fld = make_field(p, m)
     code = _random_code(fld, 4, 12, random.Random(m))
-    for sysmat, _ in _information_sets(fld, code.matrix):
+    for sysmat in _information_sets(fld, code.matrix)[0]:
         for w in range(1, code.k + 1):
             form = _AdditiveForm(fld, w)
             assert (p == 2) or form.packed == (m == 2 or w == 1)
             state = _SweepState(code.n)
-            _weight_scan(fld, sysmat, w, state, 100_000)
+            _scan(fld, sysmat, w, state, 100_000)
             word = np.array(state.witness, dtype=np.int64)
             message = word[_identity_columns(sysmat)]
             assert (message != 0).sum() == w

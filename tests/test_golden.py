@@ -104,7 +104,7 @@ def test_long_code_isd_witness_matches_golden():
     # 354 information sets, the last six of ranks 4, 4, 4, 4, 4, 1: the
     # golden pins the rank-deficient tail, whose pivots fall on used columns
     code = build_code(del_pezzo6(frobenius_orbit(parse_field_spec("7^2"), seed=1)), 1)
-    ranks = [r for _, r in _information_sets(code.fld, code.matrix)]
+    _, ranks = _information_sets(code.fld, code.matrix)
     assert (len(ranks), ranks[-6:]) == (354, [4, 4, 4, 4, 4, 1])
     _check_isd_witness("min_dist_dp6_q49_s1_isd_budget50k", code, None, 50_000, (692, 2351, 49_854))
 
