@@ -262,7 +262,7 @@ class _AdditiveForm:
 
     def value(self, sums: np.ndarray) -> np.ndarray:
         """The encodings of the values of sums, reduced or not."""
-        if self.fld.p == 2 or not self.packed:
+        if not self.packed:
             return sums
         sums = sums.astype(np.int64)
         if self.fld.n == 1:
@@ -456,8 +456,7 @@ def _weight_one_round(fld: FiniteField, sysmats: np.ndarray, state: _SweepState,
     taken = taken[:reach]
     state.update(weights[taken])
     if taken.any():
-        low = weights[taken].min()
-        at, row = np.nonzero(taken & (weights == low))
+        at, row = np.nonzero(taken & (weights == weights[taken].min()))
         state.offer(np.array(min(sysmats[at, row].tolist())))
     return sets * k <= budget
 
