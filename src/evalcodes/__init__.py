@@ -1,11 +1,9 @@
 """Evaluation codes from projective surfaces over finite fields."""
 
 from .gf import (
-    FieldElement,
     FieldEmbedding,
     FiniteField,
     NotInSubfield,
-    frobenius,
     get_embedding,
     make_field,
     parse_field_spec,
@@ -13,7 +11,6 @@ from .gf import (
 from .poly import HomogPoly, monomials
 from .projective import (
     BudgetExceeded,
-    ProjPoint,
     SectionScan,
     Surface,
     component_search,

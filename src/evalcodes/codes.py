@@ -785,11 +785,6 @@ class WeightEnumerator:
     def __post_init__(self):
         self.counts = np.asarray(self.counts, dtype=np.int64)
 
-    @property
-    def min_positive_weight(self) -> int:
-        nz = np.nonzero(self.counts[1:])[0]
-        return int(nz[0]) + 1
-
     def to_json(self):
         return [int(c) for c in self.counts]
 

@@ -370,128 +370,11 @@ class FiniteField:
         """The p^base_power-power map; an automorphism fixing GF(p^base_power)."""
         return self.pow(a, self.p**base_power)
 
-    # -- element-level conveniences -------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """Wrap an encoding (int) or a GF(p) coefficient sequence."""
-        if isinstance(value, FieldElement):
-            if value.field is not self:
-                raise ValueError("element belongs to a different field")
-            return value
-        if isinstance(value, (list, tuple)):
-            if len(value) > self.n:
-                raise ValueError("coefficient vector longer than field degree")
-            enc = sum((int(c) % self.p) * self.p**i for i, c in enumerate(value))
-            return FieldElement(self, enc)
-        v = int(value)
-        if self.n == 1:
-            v %= self.p
-        if not 0 <= v < self.q:
-            raise ValueError(f"encoding {v} out of range for GF({self.p}^{self.n})")
-        return FieldElement(self, v)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def poly_gen(self) -> "FieldElement":
-        """The class of x modulo the field modulus (requires n >= 2)."""
-        if self.n < 2:
-            raise ValueError("prime field has no polynomial generator")
-        return FieldElement(self, self.p)
-
-    def elements(self):
-        return (FieldElement(self, v) for v in range(self.q))
-
     def __repr__(self):
         return f"GF({self.p}^{self.n})" if self.n > 1 else f"GF({self.p})"
 
     def __reduce__(self):
         return (make_field, (self.p, self.n, self.modulus))
-
-
-class FieldElement:
-    """A value of a specific FiniteField; cross-field arithmetic is an error."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: FiniteField, val: int):
-        self.field = field
-        self.val = int(val)
-
-    def _check(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field is not self.field:
-                raise ValueError(f"mixed-field arithmetic: {self.field} vs {other.field}")
-            return other.val
-        if isinstance(other, (int, np.integer)) and self.field.n == 1:
-            return int(other) % self.field.p
-        raise TypeError(f"cannot combine {self!r} with {other!r}")
-
-    def coeffs(self) -> tuple[int, ...]:
-        """GF(p) coefficient vector, constant term first."""
-        return tuple(self.field._digits_of(self.val).tolist())
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.val, self._check(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.val, self._check(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._check(other), self.val))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.val, self._check(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.val, self._check(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._check(other), self.val))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.field, self.field.pow(self.val, e))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field is other.field and self.val == other.val
-        if isinstance(other, (int, np.integer)) and self.field.n == 1:
-            return self.val == int(other) % self.field.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        if self.field.n == 1:
-            return f"{self.val}"
-        terms = [
-            ("" if c == 1 and i > 0 else str(c)) + ("" if i == 0 else "a" if i == 1 else f"a^{i}")
-            for i, c in enumerate(self.coeffs())
-            if c
-        ]
-        return "+".join(reversed(terms)) if terms else "0"
-
-
-def frobenius(a: FieldElement, base_power: int = 1) -> FieldElement:
-    """F(a) = a^(p^base_power) inside a's own field."""
-    return FieldElement(a.field, a.field.frobenius(a.val, base_power))
 
 
 class FieldEmbedding:
@@ -547,22 +430,13 @@ class FieldEmbedding:
         return t
 
     def embed(self, a):
-        """Image in the target field; accepts an encoding/array or FieldElement."""
-        if isinstance(a, FieldElement):
-            if a.field is not self.source:
-                raise ValueError("element is not in the embedding's source field")
-            return FieldElement(self.target, self.embed(a.val))
+        """Image in the target field of an encoding or an array of them."""
         dig = self.source._digits_of(a)
         out = self.target._recompose((dig @ self._embed_matrix.T) % self.target.p)
         return int(out) if np.ndim(out) == 0 else out
 
     def descend(self, a):
         """Unique source preimage, or raise NotInSubfield."""
-        wrap = isinstance(a, FieldElement)
-        if wrap:
-            if a.field is not self.target:
-                raise ValueError("element is not in the embedding's target field")
-            a = a.val
         dig = self.target._digits_of(a)
         sol = (dig @ self._solver.T) % self.target.p
         src_dig = sol[..., : self.source.n]
@@ -570,7 +444,7 @@ class FieldEmbedding:
         roundtrip = (src_dig @ self._embed_matrix.T) % self.target.p
         if not np.all(roundtrip == dig):
             raise NotInSubfield(f"element {a} of {self.target} has no preimage in {self.source}")
-        return self.source.element(int(src)) if wrap else (int(src) if np.ndim(src) == 0 else src)
+        return int(src) if np.ndim(src) == 0 else src
 
     def contains(self, a) -> bool:
         try:

@@ -117,22 +117,14 @@ def vecmat(field: FiniteField, v, m) -> np.ndarray:
     return matmul(field, np.asarray(v, dtype=np.int64)[None, :], m)[0]
 
 
-def coords_in_rowspace(field: FiniteField, rref_mat: np.ndarray, pivots: list[int], v):
-    """Coefficients expressing v over the RREF rows, or None if v is outside.
+def in_rowspace(field: FiniteField, rref_mat: np.ndarray, pivots: list[int], v) -> bool:
+    """Whether v lies in the row space of the RREF rows.
 
-    Because rref_mat is reduced, the coefficient vector is just v restricted
-    to the pivot columns.
+    Because rref_mat is reduced, the only candidate coefficient vector is v
+    restricted to the pivot columns.
     """
     v = np.asarray(v, dtype=np.int64)
-    coeffs = v[pivots] if pivots else np.zeros(0, dtype=np.int64)
-    recon = vecmat(field, coeffs, rref_mat[: len(pivots)]) if len(pivots) else np.zeros_like(v)
-    if np.array_equal(recon, v):
-        return coeffs
-    return None
-
-
-def in_rowspace(field: FiniteField, rref_mat: np.ndarray, pivots: list[int], v) -> bool:
-    return coords_in_rowspace(field, rref_mat, pivots, v) is not None
+    return np.array_equal(vecmat(field, v[pivots], rref_mat[: len(pivots)]), v)
 
 
 def invert(field: FiniteField, mat) -> np.ndarray:
@@ -143,14 +135,3 @@ def invert(field: FiniteField, mat) -> np.ndarray:
     if len(pivots) != m.shape[0]:
         raise ValueError("matrix is singular")
     return t
-
-
-def random_invertible(field: FiniteField, size: int, rng) -> np.ndarray:
-    """Uniform-ish invertible matrix from a seeded random.Random."""
-    while True:
-        m = np.array(
-            [[rng.randrange(field.q) for _ in range(size)] for _ in range(size)],
-            dtype=np.int64,
-        )
-        if rank(field, m) == size:
-            return m

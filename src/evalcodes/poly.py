@@ -38,6 +38,8 @@ class HomogPoly:
             coeff = int(coeff)
             if coeff == 0:
                 continue
+            if not 0 < coeff < field.q:
+                raise ValueError(f"coefficient {coeff} is not an encoding of {field}")
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent vector {exps} for {nvars} variables")
             if sum(exps) != degree:

@@ -68,27 +68,6 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(np.asarray(points).T[::-1])
 
 
-def normalize_point(fld: FiniteField, coords) -> tuple[int, ...]:
-    vec = np.asarray(list(coords), dtype=np.int64)[None, :]
-    return tuple(int(v) for v in normalize_rows(fld, vec)[0])
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    """A normalized point of P^r over a field."""
-
-    fld: FiniteField
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        nz = [c for c in self.coords if c]
-        if not nz:
-            raise ValueError("projective point cannot be the zero vector")
-        last = max(i for i, c in enumerate(self.coords) if c)
-        if self.coords[last] != 1:
-            raise ValueError(f"point {self.coords} is not normalized")
-
-
 def enumerate_points(fld: FiniteField, r: int, max_points: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
     """All points of P^r(F_q) as an (N, r+1) array in canonical order."""
     q = fld.q

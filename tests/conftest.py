@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from evalcodes import (
@@ -8,6 +9,7 @@ from evalcodes import (
     sample_cayley_salmon,
     shioda_surface,
 )
+from evalcodes.gflinalg import rank
 
 
 def pytest_addoption(parser):
@@ -24,6 +26,17 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+def random_invertible(field, size: int, rng) -> np.ndarray:
+    """Uniform-ish invertible matrix from a seeded random.Random."""
+    while True:
+        m = np.array(
+            [[rng.randrange(field.q) for _ in range(size)] for _ in range(size)],
+            dtype=np.int64,
+        )
+        if rank(field, m) == size:
+            return m
 
 
 @pytest.fixture(scope="session")

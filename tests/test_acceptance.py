@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import random_invertible
 from evalcodes import gflinalg
 from evalcodes.bounds import (
     CUBIC_CLASSES,
@@ -274,7 +275,7 @@ def test_criterion_9d_monomial_invariance(dp4):
     w0 = weight_enumerator(code).counts
     rng = random.Random(424242)
     for _ in range(10):
-        a = gflinalg.random_invertible(code.fld, 5, rng)
+        a = random_invertible(code.fld, 5, rng)
         moved, wit = apply_projective_transform(code, a)
         assert wit.verify(code.fld, code.matrix, moved.matrix)
         assert min_distance(moved, "exhaustive").d == d0

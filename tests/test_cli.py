@@ -6,8 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import evalcodes
 from evalcodes.cli import main
 from evalcodes.families import del_pezzo4_fixture

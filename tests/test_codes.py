@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import random_invertible
 from evalcodes import gflinalg
 from evalcodes.codes import (
     LinearCode,
@@ -256,7 +257,7 @@ def test_weight_enumerator_totals_and_min_weight():
     we = weight_enumerator(code)
     assert int(we.counts.sum()) == 7**4
     d = min_distance(code, "exhaustive")
-    assert we.min_positive_weight == d.d
+    assert np.flatnonzero(we.counts)[1] == d.d  # A_0 = 1, then the least positive weight
 
 
 def test_weight_enumerator_budget():
@@ -303,7 +304,7 @@ def test_apply_projective_transform_witness_and_invariance(dp4):
     base_we = weight_enumerator(code)
     rng = random.Random(12)
     for trial in range(10):
-        a = gflinalg.random_invertible(F7, 5, rng)
+        a = random_invertible(F7, 5, rng)
         moved, witness = apply_projective_transform(code, a)
         assert witness.verify(F7, code.matrix, moved.matrix)
         assert moved.params() == code.params()
@@ -342,7 +343,7 @@ def test_equivalence_evidence(dp4):
     ev = equivalence_evidence(code, other)
     assert ev.distinct and "(n, k)" in ev.reason
     rng = random.Random(13)
-    a = gflinalg.random_invertible(F7, 5, rng)
+    a = random_invertible(F7, 5, rng)
     moved, _ = apply_projective_transform(code, a)
     assert not equivalence_evidence(code, moved).distinct
     # budget exhaustion degrades to possibly-equivalent with a note
@@ -353,7 +354,7 @@ def test_equivalence_evidence(dp4):
 def test_dp4_enumerator_min_weight(dp4):
     code = build_code(dp4, 1)
     we = weight_enumerator(code)
-    assert we.min_positive_weight == 44
+    assert np.flatnonzero(we.counts)[1] == 44
     assert int(we.counts.sum()) == 7**5
 
 

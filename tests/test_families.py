@@ -162,7 +162,7 @@ def test_cayley_salmon_degenerate_inputs():
     with pytest.raises(DegenerateInput):
         cayley_salmon_c12(F7, [1, 2, 3], [0, 1, 2, 3])  # L rational over GF(7)
     with pytest.raises(DegenerateInput):
-        cayley_salmon_c12(F7, [f3.poly_gen.val, 1, 0], [1, 2, 3, 4])  # M rational
+        cayley_salmon_c12(F7, [f3.p, 1, 0], [1, 2, 3, 4])  # M rational
     with pytest.raises(DegenerateInput):
         cayley_salmon_c12(F7, [0, 0, 0], [1, 2, 3, 4])
 
@@ -263,7 +263,7 @@ def test_frobenius_orbit_rejects_rational_point():
 def test_del_pezzo6_rejects_collinear_orbit():
     # a non-rational point on the rational line y = 0: orbit stays on it
     f343 = make_field(7, 3)
-    pt = (f343.poly_gen.val, 0, 1)
+    pt = (f343.p, 0, 1)
     orbit = frobenius_orbit(F7, point=pt)
     assert orbit.collinear
     with pytest.raises(DegenerateInput):

@@ -34,6 +34,16 @@ def test_homogeneity_enforced():
     assert p.terms == {(0, 2, 0): 3}
 
 
+def test_coefficients_must_be_encodings():
+    f7, f49 = make_field(7), make_field(7, 2)
+    # -1 is not an encoding: numpy would read it as 48, which is -1 - a in GF(49)
+    for fld, coeff in [(f49, -1), (f49, 49), (f49, 50), (f7, -1), (f7, 7)]:
+        with pytest.raises(ValueError, match="not an encoding"):
+            HomogPoly(fld, 3, 1, {(1, 0, 0): coeff, (0, 1, 0): 1})
+    x_minus_y = HomogPoly(f49, 3, 1, {(1, 0, 0): f49.neg(1), (0, 1, 0): 1})
+    assert x_minus_y.eval_points([[1, 1, 1]]).tolist() == [0]
+
+
 def test_arithmetic_and_scaling():
     f7 = make_field(7)
     x = HomogPoly.variable(f7, 3, 0)
@@ -109,7 +119,7 @@ def test_divide_exact():
 
 def test_frobenius_coeffs():
     f9 = make_field(3, 2)
-    t = f9.poly_gen.val
+    t = f9.p
     p = HomogPoly(f9, 2, 1, {(1, 0): t, (0, 1): 1})
     fp = p.frobenius_coeffs()
     assert fp.terms[(1, 0)] == f9.frobenius(t)

@@ -19,7 +19,6 @@ from evalcodes.gf import get_embedding, make_field
 from evalcodes.poly import HomogPoly, monomials
 from evalcodes.projective import (
     BudgetExceeded,
-    ProjPoint,
     Surface,
     canonical_order,
     component_search,
@@ -31,7 +30,7 @@ from evalcodes.projective import (
     iter_zero_point_batches,
     level_scan,
     lines_on_surface,
-    normalize_point,
+    normalize_rows,
     projective_space_size,
     rational_points,
     section_scan,
@@ -82,12 +81,9 @@ def test_point_enumeration_examples():
 
 
 def test_normalization():
-    assert normalize_point(F7, (2, 3, 0)) == (3, 1, 0)  # scale by 3^{-1} = 5
+    assert normalize_rows(F7, [(2, 3, 0)]).tolist() == [[3, 1, 0]]  # scale by 3^{-1} = 5
     with pytest.raises(ValueError):
-        normalize_point(F7, (0, 0, 0))
-    with pytest.raises(ValueError):
-        ProjPoint(F7, (2, 3, 0))
-    ProjPoint(F7, (3, 1, 0))
+        normalize_rows(F7, [(0, 0, 0)])
 
 
 def test_enumeration_is_sorted_and_normalized():
@@ -285,8 +281,6 @@ def test_frobenius_stability_of_point_sets():
     pts = rational_points(quad.generators, f49)
     conj = f49.frobenius(pts)
     # renormalize conjugated rows and compare as sets
-    from evalcodes.projective import normalize_rows
-
     conj = normalize_rows(f49, conj)
     a = {tuple(int(v) for v in r) for r in pts}
     b = {tuple(int(v) for v in r) for r in conj}
