@@ -428,17 +428,36 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A config value as its flag would parse it: a switch takes a JSON
+    boolean, any other flag the value's text, through its type and choices."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError(f"config key {key!r}: expected true or false, got {value!r}")
+        return value
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(action.choices)})")
+    return converted
+
+
 def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     args = ap.parse_args(argv)
     if args.config:
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
+        commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in commands.choices[args.command]._actions}
         explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in explicit:
-                setattr(args, attr, value)
+            if attr in actions and hasattr(args, attr) and attr not in explicit:
+                setattr(args, attr, _config_value(actions[attr], key, value))
     return args
 
 

@@ -198,10 +198,11 @@ class _AdditiveForm:
     Characteristic 2: the encodings themselves, added by XOR.  Odd p: the
     base-p digits packed into fields of b bits, b the bit length of the
     largest digit sum w(p - 1) of a weight-w message, so a plain add never
-    carries from one digit into the next; a sum is reduced mod p digit by
-    digit only for the nonzero test.  The width follows from w and p alone.
-    Where m fields of b bits would exceed 63 bits, sums stay encodings added
-    by FiniteField.add, which reduces every digit mod p at each addition.
+    carries from one digit into the next.  The width follows from w and p
+    alone.  Where m fields of b bits would exceed 63 bits, sums stay
+    encodings added by FiniteField.add, which reduces every digit mod p at
+    each addition.  Sums leave this form only as encodings (value), which
+    both zero counts weigh and the witness read-back adds to.
     """
 
     def __init__(self, fld: FiniteField, w: int):
@@ -231,44 +232,16 @@ class _AdditiveForm:
             return self._pack(self.fld._digits_of(enc))
         return enc.astype(self.dtype)
 
-    def _digits(self, packed: np.ndarray):
-        """The m digit fields of packed sums, lowest first."""
-        mask = (1 << self.bits) - 1
-        return [packed >> shift & mask for shift in self._shifts.tolist()]
-
-    def difference(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The encodings of a - b, for a and b in reduced form."""
-        p = self.fld.p
-        if p == 2:
-            return (a ^ b).astype(np.int64)
-        if not self.packed:
-            return self.fld.sub(a, b)
-        a, b = a.astype(np.int64), b.astype(np.int64)
-        if self.fld.n == 1:
-            return (a - b) % p
-        return sum((da - db) % p * power
-                   for da, db, power in zip(self._digits(a), self._digits(b), self.fld._pow_p.tolist()))
-
-    def reduce(self, sums: np.ndarray) -> np.ndarray:
-        """Packed sums with each digit reduced mod p, i.e. the form of their value."""
-        if not self.packed:
-            return sums
-        if self.fld.n == 1:
-            return sums % self.fld.p
-        out = np.zeros_like(sums)
-        for digit, shift in zip(self._digits(sums), self._shifts.tolist()):
-            out |= digit % self.fld.p << shift
-        return out
-
     def value(self, sums: np.ndarray) -> np.ndarray:
-        """The encodings of the values of sums, reduced or not."""
+        """The encodings of the values of sums, in their own dtype, which for
+        odd p holds every encoding: q = p^m < 2^(m b)."""
         if not self.packed:
             return sums
-        sums = sums.astype(np.int64)
         if self.fld.n == 1:
             return sums % self.fld.p
-        return sum(digit % self.fld.p * power
-                   for digit, power in zip(self._digits(sums), self.fld._pow_p.tolist()))
+        mask = (1 << self.bits) - 1
+        return sum((sums >> shift & mask) % self.fld.p * power
+                   for shift, power in zip(self._shifts.tolist(), self.fld._pow_p.tolist()))
 
 
 def _message_values(t: np.ndarray, w: int, q: int) -> np.ndarray:
@@ -355,22 +328,21 @@ def _block_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: 
                    prefixes: np.ndarray, c0: int, c1: int, keys):
     """Redundancy-column weights of the messages prefix * (q - 1) + c, c in
     [c0, c1), on each support (a row of sup, w >= 2 rows), as array
-    [support, message], with the prefix sums [support, prefix, :] and the
-    negated last multiples [support, c - c0, :], whose difference is the
-    redundancy part of each codeword.
+    [support, message], with the prefix sums [support, prefix, :] as
+    encodings: the redundancy part of a codeword is its prefix sum P plus
+    v y, y the last row red[sup[:, -1]].
 
     A prefix fixes v_1 .. v_{w-1}: its sum gathers one multiple per position
-    from tables of the multiples the block uses.  Without keys, a coordinate
-    of a codeword is zero exactly where its reduced prefix sum equals the
-    negated multiple of the last row, one broadcast comparison of q - 1
-    multiples per block.  With keys (_ratio_keys), the prefix sums become
-    encodings (at w = 2 they are the first rows themselves), _ratio_weights
-    counts the zeros of all last values at once, and the negated multiples
-    are not built: None is returned in their place.
+    from tables of the multiples the block uses, and becomes encodings (at
+    w = 2 it is the first row itself).  Without keys, a coordinate of a
+    codeword is zero exactly where P equals the negated multiple -v y, one
+    broadcast comparison of q - 1 multiples per block.  With keys
+    (_ratio_keys), _ratio_weights counts the zeros of all last values at
+    once, and the negated multiples are not built.
     """
     g, w = sup.shape
     q = fld.q
-    if keys is not None and w == 2:
+    if w == 2:
         prefix = red[sup[:, :1]]
     else:
         vals = _message_values(prefixes * (q - 1), w, q)
@@ -380,13 +352,13 @@ def _block_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: 
             rows, row_at = np.unique(sup[:, j], return_inverse=True)
             table = form.of(_multiples(fld, used, red[rows]))
             prefix = form.add(prefix, table[row_at[:, None], at[None, :]])
-        prefix = form.reduce(prefix) if keys is None else form.value(prefix)
+        prefix = form.value(prefix)
     if keys is not None:
-        return _ratio_weights(fld, keys, prefix, sup[:, -1], c0, c1), prefix, None
+        return _ratio_weights(fld, keys, prefix, sup[:, -1], c0, c1), prefix
     rows, row_at = np.unique(sup[:, -1], return_inverse=True)
-    neg = form.of(_multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]))[row_at]
+    neg = _multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]).astype(prefix.dtype)[row_at]
     nonzero = prefix[:, :, None, :] != neg[:, None, :, :]
-    return nonzero.sum(axis=-1, dtype=np.int32).reshape(g, -1), prefix, neg
+    return nonzero.sum(axis=-1, dtype=np.int32).reshape(g, -1), prefix
 
 
 def _first_codeword(ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray, vals: np.ndarray,
@@ -480,8 +452,8 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     c * row that the chunk uses (see _AdditiveForm), their zeros counted by
     _block_weights.  The lightest codewords of each block are the witness
     candidates: their message fills the identity columns, and their
-    redundancy columns are read back from the block's own prefix sums and
-    the last multiples, so no codeword is encoded again.  Round 1 is
+    redundancy columns are read back as P + v y from the block's own prefix
+    sums P, so no codeword is encoded again.  Round 1 is
     _weight_one_round.
     """
     k, n = sysmat.shape
@@ -508,7 +480,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
             continue
         sup = np.array(group)
         for prefixes, c0, c1 in _blocks(lo, hi, q - 1):
-            weights, prefix, neg = _block_weights(fld, form, red, sup, prefixes, c0, c1, keys)
+            weights, prefix = _block_weights(fld, form, red, sup, prefixes, c0, c1, keys)
             weights += w
             state.update(weights.reshape(-1))
             low = int(weights.min())
@@ -516,13 +488,8 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
                 g, at = np.nonzero(weights == low)
                 pre, last = np.divmod(at, c1 - c0)
                 vals = _message_values(prefixes[pre] * (q - 1) + c0 + last, w, q)
-                if neg is None:  # ratio count: encoding prefix sums, last multiples built here
-                    def redundant(i, cols):
-                        last_multiple = fld.mul(vals[i, -1], red[sup[g[i], -1], cols])
-                        return fld.add(prefix[g[i], pre[i], cols], last_multiple)
-                else:
-                    def redundant(i, cols):
-                        return form.difference(prefix[g[i], pre[i], cols], neg[g[i], last[i], cols])
+                def redundant(i, cols):
+                    return fld.add(prefix[g[i], pre[i], cols], fld.mul(vals[i, -1], red[sup[g[i], -1], cols]))
                 state.offer(_first_codeword(ident, redundancy, sup[g], vals, redundant))
     return True
 

@@ -377,6 +377,15 @@ class FiniteField:
         return (make_field, (self.p, self.n, self.modulus))
 
 
+def _encodings(fld: FiniteField, a):
+    """a itself, unless it is not an integer in [0, q) or an integer array of
+    them: the digit table would wrap a negative entry and miss a large one."""
+    arr = np.asarray(a)
+    if not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0) or np.any(arr >= fld.q):
+        raise ValueError(f"{a!r} is not an encoding of {fld} or an array of them")
+    return a
+
+
 class FieldEmbedding:
     """Ring embedding GF(p^a) -> GF(p^b) for a | b.
 
@@ -410,15 +419,16 @@ class FieldEmbedding:
                 f"embedding into {tgt} requires a root search over {tgt.q} elements; "
                 "only table-range targets are supported"
             )
-        vals = np.zeros(tgt.q, dtype=np.int64)
-        vals[:] = mod[-1] % tgt.p
-        x = np.arange(tgt.q, dtype=np.int64)
-        for c in reversed(mod[:-1]):
-            vals = tgt.add(tgt.mul(vals, x), c % tgt.p)
-        roots = np.nonzero(vals == 0)[0]
-        if len(roots) == 0:
-            raise AssertionError("source modulus has no root in target (unreachable)")
-        return int(roots[0])
+        # Horner on ascending chunks: the first root found is the smallest
+        for lo, hi in batched(tgt.q, 1 << 12):
+            x = np.arange(lo, hi, dtype=np.int64)
+            vals = np.full(hi - lo, mod[-1] % tgt.p, dtype=np.int64)
+            for c in reversed(mod[:-1]):
+                vals = tgt.add(tgt.mul(vals, x), c % tgt.p)
+            roots = np.flatnonzero(vals == 0)
+            if len(roots):
+                return lo + int(roots[0])
+        raise AssertionError("source modulus has no root in target (unreachable)")
 
     def _build_solver(self) -> np.ndarray:
         """T with T @ E in RREF over GF(p), so descent is one matmul plus a check."""
@@ -430,14 +440,16 @@ class FieldEmbedding:
         return t
 
     def embed(self, a):
-        """Image in the target field of an encoding or an array of them."""
-        dig = self.source._digits_of(a)
+        """Image in the target field of an encoding or an array of them;
+        ValueError for anything else."""
+        dig = self.source._digits_of(_encodings(self.source, a))
         out = self.target._recompose((dig @ self._embed_matrix.T) % self.target.p)
         return int(out) if np.ndim(out) == 0 else out
 
     def descend(self, a):
-        """Unique source preimage, or raise NotInSubfield."""
-        dig = self.target._digits_of(a)
+        """Unique source preimage, or raise NotInSubfield; ValueError for
+        anything that is not an encoding of the target or an array of them."""
+        dig = self.target._digits_of(_encodings(self.target, a))
         sol = (dig @ self._solver.T) % self.target.p
         src_dig = sol[..., : self.source.n]
         src = self.source._recompose(src_dig)

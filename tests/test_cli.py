@@ -186,6 +186,26 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert json.loads(out.read_text())["n"] == 144
 
 
+def test_config_values_parse_as_their_flags(tmp_path, capsys):
+    # a config value goes through its flag's type, as the same text on the command line would
+    def run(config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return run_cli(["--config", str(cfg)] + argv, capsys)
+
+    build = ["build-code", "--family", "del-pezzo-6", "--field", "7", "--degree", "1", "--matrix"]
+    assert run({"seed": "1"}, build)[:2] == run({"seed": 1}, build)[:2]
+    min_dist = ["min-dist", "--family", "del-pezzo-4", "--field", "7"]
+    code, out, _ = run({"budget": "5"}, min_dist)
+    assert code == 0 and json.loads(out)["work"] == 5
+    # keys the command does not take stay ignored, its internal fields too
+    assert run({"matrix": True, "fn": 3, "command": "x"}, min_dist)[0] == 0
+    for config, argv in [({"budget": "five"}, min_dist), ({"seed": 1.5}, min_dist),
+                         ({"strategy": "fast"}, min_dist), ({"matrix": "yes"}, build[:-1])]:
+        code, _, err = run(config, argv)
+        assert code == 2 and "error:" in err
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["build-code", "--family", "nope", "--field", "7"], capsys)
     assert code == 2 and "error" in err

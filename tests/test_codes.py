@@ -408,6 +408,8 @@ SCAN_FIELDS = [
     (make_field(P31), 2, (80, 100)),
     (make_field(3, 2), 6, (0, 8)),  # w = k = 6: digit sums up to 12 in 4-bit fields
     (make_field(7, 2), 3, (0, 8)),
+    (make_field(5, 2), 3, (0, 8)),  # w = 3: two 4-bit digit fields fill a uint8
+    (make_field(3, 5), 3, (0, 8)),  # w = 3: five 3-bit fields in a uint16, digit powers up to 81
     (make_field(3, 12), 2, (4, 8)),  # digit regime, packed into 36 or 24 bits
 ]
 

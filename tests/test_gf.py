@@ -165,6 +165,19 @@ def test_embed_and_descend_scalars_match_the_array_call(case):
                 emb.descend(scalar(t))
 
 
+def test_embedding_refuses_what_is_not_an_encoding():
+    # a plain ValueError, so contains() does not read it as "not in the subfield"
+    emb = get_embedding(make_field(7), make_field(7, 3))
+    calls = [(emb.embed, -1), (emb.embed, 7), (emb.embed, np.array([0, 7])), (emb.embed, 1.0),
+             (emb.descend, -1), (emb.descend, 343), (emb.descend, np.array([[1], [-1]])),
+             (emb.contains, 343), (emb.contains, -1)]
+    for call, a in calls:
+        with pytest.raises(ValueError) as err:
+            call(a)
+        assert err.type is ValueError and "not an encoding of" in str(err.value)
+    assert emb.embed(6) == 6 and emb.contains(342) is False
+
+
 def test_embedding_preserves_multiplicative_order():
     f7, f76 = make_field(7), make_field(7, 6)
     emb = get_embedding(f7, f76)
