@@ -453,7 +453,11 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
             raise ValueError(f"config file {args.config} does not hold a JSON object")
         commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
         actions = {a.dest: a for a in commands.choices[args.command]._actions}
-        explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
+        # the flags given, as argparse read them (an abbreviation too): a
+        # second parse in which no flag has a default
+        for action in (*ap._actions, *actions.values()):
+            action.default = argparse.SUPPRESS
+        explicit = set(vars(ap.parse_args(argv)))
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if attr in actions and hasattr(args, attr) and attr not in explicit:

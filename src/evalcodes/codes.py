@@ -34,13 +34,17 @@ its rows.  Round w >= 2 runs one kernel per set, _weight_scan, which weighs
 the messages of weight w (first nonzero value 1) against a systematic
 matrix in chunks, computing only the n - k redundancy columns by machine
 adds (_AdditiveForm).  A block's codewords are prefix sums P plus v times
-the last row y, and their zeros are counted in one of two exact ways,
-chosen from q alone: below _RATIO_MIN_Q and in the digit regime, by
-comparing P against each of the q - 1 negated multiples -v y; from
-_RATIO_MIN_Q on, by one histogram of the ratios P_j / (-y_j), the single v
-that zeroes coordinate j (_ratio_weights).  The witness candidates, the
-lightest codewords of each block, are read back from the sums: the message
-on the identity columns, P + v y on the others.
+the last row y; the prefix sums come from nested broadcast adds of row
+multiples (_prefix_sums).  Coordinate j is zero for the single v =
+-P_j / y_j, or for every v where P_j = y_j = 0, so the zeros of all q - 1
+last values are counted at once, in one of two exact ways chosen from q
+alone (_zero_count): below _RATIO_MIN_Q by packed zero counters, one
+table lookup per coordinate and prefix (_ZeroCounters); from
+_RATIO_MIN_Q on by one histogram of the ratios (_ratio_weights).  Only the
+digit regime, which has no log table, compares P against each of the
+q - 1 negated multiples -v y.  The witness candidates, the lightest
+codewords of each block, are read back from the sums: the message on the
+identity columns, P + v y on the others.
 
 Budgets are counted in enumerated codewords.  A chunk runs whole or not at
 all: the first chunk that does not fit the budget left ends the run, which
@@ -53,6 +57,7 @@ not fit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,10 +74,11 @@ DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
 EXHAUSTIVE_AUTO_LIMIT = 100_000_000  # q^k above this switches auto to info-set
 _BATCH_TARGET = 1 << 21  # GF(p) coordinates of the codewords in one chunk
 # From this q on, fields with log tables count a block's zeros by ratio
-# histogram instead of comparing against each of the q - 1 last multiples.
-# Measured by information-set runs of 3*10^5 and 3*10^6 codewords on the
-# dp6 s=1 and s=2 codes: the compare is faster up to q = 13, the histogram
-# from q = 16 on (1.26 -> 1.20 s at q = 16, s = 1, 3*10^6 codewords).
+# histogram instead of packed zero counters.  Measured by information-set
+# runs of 3*10^5 and 3*10^6 codewords on the dp6 s=1 and s=2 codes: the
+# counters are faster up to q = 13 (0.44 against 0.62 s at q = 11, s = 2,
+# 3*10^6 codewords), the histogram from q = 16 on (0.88 against 1.20 s at
+# q = 16, s = 2).
 _RATIO_MIN_Q = 16
 
 
@@ -201,8 +207,11 @@ class _AdditiveForm:
     carries from one digit into the next.  The width follows from w and p
     alone.  Where m fields of b bits would exceed 63 bits, sums stay
     encodings added by FiniteField.add, which reduces every digit mod p at
-    each addition.  Sums leave this form only as encodings (value), which
-    both zero counts weigh and the witness read-back adds to.
+    each addition.  At w = 2 no sum is formed (a prefix sum is the first
+    row), and the form is the encodings themselves.  Every sum of two
+    encodings lies below span.  Sums leave this form as encodings (value),
+    which the ratio and compare counts weigh and the witness read-back adds
+    to; the packed zero counters read the sums of two encodings directly.
     """
 
     def __init__(self, fld: FiniteField, w: int):
@@ -217,6 +226,10 @@ class _AdditiveForm:
         else:
             self.add, self.dtype = fld.add, np.int64
         self._shifts = self.bits * np.arange(m)
+        self.plain = w <= 2
+        self.span = fld.q
+        if self.packed and not self.plain:
+            self.span = int(self._pack(np.full(m, 2 * (p - 1)))) + 1
         # one size-q lookup maps encodings to packed digits where the digit table exists
         self._lut = None
         if self.packed and m > 1 and fld._digits is not None:
@@ -226,6 +239,8 @@ class _AdditiveForm:
         return (digits << self._shifts).sum(axis=-1).astype(self.dtype)
 
     def of(self, enc: np.ndarray) -> np.ndarray:
+        if self.plain:
+            return enc
         if self._lut is not None:
             return self._lut[enc]
         if self.packed and self.fld.n > 1:
@@ -235,7 +250,7 @@ class _AdditiveForm:
     def value(self, sums: np.ndarray) -> np.ndarray:
         """The encodings of the values of sums, in their own dtype, which for
         odd p holds every encoding: q = p^m < 2^(m b)."""
-        if not self.packed:
+        if self.plain or not self.packed:
             return sums
         if self.fld.n == 1:
             return sums % self.fld.p
@@ -265,57 +280,149 @@ def _multiples(fld: FiniteField, values: np.ndarray, rows: np.ndarray) -> np.nda
 
 
 def _blocks(lo: int, hi: int, width: int):
-    """Split message indices [lo, hi) into blocks (prefixes, c0, c1): every
-    index prefix * width + c with c in [c0, c1), in index order."""
+    """Split message indices [lo, hi) into blocks (a, b, c0, c1): every index
+    prefix * width + c with prefix in [a, b) and c in [c0, c1), in index
+    order."""
     a, c = divmod(lo, width)
     b, d = divmod(hi, width)
     if a == b:
-        yield np.array([a]), c, d
+        yield a, a + 1, c, d
         return
     if c:
-        yield np.array([a]), c, width
+        yield a, a + 1, c, width
         a += 1
     if a < b:
-        yield np.arange(a, b), 0, width
+        yield a, b, 0, width
     if d:
-        yield np.array([b]), 0, d
+        yield b, b + 1, 0, d
 
 
-def _ratio_keys(fld: FiniteField, red: np.ndarray):
-    """Tables for counting zeros by ratio histogram (see _ratio_weights), or
-    None where the broadcast compare is used: below _RATIO_MIN_Q and in the
-    digit regime, which has no log table.
+def _prefix_sums(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: np.ndarray,
+                 a: int, b: int) -> np.ndarray:
+    """The sums [support, prefix, :] of the prefixes [a, b) on each support
+    (a row of sup, w >= 2 rows) in the additive form, each the sum of at
+    most two encodings: every position adds its multiples to the values of
+    the sums before it.
 
-    Returns (of_prefix, of_last): of_prefix[e] = log e, and per row of red
-    of_last[row, j] = q - 1 - log(-y_j), both 2q - 2 where the value is 0.
+    Prefix t fixes v_2 .. v_{w-1}, the base-(q - 1) digits of t: its sum is
+    the first row plus v_j times row j at each of those positions.  The last
+    `low` positions are nested: each adds its q - 1 multiples to every sum
+    built so far, so the sums of all their values come from broadcast adds
+    alone.  The positions before them stay fixed across a run of
+    (q - 1)^low prefixes, and each run starts from one row, the first row
+    plus its fixed multiples.  low is the most positions whose run fits in
+    [a, b): all of them for a whole support, whose block is one run.
+    """
+    g, w = sup.shape
+    q, r = fld.q, red.shape[1]
+    low = 0
+    while low < w - 2 and (q - 1) ** (low + 1) <= b - a:
+        low += 1
+    high, run = w - 2 - low, (q - 1) ** low
+    h0 = a // run
+    runs = np.arange(h0, -(-b // run))
+    sums = form.of(red[sup[:, :1]])
+    for j in range(high, 0, -1):  # the digits of each run, the fastest first
+        runs, d = np.divmod(runs, q - 1)
+        sums = form.add(form.of(form.value(sums)), form.of(_multiples(fld, d + 1, red[sup[:, j]])))
+    for j in range(high + 1, w - 1):
+        rows, at = np.unique(sup[:, j], return_inverse=True)
+        table = form.of(_multiples(fld, np.arange(1, q), red[rows]))[at]
+        nested = form.add(form.of(form.value(sums))[:, :, None, :], table[:, None, :, :])
+        sums = nested.reshape(g, sums.shape[1] * (q - 1), r)
+    return sums[:, a - h0 * run:b - h0 * run]
+
+
+def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
+    """The zero count of one scan, as weigh(prefix, last, c0, c1): the
+    nonzero counts [support, message] over the n - k coordinates of P + v y,
+    P the prefix sums [support, prefix, :] as _prefix_sums leaves them, y
+    the last rows red[last] and v = c + 1 for c in [c0, c1) (message =
+    prefix * (c1 - c0) + c - c0).
+
+    Coordinate j is zero for exactly one last value v = -P_j / y_j, or for
+    every v when P_j = y_j = 0, so the zeros of all q - 1 last values are
+    counted at once: by packed zero counters below _RATIO_MIN_Q
+    (_ZeroCounters), by a histogram of the ratios from it on
+    (_ratio_weights).  The digit regime has no log table and compares P
+    against each negated multiple -v y (_compare_weights).
     """
     q = fld.q
-    if fld._log is None or q < _RATIO_MIN_Q:
-        return None
-    of_prefix = fld._log.copy()
-    of_prefix[0] = 2 * q - 2
-    of_last = np.where(red == 0, 2 * q - 2, q - 1 - fld._log[fld.neg(red)])
-    return of_prefix, of_last
+    if fld._log is None:
+        return functools.partial(_compare_weights, fld, form, red)
+    if q >= _RATIO_MIN_Q:
+        of_prefix = fld._log.copy()
+        of_prefix[0] = 2 * q - 2
+        of_last = np.where(red == 0, 2 * q - 2, q - 1 - fld._log[fld.neg(red)])
+        return functools.partial(_ratio_weights, fld, form, of_prefix, of_last)
+    return _ZeroCounters(fld, form, red)
 
 
-def _ratio_weights(fld: FiniteField, keys, prefix: np.ndarray, last: np.ndarray,
-                   c0: int, c1: int) -> np.ndarray:
-    """Nonzero counts [support, message] over the n - k coordinates of
-    P + v y, P the prefix sums [support, prefix, :] and y the last rows
-    red[last], as encodings, for the last values v = c + 1, c in [c0, c1)
-    (message = prefix * (c1 - c0) + c - c0).
+class _ZeroCounters:
+    """The zero count by packed counters.  For a prefix sum P_j = s (the sum
+    of at most two encodings, below form.span) and y = red[row], the entry
+    counts[word, offsets[row, j] + s] holds a b-bit counter for each last
+    value v, per_word of them to a uint64 word: 1 where v zeroes coordinate
+    j.  With 2^b > n - k no counter carries into the next, so one take per
+    word, summed over the coordinates and subtracted from full (n - k in
+    every counter), holds the nonzero counts of all last values of a prefix,
+    unpacked by shift and mask.  The table has k (n - k) span words entries,
+    span below 2p for prime fields: 14.4 MB at w >= 3 for k = 8 and
+    n = 3000 over GF(13), where b = 12 and 3 words hold the 12 counters.
+    """
 
-    Coordinate j is zero exactly when v = P_j / (-y_j), or for every v when
-    P_j = y_j = 0.  So log P_j - log(-y_j) + q - 1 is binned per prefix:
-    bin q - 1 + t and bin t (t >= 1, the wrapped difference) hold the zeros
-    of the value of log t.  A zero P_j or y_j moves the key past 2q - 3, to
-    the one bin 4q - 4 when both are zero; bin 0 stays empty.
+    def __init__(self, fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
+        q = fld.q
+        k, r = red.shape
+        self.bits = max(1, r.bit_length())
+        self.per_word = 64 // self.bits
+        slot = np.arange(q - 1)
+        one_hot = np.zeros((-(-(q - 1) // self.per_word), q), dtype=np.uint64)  # [word, v]
+        one_hot[slot // self.per_word, slot + 1] = (
+            np.uint64(1) << (self.bits * (slot % self.per_word)).astype(np.uint64))
+        enc = form.value(np.arange(form.span, dtype=form.dtype))
+        by_y = one_hot[:, fld.mul(fld.neg(enc), fld._inv[:, None])]  # [word, y, P_j]
+        by_y[:, 0, enc == 0] = one_hot.sum(axis=1)[:, None]
+        self.counts = by_y[:, red].reshape(len(one_hot), -1)
+        self.offsets = (np.arange(k)[:, None] * r + np.arange(r)) * form.span
+        self.full = r * one_hot.sum(axis=1)
+        # a block's table indices and counter words, kept from block to block
+        self._at = np.empty(0, dtype=np.intp)
+        self._word = np.empty(0, dtype=np.uint64)
+
+    def __call__(self, prefix: np.ndarray, last: np.ndarray, c0: int, c1: int) -> np.ndarray:
+        g, n_pre, _ = prefix.shape
+        size = prefix.size
+        if len(self._at) < size:
+            self._at, self._word = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.uint64)
+        at = np.add(prefix, self.offsets[last][:, None, :], out=self._at[:size].reshape(prefix.shape))
+        word = self._word[:size].reshape(prefix.shape)
+        weights = np.empty((g, n_pre, c1 - c0), dtype=np.int64)
+        for t in range(c0 // self.per_word, -(-c1 // self.per_word)):
+            lo, hi = max(c0, t * self.per_word), min(c1, (t + 1) * self.per_word)
+            # every index lies in the table: clip only spares the checked
+            # mode's copy of the output
+            self.counts[t].take(at, out=word, mode="clip")
+            nonzero = (self.full[t] - word.sum(axis=-1)).view(np.int64)
+            np.right_shift(nonzero[:, :, None], self.bits * (np.arange(lo, hi) % self.per_word),
+                           out=weights[:, :, lo - c0:hi - c0])
+        weights &= (1 << self.bits) - 1
+        return weights.reshape(g, -1)
+
+
+def _ratio_weights(fld: FiniteField, form: _AdditiveForm, of_prefix: np.ndarray, of_last: np.ndarray,
+                   prefix: np.ndarray, last: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """The zero count by ratio histogram, with of_prefix[e] = log e and
+    of_last[row, j] = q - 1 - log(-y_j) for y = red[row], both 2q - 2 where
+    the value is 0.  log P_j - log(-y_j) + q - 1 is binned per prefix: bin
+    q - 1 + t and bin t (t >= 1, the wrapped difference) hold the zeros of
+    the value of log t.  A zero P_j or y_j moves the key past 2q - 3, to the
+    one bin 4q - 4 when both are zero; bin 0 stays empty.
     """
     q = fld.q
-    of_prefix, of_last = keys
     g, n_pre, r = prefix.shape
     bins = 4 * q - 3
-    key = of_prefix[prefix]
+    key = of_prefix[form.value(prefix)]
     key += of_last[last][:, None, :]
     key += (bins * np.arange(g * n_pre)).reshape(g, n_pre, 1)
     hist = np.bincount(key.reshape(-1), minlength=g * n_pre * bins).reshape(g * n_pre, bins)
@@ -324,41 +431,16 @@ def _ratio_weights(fld: FiniteField, keys, prefix: np.ndarray, last: np.ndarray,
     return (r - zeros).reshape(g, -1)
 
 
-def _block_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: np.ndarray,
-                   prefixes: np.ndarray, c0: int, c1: int, keys):
-    """Redundancy-column weights of the messages prefix * (q - 1) + c, c in
-    [c0, c1), on each support (a row of sup, w >= 2 rows), as array
-    [support, message], with the prefix sums [support, prefix, :] as
-    encodings: the redundancy part of a codeword is its prefix sum P plus
-    v y, y the last row red[sup[:, -1]].
-
-    A prefix fixes v_1 .. v_{w-1}: its sum gathers one multiple per position
-    from tables of the multiples the block uses, and becomes encodings (at
-    w = 2 it is the first row itself).  Without keys, a coordinate of a
-    codeword is zero exactly where P equals the negated multiple -v y, one
-    broadcast comparison of q - 1 multiples per block.  With keys
-    (_ratio_keys), _ratio_weights counts the zeros of all last values at
-    once, and the negated multiples are not built.
-    """
-    g, w = sup.shape
-    q = fld.q
-    if w == 2:
-        prefix = red[sup[:, :1]]
-    else:
-        vals = _message_values(prefixes * (q - 1), w, q)
-        prefix = form.of(red[sup[:, :1]])
-        for j in range(1, w - 1):
-            used, at = np.unique(vals[:, j], return_inverse=True)
-            rows, row_at = np.unique(sup[:, j], return_inverse=True)
-            table = form.of(_multiples(fld, used, red[rows]))
-            prefix = form.add(prefix, table[row_at[:, None], at[None, :]])
-        prefix = form.value(prefix)
-    if keys is not None:
-        return _ratio_weights(fld, keys, prefix, sup[:, -1], c0, c1), prefix
-    rows, row_at = np.unique(sup[:, -1], return_inverse=True)
-    neg = _multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]).astype(prefix.dtype)[row_at]
-    nonzero = prefix[:, :, None, :] != neg[:, None, :, :]
-    return nonzero.sum(axis=-1, dtype=np.int32).reshape(g, -1), prefix
+def _compare_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray,
+                     prefix: np.ndarray, last: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """The zero count by comparison: coordinate j of a codeword is zero
+    exactly where P_j equals the negated multiple -v y_j, one broadcast
+    comparison against the q - 1 multiples per block."""
+    enc = form.value(prefix)
+    rows, row_at = np.unique(last, return_inverse=True)
+    neg = _multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]).astype(enc.dtype)[row_at]
+    nonzero = enc[:, :, None, :] != neg[:, None, :, :]
+    return nonzero.sum(axis=-1, dtype=np.int32).reshape(len(enc), -1)
 
 
 def _first_codeword(ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray, vals: np.ndarray,
@@ -448,13 +530,15 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     in every part, and the scan returns False.
 
     The identity columns of a codeword hold its message, w nonzeros, so only
-    the n - k redundancy columns are computed, as sums of the multiples
-    c * row that the chunk uses (see _AdditiveForm), their zeros counted by
-    _block_weights.  The lightest codewords of each block are the witness
-    candidates: their message fills the identity columns, and their
-    redundancy columns are read back as P + v y from the block's own prefix
-    sums P, so no codeword is encoded again.  Round 1 is
-    _weight_one_round.
+    the n - k redundancy columns are computed.  A block of a chunk fixes a
+    range of prefixes (v_1 .. v_{w-1}) and of last values v: its codewords
+    are the prefix sums P (_prefix_sums, in the additive form) plus v y, y
+    the last support row, and their zeros are counted by the scan's
+    _zero_count, whose table is built once the first chunk fits the budget.
+    The lightest codewords of each block are the witness candidates: their
+    message fills the identity columns, and their redundancy columns are
+    read back as P + v y from the block's own prefix sums P, so no codeword
+    is encoded again.  Round 1 is _weight_one_round.
     """
     k, n = sysmat.shape
     q = fld.q
@@ -470,7 +554,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     ident = _identity_columns(sysmat)
     red, redundancy = np.delete(sysmat, ident, axis=1), np.delete(np.arange(n), ident)
     form = _AdditiveForm(fld, w)
-    keys = _ratio_keys(fld, red)
+    weigh = None
     spent = 0
     for c, (group, lo, hi) in enumerate(chunks):
         spent += len(group) * (hi - lo)
@@ -478,18 +562,22 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
             return False
         if c % parts != index:
             continue
+        if weigh is None:  # after the first budget check: a cut scan builds no table
+            weigh = _zero_count(fld, form, red)
         sup = np.array(group)
-        for prefixes, c0, c1 in _blocks(lo, hi, q - 1):
-            weights, prefix = _block_weights(fld, form, red, sup, prefixes, c0, c1, keys)
+        for a, b, c0, c1 in _blocks(lo, hi, q - 1):
+            prefix = _prefix_sums(fld, form, red, sup, a, b)
+            weights = weigh(prefix, sup[:, -1], c0, c1)
             weights += w
             state.update(weights.reshape(-1))
             low = int(weights.min())
             if low <= state.min_weight:
                 g, at = np.nonzero(weights == low)
                 pre, last = np.divmod(at, c1 - c0)
-                vals = _message_values(prefixes[pre] * (q - 1) + c0 + last, w, q)
+                vals = _message_values((a + pre) * (q - 1) + c0 + last, w, q)
                 def redundant(i, cols):
-                    return fld.add(prefix[g[i], pre[i], cols], fld.mul(vals[i, -1], red[sup[g[i], -1], cols]))
+                    return fld.add(form.value(prefix[g[i], pre[i], cols]),
+                                   fld.mul(vals[i, -1], red[sup[g[i], -1], cols]))
                 state.offer(_first_codeword(ident, redundancy, sup[g], vals, redundant))
     return True
 

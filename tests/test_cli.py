@@ -206,6 +206,17 @@ def test_config_values_parse_as_their_flags(tmp_path, capsys):
         assert code == 2 and "error:" in err
 
 
+def test_config_loses_to_an_abbreviated_flag(tmp_path, capsys):
+    # argparse takes --bud for --budget; the config's budget applied over it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": 5}))
+    for flag in ("--budget", "--bud", "--budget=100000"):
+        argv = [flag, "100000"] if "=" not in flag else [flag]
+        code, out, _ = run_cli(["--config", str(cfg), "min-dist", "--family", "del-pezzo-4",
+                                "--field", "7", *argv], capsys)
+        assert code == 0 and json.loads(out)["work"] == 2801
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["build-code", "--family", "nope", "--field", "7"], capsys)
     assert code == 2 and "error" in err

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_invertible
 from evalcodes import gflinalg
@@ -196,6 +196,23 @@ def test_weight_round_checks_budget_before_allocating():
         tracemalloc.stop()
     assert d.work == 12 and not d.exact
     assert peak < 64 << 20
+
+
+def test_zero_counters_are_built_within_the_budget():
+    # over GF(13) at n - k = 2992 the zero counters take 12-bit fields, 3
+    # words per entry: 7.5 MB at w = 2 (k (n - k) q words entries) and
+    # 14.4 MB at w = 3 (k (n - k) 25 words); a scan the budget cuts before
+    # its first chunk builds none
+    code = _random_code(make_field(13), 8, 3000, random.Random(13))
+    for budget, work in ((50, 8), (920, 920)):
+        tracemalloc.start()
+        try:
+            d = min_distance(code, "exhaustive", budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.work == work and not d.exact
+        assert peak < 64 << 20
 
 
 def test_weight_round_slices_large_supports():
@@ -478,8 +495,19 @@ def scan_cases(draw):
     return fld, _systematic(fld, k, redundancy, random.Random(draw(st.integers(0, 2**32)))), w
 
 
+def _zero_columns(fld, k, zero, redundancy):
+    """[I | 0 | random]: the first `zero` of the redundancy columns are zero."""
+    rest = np.random.default_rng(redundancy).integers(fld.q, size=(k, redundancy - zero))
+    return np.hstack([np.eye(k, dtype=np.int64), np.zeros((k, zero), dtype=np.int64), rest])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(scan_cases())
+# n - k = 2^b - 1 with every redundancy column zero: each zero counter
+# reaches its full range 2^b - 1; and one zero column among 63
+@example((make_field(7), _zero_columns(make_field(7), 3, 7, 7), 3))
+@example((make_field(3, 2), _zero_columns(make_field(3, 2), 4, 63, 63), 2))
+@example((make_field(13), _zero_columns(make_field(13), 3, 1, 63), 3))
 def test_weight_scan_matches_matmul_encoding(case):
     fld, sysmat, w = case
     _check_scan(fld, sysmat, w, SCAN_BUDGET)
@@ -494,6 +522,14 @@ def test_weight_scan_matches_matmul_encoding(case):
     (5, 2, 3, 1900, 3),
     # 16 digits of 6 bits exceed 63 bits: sums add by FiniteField.add instead
     (3, 12, 16, 2, 16),
+    # zero counters: n - k >= 64 takes 7-bit counters, 9 to a word, so the
+    # 10 or 12 last values span two uint64 words
+    (11, 1, 4, 70, 3),
+    (13, 1, 4, 64, 4),
+    (13, 1, 3, 0, 3),
+    # one support's 1728 messages in two slices: the nested prefix sums of
+    # ranges that start and end inside a run, over 11-bit counters in 3 words
+    (13, 1, 4, 1286, 4),
 ])
 def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w):
     fld = make_field(p, m)
