@@ -250,7 +250,7 @@ def _dstr(dist) -> str:
 def cmd_verify_paper(args) -> int:
     rows: list = []
     t = _Row(rows)
-    budget = args.budget if args.budget else DEFAULT_BUDGET
+    budget = args.budget
 
     f7 = make_field(7)
 
@@ -368,6 +368,14 @@ def _emit(args, doc):
         print(text)
 
 
+def positive_int(text: str) -> int:
+    """A flag value that counts something: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
 def _add_common(sp, *, surface_source=True):
     sp.add_argument("--field", help="field spec, e.g. 7, 7^2, 2^3/1,1,0,1")
     if surface_source:
@@ -375,9 +383,9 @@ def _add_common(sp, *, surface_source=True):
         sp.add_argument("--family", help="del-pezzo-4|del-pezzo-6|shioda|van-luijk|cayley-salmon")
         sp.add_argument("--m", type=int, help="degree for the shioda family")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=positive_int, default=DEFAULT_BUDGET,
                     help="work budget (codeword enumerations)")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=positive_int, default=1)
     sp.add_argument("--out", help="write JSON here instead of stdout")
 
 
@@ -418,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", help="C10..C14 for random-cubic searches")
     sp.add_argument("--substreams", type=int, default=1)
     sp.add_argument("--depth", type=int, default=3, help="classification depth")
-    sp.add_argument("--budget-distance", type=int, default=DEFAULT_BUDGET)
+    sp.add_argument("--budget-distance", type=positive_int, default=DEFAULT_BUDGET)
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("verify-paper", help="run the desk-scale reproduction table")

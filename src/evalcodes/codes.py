@@ -24,9 +24,9 @@ that order; its systematic matrix is B_i^-1 G, B_i the generator on those
 columns, with every B_i inverted in one stacked elimination
 (_information_sets).
 
-After `swept` complete rounds the certified lower bound is
-sum(max(0, swept + 1 - (k - r_i))), or 1 when swept = 0; that is swept + 1
-for the exhaustive sweep.  A completed run takes lower = upper.
+With w_i the last round set i finished, the certified lower bound is
+sum(max(0, w_i + 1 - (k - r_i))) over the sets with w_i >= 1, or 1 with none;
+w_0 + 1 for the exhaustive sweep, one set.  A completed run takes lower = upper.
 
 The systematic matrices are one stack, and round 1 weighs the rows of every
 set in one pass (_weight_one_round): the weight-1 codewords of a set are
@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FiniteField, batched
+from .gf import FiniteField, batched, field_spec_string
 from . import gflinalg
 from .poly import HomogPoly, monomials
 from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows, normalizing_scalars
@@ -493,8 +493,8 @@ def _weight_one_round(fld: FiniteField, sysmats: np.ndarray, state: _SweepState,
     of _chunk_rows rows, chunk c of each set to worker c mod W, and the
     budget cut in serial order (set by set, chunk by chunk), which ends the
     round at the first chunk that does not fit.  The lexicographically first
-    of the lightest rows taken is offered.  Returns whether every set's
-    round ran.
+    of the lightest rows taken is offered.  Returns the number of sets whose
+    round ran whole, the first ones in serial order.
     """
     sets, k, n = sysmats.shape
     index, parts = part
@@ -512,7 +512,7 @@ def _weight_one_round(fld: FiniteField, sysmats: np.ndarray, state: _SweepState,
     if taken.any():
         at, row = np.nonzero(taken & (weights == weights[taken].min()))
         state.offer(np.array(min(sysmats[at, row].tolist())))
-    return sets * k <= budget
+    return min(sets, max(0, budget // k))
 
 
 def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepState, budget: int,
@@ -583,39 +583,41 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
 
 
 def _rounds(fld: FiniteField, sysmats: np.ndarray, ranks, state: _SweepState, budget: int,
-            stop: bool = False, part: tuple[int, int] = (0, 1)) -> int:
-    """Weight rounds w = 1..k over the sets, their systematic matrices stacked
-    in sysmats and their relative ranks in ranks; returns the last round
-    every set completed.  Round 1 weighs the rows of all sets in one pass
-    (_weight_one_round); each later round runs one _weight_scan per set,
-    with the budget left by all parts' scans before it.  With stop, the
-    rounds end once the lower bound meets the running minimum weight."""
+            stop: bool = False, part: tuple[int, int] = (0, 1)) -> tuple[int, int]:
+    """Weight rounds w = 1..k over the sets, systematic matrices sysmats and
+    relative ranks ranks; returns the progress (w, j): every set finished round
+    w, the first j sets round w + 1 too.  Round 1 weighs all sets in one pass
+    (_weight_one_round), each later round runs one _weight_scan per set with
+    the budget left by all parts' scans before it.  With stop, the rounds end
+    at the first scan before which the bound meets the running minimum weight."""
     sets, k, _ = sysmats.shape
-    if not _weight_one_round(fld, sysmats, state, budget, part):
-        return 0
+    done = _weight_one_round(fld, sysmats, state, budget, part)
+    if done < sets:
+        return 0, done
     spent = sets * k
     for w in range(2, k + 1):
-        if stop and _lower_bound(k, ranks, w - 1) >= state.min_weight:
-            return w - 1
-        for sysmat in sysmats:
+        for j, sysmat in enumerate(sysmats):
+            if stop and _lower_bound(k, ranks, (w - 1, j)) >= state.min_weight:
+                return w - 1, j
             if not _weight_scan(fld, sysmat, w, state, budget - spent, part):
-                return w - 1
+                return w - 1, j
             spent += math.comb(k, w) * (fld.q - 1) ** (w - 1)
-    return k
+    return k, 0
 
 
-def _lower_bound(k: int, ranks, swept: int) -> int:
-    """Brouwer-Zimmermann: a codeword no round found has over swept nonzeros on
-    each set, so at least swept + 1 - (k - r_i) on the r_i columns it adds."""
-    if swept == 0:
-        return 1
-    return sum(max(0, swept + 1 - (k - r_i)) for r_i in ranks)
+def _lower_bound(k: int, ranks, progress: tuple[int, int]) -> int:
+    """Brouwer-Zimmermann at progress (w, j): a codeword no round found has over
+    w_i nonzeros on set i (w + 1 for the first j sets, w for the others), so at
+    least w_i + 1 - (k - r_i) on the r_i columns it adds; 1 if no w_i >= 1."""
+    swept = progress[0] + (np.arange(len(ranks)) < progress[1])
+    gain = np.maximum(0, swept + 1 - (k - np.asarray(ranks)))
+    return max(1, int(gain[swept > 0].sum()))
 
 
 def _sweep(args) -> tuple[_SweepState, int]:
     fld, matrix, budget, part = args
     state = _SweepState(matrix.shape[1])
-    return state, _rounds(fld, matrix[None], [len(matrix)], state, budget, part=part)
+    return state, _rounds(fld, matrix[None], [len(matrix)], state, budget, part=part)[0]
 
 
 def exhaustive_sweep(
@@ -769,10 +771,10 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     return sysmats, ranks
 
 
-def _distance_result(code: LinearCode, ranks, state: _SweepState, swept: int, method: str) -> DistanceResult:
-    """The certified interval after `swept` complete rounds over sets of relative ranks `ranks`."""
+def _distance_result(code: LinearCode, ranks, state: _SweepState, progress, method: str) -> DistanceResult:
+    """The certified interval at the progress (w, j) of _rounds over sets of relative ranks `ranks`."""
     upper = min(state.min_weight, code.n)
-    lower = upper if swept == code.k else max(1, min(_lower_bound(code.k, ranks, swept), upper))
+    lower = upper if progress[0] == code.k else min(_lower_bound(code.k, ranks, progress), upper)
     witness = np.array(state.witness, dtype=np.int64) if state.witness else None
     return DistanceResult(lower, upper, lower == upper, witness, method, state.work)
 
@@ -800,9 +802,9 @@ def information_set_distance(
     state = _SweepState(code.n)
     if hint is not None:  # before the scan: the early stop reads it
         state.offer(hint)
-    swept = _rounds(code.fld, sysmats, ranks, state, budget, stop=True)
+    progress = _rounds(code.fld, sysmats, ranks, state, budget, stop=True)
     method = "information-set" + ("+geometric-witness" if hint is not None else "")
-    return _distance_result(code, ranks, state, swept, method)
+    return _distance_result(code, ranks, state, progress, method)
 
 
 def min_distance(
@@ -830,7 +832,7 @@ def min_distance(
     if hint is not None:
         state.offer(hint)
     method = "exhaustive" if swept == code.k else "exhaustive-partial"
-    return _distance_result(code, [code.k], state, swept, method)
+    return _distance_result(code, [code.k], state, (swept, 0), method)
 
 
 @dataclass
@@ -962,8 +964,6 @@ def code_document(
     include_matrix: bool = False,
 ) -> dict:
     """The JSON document shape used by the CLI and logs."""
-    from .gf import field_spec_string
-
     doc = {
         "field": field_spec_string(code.fld),
         "n": code.n,

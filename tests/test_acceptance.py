@@ -94,9 +94,9 @@ def test_criterion_3_dp6_s2(dp6_q7, dp6_q8, dp6_q9):
 @pytest.mark.slow
 def test_criterion_3_dp6_s2_slow_certification(dp6_q7):
     # 10^10-codeword budget: completes weight-6 rounds on the four
-    # information sets (ranks 19, 19, 17, 2; lower bound 19), but weight 7
-    # would bring the total to ~1.03e10, so the accepted outcome is the
-    # certified interval [19, 27]
+    # information sets (ranks 19, 19, 17, 2) and weight 7 on the first
+    # three, but the fourth's weight 7 would bring the total to ~1.03e10,
+    # so the accepted outcome is the certified interval [22, 27]
     code = build_code(dp6_q7, 2)
     wit = geometric_witness_dp6(dp6_q7)
     dist = min_distance(code, "information-set", budget=10_000_000_000,

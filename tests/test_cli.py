@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import evalcodes
 from evalcodes.cli import main
 from evalcodes.families import del_pezzo4_fixture
@@ -231,6 +233,27 @@ def test_input_errors_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["search", "--family", "cayley-salmon", "--field", "7",
                             "--target", "C14", "--budget", "1"], capsys)
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["min-dist", "--family", "del-pezzo-4", "--field", "7", "--budget", "-5"],
+    ["min-dist", "--family", "del-pezzo-4", "--field", "7", "--workers", "-3"],
+    ["min-dist", "--family", "del-pezzo-4", "--field", "7", "--workers", "0"],
+    ["verify-paper", "--budget", "0"],
+    ["search", "--field", "5", "--budget", "1", "--budget-distance", "0"],
+])
+def test_counts_below_one_exit_2(argv, tmp_path, capsys):
+    # on the command line argparse refuses the value before any work starts
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid positive_int value" in capsys.readouterr().err
+    # the same value from a config file
+    flag, value = argv[-2:]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:]: int(value)}))
+    code, out, err = run_cli(["--config", str(cfg), *argv[:-2]], capsys)
+    assert code == 2 and out == "" and "invalid positive_int value" in err
 
 
 def test_console_entry_point():

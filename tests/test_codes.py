@@ -17,6 +17,7 @@ from evalcodes.codes import (
     _SweepState,
     _identity_columns,
     _information_sets,
+    _lower_bound,
     _rounds,
     _weight_one_round,
     _weight_scan,
@@ -577,8 +578,8 @@ def test_rounds_match_matmul_encoding(case):
     k, n = matrix.shape
     per_set = [math.comb(k, u) * (fld.q - 1) ** (u - 1) for u in range(1, w + 1)]
     state = _SweepState(n)
-    # the budget ends the rounds exactly after round w
-    assert _rounds(fld, sysmats, ranks, state, len(sysmats) * sum(per_set)) == w
+    # the budget ends the rounds exactly after round w of every set
+    assert _rounds(fld, sysmats, ranks, state, len(sysmats) * sum(per_set)) == (w, 0)
     histogram, best = np.zeros(n + 1, dtype=np.int64), (n + 1, None)
     for sysmat in sysmats:
         for u, count in enumerate(per_set, start=1):
@@ -604,11 +605,60 @@ def test_weight_one_round_budget_cut_and_worker_split(dp6_q8, workers, works):
 
 def test_weight_one_round_budget_cut_over_information_sets():
     # 354 sets of 7 rows over GF(49), each set's round one chunk: the cut
-    # falls between sets, and only a completed round raises the bound
+    # falls between sets, and each of the first 346 sets, of rank 7, raises
+    # the bound by 2 as its round ends; the last eight, of ranks 4 and 1,
+    # add nothing
     code = build_code(del_pezzo6(frobenius_orbit(make_field(7, 2), seed=1)), 1)
     got = [(d.lower, d.upper, d.work)
-           for d in (min_distance(code, "isd", budget) for budget in (6, 7, 700, 2477, 2478))]
-    assert got == [(1, 2451, 0), (1, 2351, 7), (1, 2351, 700), (1, 2351, 2471), (692, 2351, 2478)]
+           for d in (min_distance(code, "isd", budget) for budget in (6, 7, 13, 700, 2477, 2478))]
+    assert got == [(1, 2451, 0), (2, 2351, 7), (2, 2351, 7), (200, 2351, 700), (692, 2351, 2471),
+                   (692, 2351, 2478)]
+
+
+def _credited_bound(q, k, ranks, budget):
+    """The lower bound of an information-set run cut by `budget`, from the
+    message counts alone: the (round, set) scans of C(k, w) (q - 1)^(w - 1)
+    messages each are walked in serial order, and each one that fits the
+    budget left credits its round to its set."""
+    rounds = [0] * len(ranks)
+    for w, i in itertools.product(range(1, k + 1), range(len(ranks))):
+        budget -= math.comb(k, w) * (q - 1) ** (w - 1)
+        if budget < 0:
+            break
+        rounds[i] = w
+    return max(1, sum(max(0, u + 1 - (k - r)) for u, r in zip(rounds, ranks) if u))
+
+
+@st.composite
+def cut_runs(draw):
+    """Random codes with k = 2..5 and n <= 16, and a budget that ends on a
+    (round, set) edge of their run or one codeword before it."""
+    fld = draw(st.sampled_from([make_field(2), make_field(3), make_field(2, 2), make_field(7)]))
+    k = draw(st.integers(2, 5))
+    code = _random_code(fld, k, draw(st.integers(k + 1, 16)), random.Random(draw(st.integers(0, 2**32))))
+    ranks = _information_sets(fld, code.matrix)[1]
+    edges = itertools.accumulate(math.comb(k, w) * (fld.q - 1) ** (w - 1)
+                                 for w in range(1, k + 1) for _ in ranks)
+    return code, ranks, draw(st.sampled_from([0, *edges])) - draw(st.integers(0, 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(cut_runs())
+def test_lower_bound_credits_each_set_as_it_finishes(case):
+    code, ranks, budget = case
+    fld, k = code.fld, code.k
+    exact = min_distance(code, "exhaustive").d
+    # without the early stop the rounds run to the budget's edge in every round
+    state = _SweepState(code.n)
+    progress = _rounds(fld, _information_sets(fld, code.matrix)[0], ranks, state, budget)
+    bound = _lower_bound(k, ranks, progress)
+    assert bound == _credited_bound(fld.q, k, ranks, budget)
+    assert min(bound, state.min_weight) <= exact <= state.min_weight
+    # with it the run may end sooner, once the bound meets the upper bound,
+    # which the count-only bound, at least as far along, meets as well
+    d = information_set_distance(code, budget=budget)
+    assert d.lower <= exact <= d.upper
+    assert d.lower == (d.upper if progress == (k, 0) else min(bound, d.upper))
 
 
 # -- information sets ----------------------------------------------------------------

@@ -89,12 +89,12 @@ def _check_truncated_isd_witness(tag, spec, interval):
 
 
 def test_truncated_isd_witness_matches_golden():
-    _check_truncated_isd_witness("q9", "3^2", (12, 53, 194_370))
+    _check_truncated_isd_witness("q9", "3^2", (15, 53, 194_370))
 
 
 @pytest.mark.parametrize("tag, spec, interval", [
     ("q7", "7", (10, 27, 180_436)),
-    ("q8", "2^3", (9, 39, 196_004)),
+    ("q8", "2^3", (12, 39, 196_004)),
 ])
 def test_truncated_isd_witness_matches_golden_over_more_fields(tag, spec, interval):
     _check_truncated_isd_witness(tag, spec, interval)
@@ -106,16 +106,26 @@ def test_long_code_isd_witness_matches_golden():
     code = build_code(del_pezzo6(frobenius_orbit(parse_field_spec("7^2"), seed=1)), 1)
     _, ranks = _information_sets(code.fld, code.matrix)
     assert (len(ranks), ranks[-6:]) == (354, [4, 4, 4, 4, 4, 1])
-    _check_isd_witness("min_dist_dp6_q49_s1_isd_budget50k", code, None, 50_000, (692, 2351, 49_854))
+    _check_isd_witness("min_dist_dp6_q49_s1_isd_budget50k", code, None, 50_000, (739, 2351, 49_854))
 
 
 @pytest.mark.parametrize("tag, spec, interval", [
-    ("q37", "37", (594, 1331, 299_508)),
-    ("q32", "2^5", (445, 991, 299_997)),
+    ("q37", "37", (597, 1331, 299_508)),
+    ("q32", "2^5", (450, 991, 299_997)),
 ])
 def test_long_code_weight_three_isd_witness_matches_golden(tag, spec, interval):
     code = build_code(del_pezzo6(frobenius_orbit(parse_field_spec(spec), seed=1)), 1)
     _check_isd_witness(f"min_dist_dp6_{tag}_s1_isd_budget300k", code, None, 300_000, interval)
+
+
+def test_c12_isd_stops_within_a_round(c12_sample):
+    # the paper's [64, 10, 38] code over GF(7): after round 5 of every set
+    # the bound is 5 * 6 + 5 + 1 = 36; the first two sets' round 6 raise it
+    # to 38, the weight of the lightest codeword found, and the run stops
+    # there, with five sets of round 6 left unenumerated
+    code = build_code(c12_sample.surface, 2)
+    assert _information_sets(code.fld, code.matrix)[1] == [10] * 5 + [9, 5]
+    _check_isd_witness("min_dist_c12_q7_s2", code, None, 20_000_000, (38, 38, 5_901_784))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
