@@ -13,16 +13,11 @@ from .projective import (
     BudgetExceeded,
     SectionScan,
     Surface,
-    component_search,
     count_rational_points,
     enumerate_points,
-    fq_general_check,
-    hyperplane_section,
-    ideal_degree_part,
     lines_on_surface,
     rational_points,
     section_scan,
-    singular_points,
     surface_from_text,
     surface_to_text,
 )
@@ -33,7 +28,6 @@ from .codes import (
     WeightEnumerator,
     apply_projective_transform,
     build_code,
-    equivalence_evidence,
     min_distance,
     weight_enumerator,
 )
@@ -49,17 +43,14 @@ from .bounds import (
     optimal_g1_count,
     predicted_Nr,
     sectional_genus_hypersurface,
-    sv_plane_bound,
 )
 from .families import (
     ClassificationResult,
     DegenerateInput,
     FrobeniusOrbit,
-    cayley_salmon_c12,
     classify_cubic,
     del_pezzo4_fixture,
     del_pezzo6,
-    dp6_quadric_ideal,
     frobenius_orbit,
     geometric_witness_dp6,
     random_cubic_search,

@@ -41,13 +41,9 @@ class BoundValue:
 
     value: int
     assumptions: tuple[str, ...] = ()
-    valid: bool | None = None  # None = not applicable / nothing checkable
 
     def to_json(self):
-        out = {"value": self.value, "assumptions": list(self.assumptions)}
-        if self.valid is not None:
-            out["valid"] = self.valid
-        return out
+        return {"value": self.value, "assumptions": list(self.assumptions)}
 
 
 NS_ASSUMPTION = "hyperplane section class generates NS(X) over F_q"
@@ -72,14 +68,6 @@ def ns_alarm(observed_n_minus_d1: int, q: int, pi: int) -> bool:
     """True when n - d_1 exceeds the genus bound: some hyperplane section is
     reducible and the hyperplane class cannot generate NS(X)."""
     return observed_n_minus_d1 > hws_bound(q, pi)
-
-
-def sv_plane_bound(q: int, deg: int, g: int) -> BoundValue:
-    """((2g - 2) + (q + 2)*deg) / 2 point bound for an absolutely irreducible
-    plane curve; only valid once deg <= sqrt(q), recorded in the flag."""
-    value = ((2 * g - 2) + (q + 2) * deg) // 2
-    return BoundValue(value, ("curve absolutely irreducible and Frobenius-classical",),
-                      valid=deg * deg <= q)
 
 
 # -- cubic surface classes and their point-count predictions --------------------

@@ -102,9 +102,6 @@ class LinearCode:
         if not np.array_equal(gflinalg.nonzero_rows(self.fld, self.matrix), self.matrix):
             raise ValueError("generator matrix must be a full-rank RREF matrix")
 
-    def params(self) -> tuple[int, int]:
-        return self.n, self.k
-
     def contains_word(self, word) -> bool:
         """Whether word is a codeword; False for anything that is not a
         length-n vector of encodings in [0, q)."""
@@ -923,37 +920,6 @@ def apply_projective_transform(code: LinearCode, transform) -> tuple[LinearCode,
     if not witness.verify(fld, code.matrix, new_code.matrix):
         raise AssertionError("monomial witness failed to verify (unreachable)")
     return new_code, witness
-
-
-@dataclass
-class EquivalenceEvidence:
-    verdict: str  # "distinct" | "possibly-equivalent"
-    reason: str
-
-    @property
-    def distinct(self) -> bool:
-        return self.verdict == "distinct"
-
-
-def equivalence_evidence(
-    c1: LinearCode, c2: LinearCode, budget: int = DEFAULT_ENUMERATOR_BUDGET
-) -> EquivalenceEvidence:
-    """Invariant-based evidence only: (n, k) and weight enumerators.
-
-    This can separate codes but never certifies equivalence.
-    """
-    if c1.fld is not c2.fld:
-        raise ValueError("codes live over different fields")
-    if c1.params() != c2.params():
-        return EquivalenceEvidence("distinct", "(n, k) differ")
-    try:
-        w1 = weight_enumerator(c1, budget)
-        w2 = weight_enumerator(c2, budget)
-    except BudgetExceeded:
-        return EquivalenceEvidence("possibly-equivalent", "enumerators not computed (budget)")
-    if not np.array_equal(w1.counts, w2.counts):
-        return EquivalenceEvidence("distinct", "weight enumerators differ")
-    return EquivalenceEvidence("possibly-equivalent", "all computed invariants agree")
 
 
 def code_document(

@@ -281,29 +281,6 @@ def _cayley_salmon_surface(fld: FiniteField, l_coeffs, m_coeffs) -> Surface:
     )
 
 
-def cayley_salmon_c12(
-    fld: FiniteField,
-    l_coeffs,
-    m_coeffs,
-    *,
-    classify_depth: int = 3,
-    screen_depth: int = 3,
-) -> C12Sample:
-    """Cubic surface from the triple-conjugate-plane normal form, classified.
-
-    l_coeffs: three GF(q^3) encodings (the x, y, z coefficients of L);
-    m_coeffs: four GF(q^2) encodings (the x, y, z, w coefficients of M).
-    The two sides expand over GF(q^6); the difference has Frobenius-fixed
-    coefficients by construction and is descended to GF(q), asserted.  The
-    classification is unrestricted: the family also contains other classes.
-    """
-    surface = _cayley_salmon_surface(fld, l_coeffs, m_coeffs)
-    classification = classify_cubic(
-        surface, classify_depth, screen_depth=screen_depth, max_enum=_SEARCH_MAX_ENUM
-    )
-    return C12Sample(surface, classification)
-
-
 # -- seeded searches -------------------------------------------------------------------------
 
 
@@ -527,22 +504,6 @@ def del_pezzo6(orbit: FrobeniusOrbit) -> Surface:
         family="del-pezzo-6", parametrization=param,
         label=f"del-pezzo-6-q{fld.q}",
     )
-
-
-def dp6_quadric_ideal(surface: Surface) -> list[HomogPoly]:
-    """The 9 independent quadrics in the ambient P^6 vanishing on the image.
-
-    Computed as the kernel of (quadric monomials in the 7 cubics) -> sextics.
-    """
-    param = surface.parametrization
-    if not isinstance(param, DelPezzo6Parametrization):
-        raise ValueError("expects a del-pezzo-6 surface")
-    fld = surface.fld
-    kernel = gflinalg.kernel_basis(fld, param.degree2_products().T)
-    quadrics = [HomogPoly.from_coeff_vector(fld, 7, 2, monomials(7, 2), row) for row in kernel]
-    if len(quadrics) != 9:
-        raise AssertionError(f"image ideal has {len(quadrics)} quadrics, expected 9")
-    return quadrics
 
 
 @dataclass

@@ -479,7 +479,6 @@ class RelativeBasis:
 
     def __init__(self, emb: FieldEmbedding):
         src, tgt = emb.source, emb.target
-        self.emb = emb
         self.r = tgt.n // src.n
         prime = make_field(tgt.p)
         # column (i*src.n + a) holds the prime digits of embed(x^a) * g^i
@@ -493,8 +492,8 @@ class RelativeBasis:
                 gpow = tgt.mul(gpow, tgt.p)
         from . import gflinalg  # local import; gflinalg depends on gf
 
-        self._to_digits = np.stack(cols, axis=1) % tgt.p  # (tgt.n, tgt.n)
-        self._from_digits = gflinalg.invert(prime, self._to_digits)
+        to_digits = np.stack(cols, axis=1) % tgt.p  # (tgt.n, tgt.n)
+        self._from_digits = gflinalg.invert(prime, to_digits)
         self.src = src
         self.tgt = tgt
 
@@ -504,12 +503,6 @@ class RelativeBasis:
         sol = (dig @ self._from_digits.T) % self.tgt.p
         shaped = sol.reshape(sol.shape[:-1] + (self.r, self.src.n))
         return shaped @ self.src._pow_p
-
-    def from_coords(self, coords) -> np.ndarray:
-        coords = np.asarray(coords, dtype=np.int64)
-        dig = self.src._digits_of(coords).reshape(coords.shape[:-1] + (self.tgt.n,))
-        out = (dig @ self._to_digits.T) % self.tgt.p
-        return out @ self.tgt._pow_p
 
 
 _FIELD_CACHE: dict[tuple, FiniteField] = {}

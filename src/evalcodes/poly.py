@@ -214,24 +214,6 @@ class HomogPoly:
         """Pull every coefficient back along emb; raises NotInSubfield."""
         return self.map_coefficients(emb.descend, emb.source)
 
-    def substitute(self, images: list["HomogPoly"]) -> "HomogPoly":
-        """Compose with x_i -> images[i]; images share a ring and a degree."""
-        if len(images) != self.nvars:
-            raise ValueError("need one image per variable")
-        tgt = images[0]
-        for im in images:
-            tgt._compat(im)
-        f, nv = tgt.field, tgt.nvars
-        img_deg = images[0].degree
-        acc = HomogPoly.zero(f, nv, self.degree * img_deg)
-        for exps, c in self.terms.items():
-            part = HomogPoly(f, nv, 0, {(0,) * nv: c})
-            for i, e in enumerate(exps):
-                if e:
-                    part = part * images[i] ** e
-            acc = acc + part
-        return acc
-
     # -- evaluation -----------------------------------------------------------------
 
     def eval_at(self, coords) -> int:
@@ -262,42 +244,6 @@ class HomogPoly:
             t = np.full(pts.shape[0], c, dtype=np.int64) if t is None else f.mul(t, c)
             acc = f.add(acc, t)
         return acc
-
-    # -- divisibility ------------------------------------------------------------------
-
-    def divide_exact(self, g: "HomogPoly") -> "HomogPoly | None":
-        """Quotient if g divides self exactly, else None.
-
-        Division by a single polynomial in the descending-lex order: the first
-        lead term not divisible by g's lead term certifies a nonzero remainder.
-        """
-        self._compat(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return HomogPoly.zero(self.field, self.nvars, max(self.degree - g.degree, 0))
-        if self.degree < g.degree:
-            return None
-        f = self.field
-        g_lead = max(g.terms)
-        g_lead_inv = f.inv(g.terms[g_lead])
-        rem = dict(self.terms)
-        quot: dict[tuple[int, ...], int] = {}
-        while rem:
-            lead = max(rem)
-            diff = tuple(a - b for a, b in zip(lead, g_lead))
-            if any(d < 0 for d in diff):
-                return None
-            c = f.mul(rem[lead], g_lead_inv)
-            quot[diff] = c
-            for e2, c2 in g.terms.items():
-                e = tuple(a + b for a, b in zip(diff, e2))
-                v = f.sub(rem.get(e, 0), f.mul(c, c2))
-                if v:
-                    rem[e] = v
-                else:
-                    rem.pop(e, None)
-        return HomogPoly(f, self.nvars, self.degree - g.degree, quot)
 
 
 # -- fast evaluation over full affine grids ------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from .gf import FiniteField, get_embedding, make_field
 from . import gflinalg
-from .poly import GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks, monomials
+from .poly import GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks
 
 DEFAULT_POINT_BUDGET = 20_000_000
 
@@ -207,9 +207,6 @@ class Surface:
             if self.generators[0].degree != self.degree:
                 raise ValueError("hypersurface degree does not match its generator")
 
-    def is_hypersurface(self) -> bool:
-        return len(self.generators) == 1
-
     def points(self, extension_field: FiniteField | None = None) -> np.ndarray:
         if self.parametrization is not None and hasattr(self.parametrization, "image_points"):
             if extension_field is not None:
@@ -260,31 +257,6 @@ def section_scan(surface: Surface, *, max_witnesses: int = 16) -> SectionScan:
     return SectionScan(hist, max_count, witnesses, len(hyps))
 
 
-def hyperplane_section(surface: Surface, hyperplane) -> HomogPoly:
-    """The ternary form cutting X ∩ V(H) inside H ≅ P², for X ⊂ P³.
-
-    Solves H = 0 for its rightmost nonzero variable and substitutes into the
-    defining form.
-    """
-    if surface.ambient != 3 or not surface.is_hypersurface():
-        raise ValueError("hyperplane_section expects a hypersurface in P^3")
-    fld = surface.fld
-    h = np.asarray(hyperplane, dtype=np.int64)
-    if h.shape != (4,) or not h.any():
-        raise ValueError("hyperplane must be a nonzero length-4 coefficient vector")
-    pivot = int(np.max(np.nonzero(h)[0]))
-    others = [i for i in range(4) if i != pivot]
-    inv = fld.inv(int(h[pivot]))
-    images = []
-    for i in range(4):
-        if i != pivot:
-            images.append(HomogPoly.variable(fld, 3, others.index(i)))
-        else:
-            coeffs = [fld.neg(fld.mul(int(h[j]), inv)) for j in others]
-            images.append(HomogPoly.linear(fld, coeffs))
-    return surface.generators[0].substitute(images)
-
-
 def enumerate_lines(fld: FiniteField, r: int) -> np.ndarray:
     """All lines of P^r(F_q) as (L, 2, r+1) canonical RREF bases."""
     q = fld.q
@@ -330,30 +302,6 @@ def lines_on_surface(surface: Surface, *, max_lines: int = 2_000_000) -> np.ndar
             sample = v if c is None else fld.add(u, fld.mul(c, v))
             lines = lines[g.eval_points(sample) == 0]
     return lines
-
-
-def component_search(curve: HomogPoly, max_factor_degree: int, *, max_candidates: int = 300_000) -> list[HomogPoly]:
-    """Exhaustive low-degree factor search by trial division.
-
-    Returns every homogeneous factor of degree <= max_factor_degree over the
-    curve's own coefficient field, one representative per scalar class.  An
-    empty list certifies that no such factor exists over this field.
-    """
-    fld = curve.field
-    out: list[HomogPoly] = []
-    for d in range(1, min(max_factor_degree, curve.degree) + 1):
-        basis = monomials(curve.nvars, d)
-        n_cand = projective_space_size(fld.q, len(basis) - 1)
-        if n_cand > max_candidates:
-            raise BudgetExceeded(
-                f"{n_cand} degree-{d} candidates exceeds budget {max_candidates}"
-            )
-        cand_rows = enumerate_points(fld, len(basis) - 1, max_points=max_candidates)
-        for row in cand_rows:
-            g = HomogPoly.from_coeff_vector(fld, curve.nvars, d, basis, row)
-            if curve.divide_exact(g) is not None:
-                out.append(g)
-    return out
 
 
 def _root_tables(fld: FiniteField, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -488,86 +436,6 @@ def level_scan(
             bad.append(coords[sing])
     pts = np.concatenate(bad, axis=0) if bad else np.zeros((0, surface.ambient + 1), dtype=np.int64)
     return count, pts
-
-
-def singular_points(
-    surface: Surface,
-    max_extension_degree: int = 3,
-    *,
-    max_enum: int = 500_000_000,
-) -> dict[int, np.ndarray]:
-    """Points of X over F_{q^r}, r <= R, where the Jacobian drops rank.
-
-    An empty result is heuristic smoothness evidence only (labelled by the
-    screening level), not a closure-level certificate.
-    """
-    return {
-        r: level_scan(surface, r, max_enum=max_enum)[1]
-        for r in range(1, max_extension_degree + 1)
-    }
-
-
-def ideal_degree_part(gens: list[HomogPoly], ell: int):
-    """Reduced basis of {monomial * generator} products in degree ell.
-
-    Correct as the ideal's degree-ell part whenever the ideal is generated in
-    degrees <= ell; that assumption is the caller's and is echoed in the
-    returned note.
-    """
-    if not gens:
-        raise ValueError("need at least one generator")
-    fld = gens[0].field
-    nvars = gens[0].nvars
-    basis = monomials(nvars, ell)
-    rows = []
-    for g in gens:
-        if g.degree > ell:
-            continue
-        for mono in monomials(nvars, ell - g.degree):
-            prod = g * HomogPoly(fld, nvars, ell - g.degree, {mono: 1})
-            rows.append(prod.coeff_vector(basis))
-    if not rows:
-        mat = np.zeros((0, len(basis)), dtype=np.int64)
-    else:
-        mat = gflinalg.nonzero_rows(fld, np.stack(rows))
-    note = f"assumes ideal generated in degrees <= {ell}"
-    return mat, basis, note
-
-
-@dataclass
-class GeneralityVerdict:
-    ell: int
-    kernel_dim: int
-    ideal_dim: int
-
-    @property
-    def holds(self) -> bool:
-        return self.kernel_dim == self.ideal_dim
-
-
-def fq_general_check(surface: Surface, m: int) -> list[GeneralityVerdict]:
-    """Per-degree check that forms vanishing on X(F_q) already vanish on X.
-
-    Compares, for each ell <= m, the kernel of the degree-ell evaluation map
-    on X(F_q) with the ideal's degree-ell part built from the generators.
-    """
-    fld = surface.fld
-    pts = surface.points()
-    out = []
-    for ell in range(1, m + 1):
-        basis = monomials(surface.ambient + 1, ell)
-        if len(pts):
-            ev = np.stack([
-                HomogPoly(fld, surface.ambient + 1, ell, {mono: 1}).eval_points(pts)
-                for mono in basis
-            ])
-            kernel_dim = len(basis) - gflinalg.rank(fld, ev)
-        else:
-            kernel_dim = len(basis)
-        ideal_mat, _, _ = ideal_degree_part(surface.generators, ell) if surface.generators else (
-            np.zeros((0, len(basis)), dtype=np.int64), basis, "")
-        out.append(GeneralityVerdict(ell, kernel_dim, len(ideal_mat)))
-    return out
 
 
 # -- surface text format -------------------------------------------------------

@@ -35,9 +35,9 @@ from evalcodes.gf import make_field
 from evalcodes.poly import HomogPoly, monomials
 from evalcodes.projective import (
     count_rational_points,
+    level_scan,
     lines_on_surface,
     section_scan,
-    singular_points,
 )
 
 
@@ -306,7 +306,7 @@ def test_criterion_10_desk_scale_replacements(f7, dp6_q9):
         # sample is screened smooth and the alarm is silent
         assert code.k + dist.d <= code.n + 1
         report = build_bound_report(7, 3, code.n, {1: (dist.d, True)})
-        smooth = all(len(v) == 0 for v in singular_points(surf, 1).values())
+        smooth = len(level_scan(surf, 1)[1]) == 0
         if smooth and not report.ns_alarm:
             assert report.verdicts[1]
     _ok("criterion-10", "interval reporting and sample-independent properties in place")

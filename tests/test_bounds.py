@@ -19,7 +19,6 @@ from evalcodes.bounds import (
     predicted_Nr,
     ramanujan_sum,
     sectional_genus_hypersurface,
-    sv_plane_bound,
 )
 
 TABLE_N1_Q7 = {"C10": 43, "C11": 36, "C12": 64, "C13": 50, "C14": 57}
@@ -121,15 +120,6 @@ def test_sectional_genus():
     assert sectional_genus_hypersurface(6) == 10
     with pytest.raises(ValueError):
         sectional_genus_hypersurface(0)
-
-
-def test_sv_plane_bound():
-    b = sv_plane_bound(7, 6, 7)
-    assert b.value == 33 and b.valid is False  # 6 > sqrt(7)
-    b49 = sv_plane_bound(49, 6, 7)
-    assert b49.value == 159 and b49.valid is True
-    for q in (49, 64, 81):
-        assert sv_plane_bound(q, 6, 7).value == 3 * q + 12
 
 
 def test_optimal_g1_counts():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import evalcodes
+from evalcodes import cli
 from evalcodes.cli import main
 from evalcodes.families import del_pezzo4_fixture
 from evalcodes.projective import surface_to_text
@@ -241,6 +242,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ["min-dist", "--family", "del-pezzo-4", "--field", "7", "--workers", "0"],
     ["verify-paper", "--budget", "0"],
     ["search", "--field", "5", "--budget", "1", "--budget-distance", "0"],
+    ["search", "--field", "5", "--budget", "1", "--substreams", "-2"],
+    ["search", "--field", "5", "--budget", "1", "--depth", "0"],
+    ["classify", "--family", "del-pezzo-4", "--field", "7", "--depth", "0"],
 ])
 def test_counts_below_one_exit_2(argv, tmp_path, capsys):
     # on the command line argparse refuses the value before any work starts
@@ -254,6 +258,35 @@ def test_counts_below_one_exit_2(argv, tmp_path, capsys):
     cfg.write_text(json.dumps({flag[2:]: int(value)}))
     code, out, err = run_cli(["--config", str(cfg), *argv[:-2]], capsys)
     assert code == 2 and out == "" and "invalid positive_int value" in err
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["verify-paper"], 1),
+    (["verify-paper", "--seed", "0"], 0),
+    (["--config", "seed0.json", "verify-paper"], 0),
+    (["min-dist", "--family", "del-pezzo-6"], 0),
+    (["classify", "--family", "cayley-salmon"], 0),
+    (["--config", "seed0.json", "classify", "--family", "cayley-salmon", "--seed", "4"], 4),
+])
+def test_seed_reaches_the_draw_as_given(argv, seed, monkeypatch, tmp_path):
+    # the first seeded draw of each command records its seed and stops the run
+    drawn = []
+
+    def record(fld, seed, **_):
+        drawn.append(seed)
+        raise _Drawn
+
+    monkeypatch.setattr(cli, "frobenius_orbit", record)
+    monkeypatch.setattr(cli, "sample_cayley_salmon", record)
+    (tmp_path / "seed0.json").write_text(json.dumps({"seed": 0}))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(_Drawn):
+        main(argv)
+    assert drawn == [seed]
 
 
 def test_console_entry_point():

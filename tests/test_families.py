@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from evalcodes import gflinalg
+from evalcodes import families, gflinalg
 from evalcodes.bounds import delpezzo6_Nr, predicted_Nr
 from evalcodes.codes import build_code, min_distance
 from evalcodes.families import (
     DegenerateInput,
-    cayley_salmon_c12,
     classify_cubic,
     del_pezzo6,
-    dp6_quadric_ideal,
     frobenius_orbit,
     geometric_witness_dp6,
     random_cubic_search,
@@ -22,13 +20,7 @@ from evalcodes.families import (
 )
 from evalcodes.gf import get_embedding, make_field
 from evalcodes.poly import HomogPoly, monomials
-from evalcodes.projective import (
-    Surface,
-    hyperplane_section,
-    component_search,
-    lines_on_surface,
-    singular_points,
-)
+from evalcodes.projective import Surface, count_rational_points, level_scan, lines_on_surface
 
 F7 = make_field(7)
 
@@ -82,8 +74,7 @@ def test_van_luijk_random_samples_mostly_smooth_level1():
     for _ in range(total):
         h = HomogPoly(F7, 4, 4, {m: rng.randrange(7) for m in basis})
         surf = van_luijk_surface(h, F7)
-        sing = singular_points(surf, 1)
-        passed += all(len(v) == 0 for v in sing.values())
+        passed += len(level_scan(surf, 1)[1]) == 0
         code = build_code(surf, 1)
         assert code.k == 4  # sample-independent
     assert passed > total // 2
@@ -94,9 +85,8 @@ def test_van_luijk_sample_smooth_level2():
     basis = monomials(4, 4)
     h = HomogPoly(F7, 4, 4, {m: rng.randrange(7) for m in basis})
     surf = van_luijk_surface(h, F7)
-    sing = singular_points(surf, 2)
     # this particular seed passes the level-2 screen
-    assert all(len(v) == 0 for v in sing.values())
+    assert all(len(level_scan(surf, r)[1]) == 0 for r in (1, 2))
 
 
 # -- cubic classifier -----------------------------------------------------------
@@ -144,9 +134,8 @@ def test_classifier_requires_cubic(dp4):
 def test_classifier_identifies_c10():
     # a fixed conjugate-plane form draw that lands in the 43-point class:
     # no lines, counts matching q^2 - q + 1 and its r = 2 continuation
-    sample = cayley_salmon_c12(F7, [269, 47, 143], [3, 0, 38, 30],
-                               classify_depth=2, screen_depth=1)
-    cls = sample.classification
+    surface = families._cayley_salmon_surface(F7, [269, 47, 143], [3, 0, 38, 30])
+    cls = classify_cubic(surface, 2, screen_depth=1, max_enum=families._SEARCH_MAX_ENUM)
     assert cls.matched == "C10"
     assert cls.observed == {1: 43, 2: 2451}
     assert cls.line_count == 0
@@ -160,24 +149,26 @@ def test_cayley_salmon_degenerate_inputs():
     f3 = make_field(7, 3)
     f2 = make_field(7, 2)
     with pytest.raises(DegenerateInput):
-        cayley_salmon_c12(F7, [1, 2, 3], [0, 1, 2, 3])  # L rational over GF(7)
+        families._cayley_salmon_surface(F7, [1, 2, 3], [0, 1, 2, 3])  # L rational over GF(7)
     with pytest.raises(DegenerateInput):
-        cayley_salmon_c12(F7, [f3.p, 1, 0], [1, 2, 3, 4])  # M rational
+        families._cayley_salmon_surface(F7, [f3.p, 1, 0], [1, 2, 3, 4])  # M rational
     with pytest.raises(DegenerateInput):
-        cayley_salmon_c12(F7, [0, 0, 0], [1, 2, 3, 4])
+        families._cayley_salmon_surface(F7, [0, 0, 0], [1, 2, 3, 4])
 
 
 def test_cayley_salmon_coefficients_descend(c12_sample):
     # Frobenius-invariance by construction: the surface generator exists over
-    # GF(7) at all (descent already asserted inside); spot-check the section
-    # by w = 0 factors into three conjugate lines over GF(q^3) and none below
-    surf = c12_sample.surface
-    sec = hyperplane_section(surf, [0, 0, 0, 1])
-    assert component_search(sec, 1) == []
-    f343 = make_field(7, 3)
-    emb = get_embedding(F7, f343)
-    facs = component_search(sec.embed_coeffs(emb), 1)
-    assert len(facs) == 3
+    # GF(7) at all (descent already asserted inside); spot-check that the
+    # section by w = 0, the ternary form of the w-free terms, splits into
+    # three conjugate lines over GF(7^3) and has no GF(7) part.  Over
+    # GF(343) an absolutely irreducible cubic has at most 343 + 1 + 37 = 381
+    # points and a conic plus a line at most 2 * 344 = 688, so 1029 = 3 * 343
+    # points force three non-concurrent lines; with no GF(7) point, none of
+    # them is defined over GF(7)
+    cubic = c12_sample.surface.generators[0]
+    sec = HomogPoly(F7, 3, 3, {e[:3]: c for e, c in cubic.terms.items() if e[3] == 0})
+    assert count_rational_points([sec]) == 0
+    assert count_rational_points([sec], make_field(7, 3)) == 1029
 
 
 def test_cayley_salmon_determinism():
@@ -299,20 +290,6 @@ def test_dp6_codes_and_rank19(dp6_q7, dp6_q8, dp6_q9):
         assert c2.n == q * q + q + 1
         assert c2.k == 19
         assert c2.function_space_dim == 28
-
-
-def test_dp6_quadric_ideal(dp6_q7):
-    quads = dp6_quadric_ideal(dp6_q7)
-    assert len(quads) == 9
-    # each vanishes on every image point
-    pts = dp6_q7.points()
-    for quad in quads:
-        assert not quad.eval_points(pts).any()
-    # and spans the degree-2 evaluation kernel: k = 28 - 9 = 19
-    from evalcodes.projective import ideal_degree_part
-
-    mat, _, _ = ideal_degree_part(quads, 2)
-    assert len(mat) == 9
 
 
 def test_geometric_witness_weights(dp6_q7, dp6_q8, dp6_q9):

@@ -409,10 +409,15 @@ def test_field_refuses_products_that_overflow_int64():
 
 def test_relative_basis_linearity():
     src, tgt = make_field(3, 2), make_field(3, 6)
-    rb = RelativeBasis(get_embedding(src, tgt))
+    emb = get_embedding(src, tgt)
+    rb = RelativeBasis(emb)
     v = np.arange(0, tgt.q, 11, dtype=np.int64)
     coords = rb.to_coords(v)
-    assert np.array_equal(rb.from_coords(coords), v)
+    # round trip: v = sum_i embed(c_i) g^i, g the target's generator x = p
+    back = np.zeros_like(v)
+    for i in range(rb.r):
+        back = tgt.add(back, tgt.mul(emb.embed(coords[:, i]), tgt.pow(tgt.p, i)))
+    assert np.array_equal(back, v)
     a, b = v[:30], v[30:60]
     assert np.array_equal(rb.to_coords(tgt.add(a, b)),
                           src.add(rb.to_coords(a), rb.to_coords(b)))

@@ -44,61 +44,39 @@ def read_names(sources: list[str]) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def unread_helpers(sources: list[str]) -> list[str]:
-    """Single-underscore functions, methods and classes that no Name or
-    Attribute in the sources reads."""
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Functions, methods and classes, dunders aside, whose name no Name or
+    Attribute in the sources reads.  An import is no read, so a name that
+    only the package __init__ re-exports is flagged."""
     defined = [node.name for source in sources for node in ast.walk(ast.parse(source))
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
     read = read_names(sources)
     return [name for name in defined if name not in read]
 
 
-def test_the_check_finds_an_unread_helper():
-    sources = ["class _A:\n    def _m(self): pass\n    def _unused(self): pass\n"
+def test_the_check_finds_unread_definitions():
+    # unread methods (unused, _unused), unread functions (run, _orphan), and
+    # g and k, which only the __init__ names: an import (g as h) is no read
+    sources = ["from .a import f, g as h, C\nfrom .b import k\n",
+               "def f(): return C().used()\nclass C:\n    def used(self): pass\n"
+               "    def unused(self): pass\ndef g(): pass\n",
+               "def k(): return 0\ndef main(): return f()\nmain()\n",
+               "class _A:\n    def _m(self): pass\n    def _unused(self): pass\n"
                "    def __len__(self): return 0\ndef _f(): return _A()._m()\n",
-               "def g(): return _f\ndef _orphan(): pass\n"]
-    assert unread_helpers(sources) == ["_unused", "_orphan"]
+               "def run(): return _f\ndef _orphan(): pass\n"]
+    assert unread_definitions(sources) == ["g", "unused", "k", "_unused", "run", "_orphan"]
 
 
-def test_no_unread_helpers():
-    # tests do not count as readers: a helper only they reach belongs in them
-    assert unread_helpers([path.read_text() for path in SOURCES]) == []
-
-
-# Re-exports that nothing in src/ reads, each kept for the reason given until
-# a command reaches it or it is removed.  An entry that src/ comes to read
-# fails the check too, so the list stays exact.
-UNREAD_EXPORTS = {
-    "component_search": "certifies that a section curve has no low-degree factor (NS alarm evidence)",
-    "fq_general_check": "checks that forms vanishing on X(F_q) vanish on X (F_q-generality)",
-    "hyperplane_section": "the plane curve of a hyperplane section, input of component_search",
-    "singular_points": "the Jacobian scan by extension degree, level_scan's smoothness check",
-    "apply_projective_transform": "a monomially equivalent code with its verified witness",
-    "equivalence_evidence": "weight-enumerator evidence that two codes are not equivalent",
-    "sv_plane_bound": "the Stöhr-Voloch point bound for plane curves, valid once deg <= sqrt(q)",
-    "cayley_salmon_c12": "a C12 cubic from explicit conjugate-plane coefficients",
-    "dp6_quadric_ideal": "the 9 quadrics that cut out the Del Pezzo sextic",
+# Definitions that nothing in src/ reads, each kept for the reason given.  The
+# list must match exactly, so a name that src/ comes to read leaves it.
+UNREAD_DEFINITIONS = {
+    "apply_projective_transform": "a monomially equivalent code with its verified witness, "
+                                  "which acceptance criterion 9d tests invariance through",
 }
 
 
-def unread_exports(init: str, sources: list[str]) -> list[str]:
-    """Names the package __init__ imports from its modules that no Name or
-    Attribute in the other sources reads."""
-    exported = [a.asname or a.name for node in ast.walk(ast.parse(init))
-                if isinstance(node, ast.ImportFrom) for a in node.names]
-    read = read_names(sources)
-    return [name for name in exported if name not in read]
-
-
-def test_the_check_finds_an_unread_export():
-    init = "from .a import f, g as h, C\nfrom .b import k\n"
-    sources = ["def f(): return C()\nclass C: pass\n", "import a\ndef k(): return a.g\n",
-               "def main(): return f()\n"]
-    assert unread_exports(init, sources) == ["h", "k"]
-
-
-def test_every_export_is_read_or_allowed():
-    init = ROOT / "src" / "evalcodes" / "__init__.py"
-    unread = unread_exports(init.read_text(), [p.read_text() for p in SOURCES if p != init])
-    assert sorted(unread) == sorted(UNREAD_EXPORTS)
+def test_every_definition_is_read_or_allowed():
+    # tests do not count as readers: code only they reach belongs in them
+    unread = unread_definitions([path.read_text() for path in SOURCES])
+    assert sorted(unread) == sorted(UNREAD_DEFINITIONS)

@@ -86,37 +86,6 @@ def test_eval_points_matches_eval_at():
         assert [p.eval_at(tuple(pt)) for pt in pts] == [int(v) for v in vec]
 
 
-def test_substitute_linear_forms():
-    f7 = make_field(7)
-    # f(x, y) = x^2 + y^2, substitute x -> u+v, y -> u-v: 2u^2 + 2v^2
-    f = HomogPoly(f7, 2, 2, {(2, 0): 1, (0, 2): 1})
-    u_plus_v = HomogPoly.linear(f7, [1, 1])
-    u_minus_v = HomogPoly.linear(f7, [1, 6])
-    g = f.substitute([u_plus_v, u_minus_v])
-    assert g.terms == {(2, 0): 2, (0, 2): 2}
-
-
-def test_divide_exact():
-    f7 = make_field(7)
-    x = HomogPoly.variable(f7, 3, 0)
-    y = HomogPoly.variable(f7, 3, 1)
-    z = HomogPoly.variable(f7, 3, 2)
-    prod = x * y * z
-    assert prod.divide_exact(y).terms == (x * z).terms
-    conic = HomogPoly(f7, 3, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    assert conic.divide_exact(x) is None
-    # random product round trip
-    rng = random.Random(5)
-    basis2 = monomials(3, 2)
-    for _ in range(20):
-        a = HomogPoly(f7, 3, 2, {m: rng.randrange(7) for m in basis2})
-        b = HomogPoly(f7, 3, 2, {m: rng.randrange(7) for m in basis2})
-        if a.is_zero() or b.is_zero():
-            continue
-        q = (a * b).divide_exact(b)
-        assert q is not None and q.terms == a.terms
-
-
 def test_frobenius_coeffs():
     f9 = make_field(3, 2)
     t = f9.p

@@ -1,4 +1,4 @@
-"""Point enumeration, sections, lines, components, smoothness, generality.
+"""Point enumeration, sections, lines, smoothness.
 
 Frozen expected values for the quadric xw - yz over GF(7) (max section 15,
 16 lines) were computed by the independent brute-force oracles kept in this
@@ -21,12 +21,8 @@ from evalcodes.projective import (
     BudgetExceeded,
     Surface,
     canonical_order,
-    component_search,
     count_rational_points,
     enumerate_points,
-    fq_general_check,
-    hyperplane_section,
-    ideal_degree_part,
     iter_zero_point_batches,
     level_scan,
     lines_on_surface,
@@ -34,7 +30,6 @@ from evalcodes.projective import (
     projective_space_size,
     rational_points,
     section_scan,
-    singular_points,
     surface_from_text,
     surface_to_text,
 )
@@ -141,7 +136,7 @@ def test_zero_scan_matches_rational_points(case):
     assert np.array_equal(scanned[canonical_order(scanned)], listed)
     partials = [gens[0].partial_derivative(i) for i in range(4)]
     singular = listed[np.all([d.eval_points(listed) == 0 for d in partials], axis=0)]
-    found = singular_points(surface, r)[r]
+    found = level_scan(surface, r)[1]
     assert np.array_equal(found[canonical_order(found)], singular)
 
 
@@ -309,29 +304,16 @@ def test_section_scan_matches_direct_section_counts():
     hyps = enumerate_points(F7, 3)
     rng = random.Random(2)
     picks = rng.sample(range(len(hyps)), 20)
-    counts = {}
-    for i in picks:
-        h = hyps[i]
-        sec = hyperplane_section(cub, h)
-        if sec.is_zero():
-            continue
-        counts[i] = len(rational_points([sec]))
+    # the section X ∩ H counted as the zeros of the cubic and H together
+    counts = {i: len(rational_points([cub.generators[0], HomogPoly.linear(F7, hyps[i])]))
+              for i in picks}
+    assert max(counts.values()) <= scan.max_count
     # scan counts per hyperplane: recompute incidence directly
     pts = cub.points()
     for i, expect in counts.items():
         h = hyps[i]
         vals = [sum(int(a) * int(b) for a, b in zip(h, p)) % 7 for p in pts]
         assert vals.count(0) == expect
-
-
-def test_hyperplane_section_substitution():
-    gen = HomogPoly.from_int_terms(F7, 4, 3, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})
-    x_surf = Surface(F7, 3, [gen], degree=3)
-    sec = hyperplane_section(x_surf, [0, 0, 0, 1])
-    assert sec.terms == {(1, 1, 1): 1}
-    h = HomogPoly.linear(F7, [1, 2, 0, 1])
-    sec2 = hyperplane_section(x_surf, [1, 2, 0, 1])
-    assert len(rational_points([sec2])) == len(rational_points([gen, h]))
 
 
 def test_lines_on_quadric_oracle():
@@ -371,82 +353,15 @@ def test_lines_on_two_generators():
     assert lines.tolist() == [[[0, 1, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]]]
 
 
-def test_component_search_examples():
-    xyz = HomogPoly.from_int_terms(F7, 3, 3, {(1, 1, 1): 1})
-    facs = component_search(xyz, 1)
-    assert len(facs) == 3
-    assert all(xyz.divide_exact(g) is not None for g in facs)
-    conic = HomogPoly.from_int_terms(F7, 3, 2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
-    assert component_search(conic, 1) == []
-    a = HomogPoly.from_int_terms(F7, 3, 2, {(2, 0, 0): 1, (0, 1, 1): 1})
-    b = HomogPoly.from_int_terms(F7, 3, 2, {(0, 2, 0): 1, (1, 0, 1): 1})
-    found = component_search(a * b, 2)
-    assert len(found) == 2
-    assert {tuple(sorted(g.terms.items())) for g in found} == {
-        tuple(sorted(a.terms.items())), tuple(sorted(b.terms.items()))}
-
-
-def test_component_search_oracle_degree3_products():
-    # empty results cross-checked: exhaustive products of lower-degree forms
-    rng = random.Random(9)
-    from evalcodes.poly import monomials as monos
-
-    lin_basis = monos(3, 1)
-    lines = enumerate_points(F7, 2)
-    for trial in range(3):
-        cubic_terms = {m: rng.randrange(7) for m in monos(3, 3)}
-        cubic = HomogPoly(F7, 3, 3, cubic_terms)
-        if cubic.is_zero():
-            continue
-        found = {tuple(g.coeff_vector(lin_basis)) for g in component_search(cubic, 1)}
-        oracle = set()
-        for row in lines:
-            g = HomogPoly.from_coeff_vector(F7, 3, 1, lin_basis, row)
-            if cubic.divide_exact(g) is not None:
-                oracle.add(tuple(row))
-        assert found == oracle
-
-
 def test_singular_points_examples(dp4):
     quad = quadric_xw_yz()
-    assert all(len(v) == 0 for v in singular_points(quad, 2).values())
+    assert all(len(level_scan(quad, r)[1]) == 0 for r in (1, 2))
     mono3 = Surface(F7, 3, [HomogPoly.from_int_terms(
         F7, 4, 3, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})], degree=3)
-    sing = singular_points(mono3, 1)
-    got = {tuple(int(v) for v in row) for row in sing[1]}
+    got = {tuple(int(v) for v in row) for row in level_scan(mono3, 1)[1]}
     assert got == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)}
     # del Pezzo-4 fixture is smooth at screening level 2
-    dp4_sing = singular_points(dp4, 2)
-    assert all(len(v) == 0 for v in dp4_sing.values())
-
-
-def test_ideal_degree_part(dp4):
-    cubic = HomogPoly.from_int_terms(F7, 4, 3, {(1, 1, 1, 0): 1, (0, 0, 0, 3): -1})
-    mat, basis, note = ideal_degree_part([cubic], 3)
-    assert len(mat) == 1
-    mat2, _, _ = ideal_degree_part(dp4.generators, 2)
-    assert len(mat2) == 2
-
-
-def test_fq_general_checks(dp4):
-    # del Pezzo-4: kernel ranks 0 (ell=1) and 2 (ell=2) match the ideal
-    verdicts = fq_general_check(dp4, 2)
-    assert [v.kernel_dim for v in verdicts] == [0, 2]
-    assert all(v.holds for v in verdicts)
-    # P^2 itself: only the zero form vanishes everywhere in low degree
-    p2 = Surface(F7, 2, [])
-    assert all(v.holds for v in fq_general_check(p2, 2))
-    # conic splitting into conjugate lines: fails at ell = 1 and 2
-    f49 = make_field(7, 2)
-    emb = get_embedding(F7, f49)
-    t = next(v for v in range(7, f49.q) if not emb.contains(v))
-    line = HomogPoly(f49, 3, 1, {(1, 0, 0): 1, (0, 1, 0): t})
-    conic49 = line * line.frobenius_coeffs()
-    conic = conic49.descend_coeffs(emb)
-    xs = Surface(F7, 2, [conic], degree=2)
-    assert len(xs.points()) == 1  # only the conjugate-line crossing survives
-    verdicts = fq_general_check(xs, 2)
-    assert not verdicts[0].holds and not verdicts[1].holds
+    assert all(len(level_scan(dp4, r)[1]) == 0 for r in (1, 2))
 
 
 def test_budget_errors():
