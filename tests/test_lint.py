@@ -68,6 +68,22 @@ def test_the_check_finds_unread_definitions():
     assert unread_definitions(sources) == ["g", "unused", "k", "_unused", "run", "_orphan"]
 
 
+def test_the_check_finds_an_unread_helper():
+    # the private-helper check's old input: g, its public caller, is now flagged too
+    sources = ["class _A:\n    def _m(self): pass\n    def _unused(self): pass\n"
+               "    def __len__(self): return 0\ndef _f(): return _A()._m()\n",
+               "def g(): return _f\ndef _orphan(): pass\n"]
+    assert unread_definitions(sources) == ["_unused", "g", "_orphan"]
+
+
+def test_the_check_finds_an_unread_export():
+    # the re-export check's old input: k is only re-exported, and main has no reader
+    sources = ["from .a import f, g as h, C\nfrom .b import k\n",
+               "def f(): return C()\nclass C: pass\n", "import a\ndef k(): return a.g\n",
+               "def main(): return f()\n"]
+    assert unread_definitions(sources) == ["k", "main"]
+
+
 # Definitions that nothing in src/ reads, each kept for the reason given.  The
 # list must match exactly, so a name that src/ comes to read leaves it.
 UNREAD_DEFINITIONS = {
@@ -80,3 +96,16 @@ def test_every_definition_is_read_or_allowed():
     # tests do not count as readers: code only they reach belongs in them
     unread = unread_definitions([path.read_text() for path in SOURCES])
     assert sorted(unread) == sorted(UNREAD_DEFINITIONS)
+
+
+def test_no_unread_helpers():
+    unread = unread_definitions([path.read_text() for path in SOURCES])
+    assert [name for name in unread if name.startswith("_")] == []
+
+
+def test_every_export_is_read_or_allowed():
+    init = ROOT / "src" / "evalcodes" / "__init__.py"
+    exported = {a.name for node in ast.walk(ast.parse(init.read_text()))
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    unread = unread_definitions([path.read_text() for path in SOURCES])
+    assert sorted(exported & set(unread)) == sorted(exported & set(UNREAD_DEFINITIONS))
