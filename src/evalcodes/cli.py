@@ -25,6 +25,7 @@ from .codes import (
 )
 from .families import (
     DegenerateInput,
+    classify_cubic,
     del_pezzo4_fixture,
     del_pezzo6,
     frobenius_orbit,
@@ -39,6 +40,7 @@ from .poly import HomogPoly, monomials
 from .projective import (
     BudgetExceeded,
     Surface,
+    count_rational_points,
     lines_on_surface,
     section_scan,
     surface_from_text,
@@ -128,8 +130,6 @@ def cmd_min_dist(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .families import classify_cubic
-
     surface = _load_surface(args)
     result = classify_cubic(surface, args.depth)
     doc = result.to_json()
@@ -328,8 +328,6 @@ def cmd_verify_paper(args) -> int:
         t.check(f"shioda{m}-q{fld.q}-lines", 0, len(lines_on_surface(x)))
 
     wcub = HomogPoly.from_int_terms(f7, 3, 3, {(0, 2, 1): 1, (3, 0, 0): -1, (0, 0, 3): -3})
-    from .projective import count_rational_points
-
     t.check("weierstrass-q7-points", 13, count_rational_points([wcub]))
     t.check("optimal-g1-q7", 13, bnd.optimal_g1_count(7).value)
 
@@ -348,7 +346,7 @@ def cmd_verify_paper(args) -> int:
                  "alarm detects that the hyperplane class cannot generate NS (rank 2)",
                  all(dp6_alarms), dp6_alarms)
 
-    doc = {"rows": rows, "all_pass": all(r["pass"] for r in rows)}
+    doc = {"rows": rows, "all_pass": all(r["pass"] for r in rows), "seed": args.seed}
     _emit(args, doc)
     n_fail = sum(not r["pass"] for r in rows)
     _info(f"{len(rows) - n_fail}/{len(rows)} rows pass")

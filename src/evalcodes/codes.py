@@ -21,7 +21,7 @@ information sets (systematic matrix, relative rank r_i):
 Set i takes the first k independent columns in the order (unused ascending,
 then used ascending), its pivots read from a row reduction of a window of
 that order; its systematic matrix is B_i^-1 G, B_i the generator on those
-columns, with every B_i inverted in one stacked elimination
+columns, with every B_i inverted by one stacked gflinalg.invert
 (_information_sets).
 
 With w_i the last round set i finished, the certified lower bound is
@@ -709,22 +709,6 @@ def _pivots(fld: FiniteField, window: np.ndarray) -> list[int]:
     return pivots
 
 
-def _stacked_inverse(fld: FiniteField, blocks: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of invertible square matrices: one Gauss-Jordan
-    elimination of [B | I], each step run on every matrix of the stack."""
-    s, k, _ = blocks.shape
-    m = np.concatenate([blocks, np.broadcast_to(np.eye(k, dtype=np.int64), (s, k, k))], axis=2)
-    at = np.arange(s)
-    for c in range(k):
-        pr = c + (m[:, c:, c] != 0).argmax(axis=1)
-        row = m[at, pr]
-        m[at, pr] = m[:, c]
-        row = fld.mul(row, fld.inv(row[:, c])[:, None])
-        m = fld.sub(m, fld.mul(m[:, :, c, None], row[:, None, :]))
-        m[:, c] = row
-    return m[:, :, k:]
-
-
 def _information_sets(fld: FiniteField, matrix: np.ndarray):
     """Greedy systematic forms: (systematic matrices stacked [set, :, :],
     list of relative ranks).
@@ -734,8 +718,8 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     column.  Greedy pivots are prefix-stable, so they are read from a window
     of that order, 4k columns wide and doubled while its rank is short of k.
     The systematic form of a set is B_i^-1 G, B_i the generator on the set's
-    columns in pivot order: all B_i are inverted in one stacked elimination
-    and multiplied into G in blocks of sets.
+    columns in pivot order: all B_i are inverted by one stacked
+    gflinalg.invert and multiplied into G in blocks of sets.
     """
     k, n = matrix.shape
     used = np.zeros(n, dtype=bool)
@@ -757,7 +741,7 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
         used[cols] = True
         bases.append(cols)
         ranks.append(new)
-    inverses = _stacked_inverse(fld, matrix[:, np.array(bases)].transpose(1, 0, 2))
+    inverses = gflinalg.invert(fld, matrix[:, np.array(bases)].transpose(1, 0, 2))
     # the smallest type that holds an encoding: at q = 49 and n = 2451 the
     # 354 sets take 6 MB instead of 48 MB of int64
     sysmats = np.empty((len(bases), k, n), dtype=_smallest_uint((fld.q - 1).bit_length()))
@@ -907,7 +891,8 @@ def apply_projective_transform(code: LinearCode, transform) -> tuple[LinearCode,
     scalings = fld.mul(scalings, fld.inv(int(scalings[0])))
     order = canonical_order(normalized)
     new_points = normalized[order]
-    new_gen = gflinalg.nonzero_rows(fld, new_points.T)
+    new_rref, pivots = gflinalg.rref(fld, new_points.T)
+    new_gen = new_rref[: len(pivots)]
     new_code = LinearCode(
         fld=fld, n=code.n, k=len(new_gen), matrix=new_gen,
         columns=new_points, provenance=new_points, s=1,
@@ -915,7 +900,8 @@ def apply_projective_transform(code: LinearCode, transform) -> tuple[LinearCode,
     )
     scaled = fld.mul(code.matrix, scalings[None, :])
     permuted = scaled[:, order]
-    _, _, t = gflinalg.rref(fld, permuted, want_transform=True)
+    # T @ permuted == new_gen, and new_gen is the identity on its pivots
+    t = gflinalg.invert(fld, permuted[:, pivots])
     witness = MonomialWitness(scalings=scalings, permutation=order, row_transform=t)
     if not witness.verify(fld, code.matrix, new_code.matrix):
         raise AssertionError("monomial witness failed to verify (unreachable)")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FiniteField, RelativeBasis, get_embedding, make_field
+from .gf import FiniteField, get_embedding, make_field
 from . import gflinalg
 from .bounds import (
     CUBIC_CLASSES,
@@ -420,24 +420,18 @@ def frobenius_orbit(fld: FiniteField, seed: int | None = None, point=None) -> Fr
         return FrobeniusOrbit(fld, ext, tuple(int(v) for v in p0), tri, collinear=collinear)
 
 
-def _orbit_condition_matrix(orbit: FrobeniusOrbit, degree: int) -> np.ndarray:
-    """GF(q)-linear conditions on degree-d plane forms vanishing on the orbit.
+def _orbit_kernel(orbit: FrobeniusOrbit, degree: int) -> np.ndarray:
+    """Basis rows over GF(q) of the degree-d plane forms vanishing on the orbit.
 
-    Each orbit point contributes the three GF(q)-coordinates of the GF(q^3)
-    evaluation; the conjugate points' conditions are GF(q)-dependent on the
-    first point's, so the matrix rank is 3 for a proper orbit.
+    The kernel over GF(q^3) of the monomial values at the three orbit points
+    is Frobenius-stable (Frobenius permutes the points up to scalars), so its
+    canonical basis has entries in GF(q) and descends; it is the kernel of
+    the GF(q)-linear conditions, of rank 3 for a proper orbit.
     """
-    fld, ext = orbit.base, orbit.ext
-    rb = RelativeBasis(get_embedding(fld, ext))
-    basis = monomials(3, degree)
-    rows = []
-    for pt in orbit.conjugates:
-        vals = np.array(
-            [HomogPoly(ext, 3, degree, {mono: 1}).eval_at(tuple(pt)) for mono in basis],
-            dtype=np.int64,
-        )
-        rows.append(rb.to_coords(vals).T)  # (3, #basis)
-    return np.concatenate(rows, axis=0)
+    ext = orbit.ext
+    vals = np.stack([HomogPoly(ext, 3, degree, {mono: 1}).eval_points(orbit.conjugates)
+                     for mono in monomials(3, degree)], axis=1)
+    return get_embedding(orbit.base, ext).descend(gflinalg.kernel_basis(ext, vals))
 
 
 @dataclass
@@ -492,8 +486,7 @@ def del_pezzo6(orbit: FrobeniusOrbit) -> Surface:
     if orbit.collinear:
         raise DegenerateInput("orbit is collinear; the linear system is not very ample")
     fld = orbit.base
-    cond = _orbit_condition_matrix(orbit, 3)
-    kernel = gflinalg.kernel_basis(fld, cond)
+    kernel = _orbit_kernel(orbit, 3)
     if len(kernel) != 7:
         raise DegenerateInput(f"cubic system has dimension {len(kernel)}, expected 7")
     basis = monomials(3, 3)
@@ -533,8 +526,7 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
     if q <= 5:
         raise ValueError("construction needs q > 5")
     pts = enumerate_points(fld, 2)
-    conic_cond = _orbit_condition_matrix(param.orbit, 2)
-    conic_kernel = gflinalg.kernel_basis(fld, conic_cond)
+    conic_kernel = _orbit_kernel(param.orbit, 2)
     if len(conic_kernel) != 3:
         raise DegenerateInput(f"conic system has dimension {len(conic_kernel)}, expected 3")
     conic_basis = monomials(3, 2)

@@ -18,6 +18,8 @@ irreducible of degree n, ``generator`` is the smallest element of order
 q - 1, and the exp table is filled by doubling (exp[m:2m] = exp[:m] * g^m,
 one GF(p) matrix product per step).  ``_digits_of`` is the one base-p
 expansion of encodings, and ``_prime_factors`` the one trial division.
+A subfield embedding (``FieldEmbedding``) is an exponent map on the log
+tables, so its target must have them.
 
 Fields are immutable after construction and cached, so repeated
 ``make_field(p, n)`` calls share tables.  Elements are plain values; every
@@ -387,11 +389,14 @@ def _encodings(fld: FiniteField, a):
 
 
 class FieldEmbedding:
-    """Ring embedding GF(p^a) -> GF(p^b) for a | b.
+    """Ring embedding GF(p^a) -> GF(p^b) for a | b, as an exponent map.
 
-    Determined by sending the source's polynomial generator to the smallest
-    (by encoding) root of the source modulus in the target field, so the same
-    pair of fields always yields the same embedding.
+    The nonzero source elements land in the index-m subgroup of the target's
+    nonzero elements, m = (q_b - 1) / (q_a - 1), so every root of the source
+    modulus is 0 or some exp[m*i].  The source's polynomial generator goes to
+    the smallest such root (by encoding), so the same pair of fields always
+    yields the same embedding; with L the log of the source generator's
+    image, g_a^i goes to g_b^(i*L), and descent inverts that map.
     """
 
     def __init__(self, source: FiniteField, target: FiniteField):
@@ -401,62 +406,41 @@ class FieldEmbedding:
             raise ValueError(
                 f"target degree {target.n} is not a multiple of source degree {source.n}"
             )
+        if target._log is None:
+            raise ValueError(f"embedding into {target} needs its log table; "
+                             "only table-range targets are supported")
         self.source = source
         self.target = target
-        self.gen_image = self._find_root()
-        # column i of E holds the target digit vector of gen_image^i
-        powers = [1]
-        for _ in range(source.n - 1):
-            powers.append(target.mul(powers[-1], self.gen_image))
-        self._embed_matrix = target._digits_of(np.array(powers, dtype=np.int64)).T % target.p
-        self._solver = self._build_solver()
-
-    def _find_root(self) -> int:
-        mod = self.source.modulus
-        tgt = self.target
-        if tgt.q > LOG_TABLE_MAX:
-            raise ValueError(
-                f"embedding into {tgt} requires a root search over {tgt.q} elements; "
-                "only table-range targets are supported"
-            )
-        # Horner on ascending chunks: the first root found is the smallest
-        for lo, hi in batched(tgt.q, 1 << 12):
-            x = np.arange(lo, hi, dtype=np.int64)
-            vals = np.full(hi - lo, mod[-1] % tgt.p, dtype=np.int64)
-            for c in reversed(mod[:-1]):
-                vals = tgt.add(tgt.mul(vals, x), c % tgt.p)
-            roots = np.flatnonzero(vals == 0)
-            if len(roots):
-                return lo + int(roots[0])
-        raise AssertionError("source modulus has no root in target (unreachable)")
-
-    def _build_solver(self) -> np.ndarray:
-        """T with T @ E in RREF over GF(p), so descent is one matmul plus a check."""
-        from . import gflinalg  # local import; gflinalg depends on gf
-
-        _, pivots, t = gflinalg.rref(make_field(self.target.p), self._embed_matrix, want_transform=True)
-        if len(pivots) != self.source.n:
-            raise AssertionError("embedding matrix is rank-deficient (unreachable)")
-        return t
+        self._m = (target.q - 1) // (source.q - 1)
+        candidates = np.concatenate([[0], target._exp[:: self._m]])
+        vals = np.full(len(candidates), source.modulus[-1], dtype=np.int64)
+        for c in reversed(source.modulus[:-1]):
+            vals = target.add(target.mul(vals, candidates), c)
+        self.gen_image = int(candidates[vals == 0].min())
+        image = 0  # Horner on the source generator's digits at gen_image
+        for d in reversed(source._digits_of(source.generator).tolist()):
+            image = target.add(target.mul(image, self.gen_image), d)
+        self._log_image = int(target._log[image])  # L = m*u, u a unit mod q_a - 1
+        self._log_unit_inv = pow(self._log_image // self._m, -1, source.q - 1)
 
     def embed(self, a):
         """Image in the target field of an encoding or an array of them;
         ValueError for anything else."""
-        dig = self.source._digits_of(_encodings(self.source, a))
-        out = self.target._recompose((dig @ self._embed_matrix.T) % self.target.p)
-        return int(out) if np.ndim(out) == 0 else out
+        a = np.asarray(_encodings(self.source, a), dtype=np.int64)
+        logs = self.source._log[a] * self._log_image % (self.target.q - 1)
+        out = np.where(a == 0, 0, self.target._exp[logs])
+        return int(out) if out.ndim == 0 else out
 
     def descend(self, a):
         """Unique source preimage, or raise NotInSubfield; ValueError for
         anything that is not an encoding of the target or an array of them."""
-        dig = self.target._digits_of(_encodings(self.target, a))
-        sol = (dig @ self._solver.T) % self.target.p
-        src_dig = sol[..., : self.source.n]
-        src = self.source._recompose(src_dig)
-        roundtrip = (src_dig @ self._embed_matrix.T) % self.target.p
-        if not np.all(roundtrip == dig):
+        a = np.asarray(_encodings(self.target, a), dtype=np.int64)
+        logs = self.target._log[a]
+        if np.any((a != 0) & (logs % self._m != 0)):
             raise NotInSubfield(f"element {a} of {self.target} has no preimage in {self.source}")
-        return int(src) if np.ndim(src) == 0 else src
+        logs = logs // self._m * self._log_unit_inv % (self.source.q - 1)
+        out = np.where(a == 0, 0, self.source._exp[logs])
+        return int(out) if out.ndim == 0 else out
 
     def contains(self, a) -> bool:
         try:
@@ -467,42 +451,6 @@ class FieldEmbedding:
 
     def __repr__(self):
         return f"FieldEmbedding({self.source} -> {self.target})"
-
-
-class RelativeBasis:
-    """GF(q)-coordinates inside GF(q^r) along an embedding.
-
-    Uses the basis {1, g, ..., g^(r-1)} with g the target's polynomial
-    generator; g has degree r over the embedded GF(q), so this is a basis and
-    the prime-digit transfer matrix below is invertible.
-    """
-
-    def __init__(self, emb: FieldEmbedding):
-        src, tgt = emb.source, emb.target
-        self.r = tgt.n // src.n
-        prime = make_field(tgt.p)
-        # column (i*src.n + a) holds the prime digits of embed(x^a) * g^i
-        cols = []
-        gpow = 1
-        for i in range(self.r):
-            for a in range(src.n):
-                basis_elt = emb.embed(int(src.p**a))
-                cols.append(tgt._digits_of(tgt.mul(basis_elt, gpow)))
-            if i + 1 < self.r:
-                gpow = tgt.mul(gpow, tgt.p)
-        from . import gflinalg  # local import; gflinalg depends on gf
-
-        to_digits = np.stack(cols, axis=1) % tgt.p  # (tgt.n, tgt.n)
-        self._from_digits = gflinalg.invert(prime, to_digits)
-        self.src = src
-        self.tgt = tgt
-
-    def to_coords(self, v) -> np.ndarray:
-        """GF(q) coordinate rows (..., r) of target encodings."""
-        dig = self.tgt._digits_of(v)
-        sol = (dig @ self._from_digits.T) % self.tgt.p
-        shaped = sol.reshape(sol.shape[:-1] + (self.r, self.src.n))
-        return shaped @ self.src._pow_p
 
 
 _FIELD_CACHE: dict[tuple, FiniteField] = {}

@@ -3,9 +3,13 @@
 Row reduction uses a fixed pivot rule (first nonzero entry in a column-major
 scan), and reduced echelon form is unique, so every derived object here --
 ranks, kernels, generator matrices -- is byte-reproducible across runs.
+Inversion is one Gauss-Jordan elimination run on a whole stack of square
+matrices at once.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -19,18 +23,10 @@ def as_matrix(mat) -> np.ndarray:
     return m
 
 
-def rref(field: FiniteField, mat, want_transform: bool = False):
-    """Reduced row echelon form.
-
-    Returns (R, pivots) or, with want_transform, (R, pivots, T) where T is an
-    invertible square matrix with T @ mat == R over the field: the row
-    operations run on [mat | I], with pivots sought in mat's columns only,
-    and T is the right block.
-    """
+def rref(field: FiniteField, mat):
+    """Reduced row echelon form: (R, pivots)."""
     m = as_matrix(mat)
     rows, cols = m.shape
-    if want_transform:
-        m = np.concatenate([m, np.eye(rows, dtype=np.int64)], axis=1)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -52,8 +48,6 @@ def rref(field: FiniteField, mat, want_transform: bool = False):
             m[hit] = field.sub(m[hit], field.mul(fac[hit, None], m[r][None, :]))
         pivots.append(c)
         r += 1
-    if want_transform:
-        return m[:, :cols], pivots, m[:, cols:]
     return m, pivots
 
 
@@ -128,10 +122,25 @@ def in_rowspace(field: FiniteField, rref_mat: np.ndarray, pivots: list[int], v) 
 
 
 def invert(field: FiniteField, mat) -> np.ndarray:
-    m = as_matrix(mat)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("only square matrices can be inverted")
-    r, pivots, t = rref(field, m, want_transform=True)
-    if len(pivots) != m.shape[0]:
-        raise ValueError("matrix is singular")
-    return t
+    """Inverses of a square matrix or of a stack of them (any leading shape):
+    one Gauss-Jordan elimination of [B | I], each step run on every matrix of
+    the stack.  ValueError if any member is singular."""
+    m = np.asarray(mat, dtype=np.int64)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"only square matrices can be inverted, got shape {m.shape}")
+    shape, k = m.shape, m.shape[-1]
+    s = math.prod(shape[:-2])
+    eye = np.broadcast_to(np.eye(k, dtype=np.int64), (s, k, k))
+    m = np.concatenate([m.reshape(s, k, k), eye], axis=2)
+    at = np.arange(s)
+    for c in range(k):
+        nonzero = m[:, c:, c] != 0
+        if not nonzero.any(axis=1).all():
+            raise ValueError("matrix is singular")
+        pr = c + nonzero.argmax(axis=1)
+        row = m[at, pr]
+        m[at, pr] = m[:, c]
+        row = field.mul(row, field.inv(row[:, c])[:, None])
+        m = field.sub(m, field.mul(m[:, :, c, None], row[:, None, :]))
+        m[:, c] = row
+    return m[:, :, k:].reshape(shape)

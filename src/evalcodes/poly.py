@@ -166,19 +166,6 @@ class HomogPoly:
                 terms[e] = f.add(terms.get(e, 0), f.mul(c1, c2))
         return HomogPoly(f, self.nvars, self.degree + other.degree, terms)
 
-    def __pow__(self, e: int) -> "HomogPoly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = HomogPoly(self.field, self.nvars, 0, {(0,) * self.nvars: 1})
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def partial_derivative(self, i: int) -> "HomogPoly":
         """Formal derivative; exponents act through the prime field, so p-th
         powers differentiate to zero."""

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FiniteField, get_embedding, make_field
+from .gf import FiniteField, field_spec_string, get_embedding, make_field, parse_field_spec
 from . import gflinalg
+from .bounds import sectional_genus_hypersurface
 from .poly import GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks
 
 DEFAULT_POINT_BUDGET = 20_000_000
@@ -457,8 +458,6 @@ def _coeff_from_text(fld: FiniteField, s: str) -> int:
 
 def surface_to_text(surface: Surface) -> str:
     """Canonical writer: field, ambient, one generator per line, sorted terms."""
-    from .gf import field_spec_string
-
     lines = [f"field {field_spec_string(surface.fld)}", f"ambient {surface.ambient}"]
     for g in surface.generators:
         parts = [
@@ -470,9 +469,6 @@ def surface_to_text(surface: Surface) -> str:
 
 
 def surface_from_text(text: str) -> Surface:
-    from .gf import parse_field_spec
-    from .bounds import sectional_genus_hypersurface
-
     rows = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if len(rows) < 3 or not rows[0].startswith("field ") or not rows[1].startswith("ambient "):
         raise ValueError("surface text must start with 'field ...' and 'ambient ...' lines")

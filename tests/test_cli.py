@@ -313,3 +313,15 @@ def test_verify_paper_all_rows(tmp_path, capsys):
     assert err.count("PASS") == len(doc["rows"])
     golden = Path(__file__).parent / "golden" / "verify_paper_seed1.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_verify_paper_records_its_seed(tmp_path, capsys):
+    # the sampled surfaces do not show in the rows, so the seed key tells the runs apart
+    docs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"verify{seed}.json"
+        code, _, _ = run_cli(["verify-paper", "--seed", seed, "--out", str(out)], capsys)
+        assert code == 0
+        docs.append(out.read_bytes())
+    assert docs[0] != docs[1]
+    assert [json.loads(doc)["seed"] for doc in docs] == [0, 1]

@@ -1,14 +1,18 @@
 """Field arithmetic: axioms, Frobenius, embeddings, determinism."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import random_invertible
 
 from evalcodes import gflinalg
 from evalcodes.gf import (
     FiniteField,
     NotInSubfield,
-    RelativeBasis,
     get_embedding,
     make_field,
     parse_field_spec,
@@ -188,6 +192,35 @@ def test_embedding_preserves_multiplicative_order():
         cur = f76.mul(cur, img)
         order += 1
     assert order == 6
+
+
+# (source, target) pairs for the independent root search
+ORACLE_EMBEDDINGS = [((7, 1), (7, 3)), ((7, 1), (7, 6)), ((7, 3), (7, 6)), ((3, 2), (3, 6)),
+                     ((2, 3), (2, 6)), ((5, 2), (5, 6)), ((2, 8), (2, 16))]
+
+
+@pytest.mark.parametrize("src_spec, tgt_spec", ORACLE_EMBEDDINGS)
+def test_embedding_matches_a_root_search_over_the_whole_target(src_spec, tgt_spec):
+    src, tgt = make_field(*src_spec), make_field(*tgt_spec)
+    emb = get_embedding(src, tgt)
+    # the smallest root of the source modulus, by Horner over every target element
+    x = np.arange(tgt.q, dtype=np.int64)
+    vals = np.zeros(tgt.q, dtype=np.int64)
+    for c in reversed(src.modulus):
+        vals = tgt.add(tgt.mul(vals, x), c)
+    assert emb.gen_image == int(np.flatnonzero(vals == 0)[0])
+    # every source element maps to its base-p digits evaluated at gen_image
+    v = np.arange(src.q, dtype=np.int64)
+    digits = src._digits_of(v)
+    horner = np.zeros(src.q, dtype=np.int64)
+    for i in reversed(range(src.n)):
+        horner = tgt.add(tgt.mul(horner, emb.gen_image), digits[:, i])
+    assert np.array_equal(emb.embed(v), horner)
+
+
+def test_embedding_refuses_a_digit_regime_target():
+    with pytest.raises(ValueError, match="table-range"):
+        get_embedding(make_field(2), make_field(2, 18))
 
 
 def test_make_field_determinism():
@@ -370,54 +403,35 @@ def test_stacked_matmul_matches_python_ints(case):
 
 
 @st.composite
-def rref_inputs(draw):
-    """Matrices over GF(7), GF(8) or GF(2^18) whose rows past a drawn rank
-    are combinations of the rows before it, shuffled."""
-    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 3), (2, 18)])))
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    rank = draw(st.integers(0, rows))
-    elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
-
-    def entries(shape):
-        size = int(np.prod(shape))
-        return np.array(draw(st.lists(elems, min_size=size, max_size=size)),
-                        dtype=np.int64).reshape(shape)
-
-    m = np.zeros((rows, cols), dtype=np.int64)
-    if rank:
-        m[:rank] = entries((rank, cols))
-    if 0 < rank < rows:
-        m[rank:] = gflinalg.matmul(fld, entries((rows - rank, rank)), m[:rank])
-    return fld, m[draw(st.permutations(range(rows)))]
+def stacked_inverses(draw):
+    """A (k, k) matrix or an (s, k, k) stack of invertible matrices over
+    GF(7), GF(8), GF(9), GF(49) (tables), GF(131101) or GF(2^18) (digit
+    vectors), and the index of a member to make singular."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 3), (3, 2), (7, 2), (131101, 1), (2, 18)])))
+    k = draw(st.integers(1, 5))
+    shape = draw(st.sampled_from([(), (draw(st.integers(1, 4)),)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    stack = np.array([random_invertible(fld, k, rng) for _ in range(math.prod(shape))])
+    return fld, stack.reshape(shape + (k, k)), draw(st.integers(0, len(stack) - 1))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(rref_inputs())
-def test_rref_transform_maps_the_input_to_its_rref(case):
-    fld, m = case
-    r, pivots, t = gflinalg.rref(fld, m, want_transform=True)
-    assert np.array_equal(gflinalg.matmul(fld, t, m), r)
-    plain, plain_pivots = gflinalg.rref(fld, m)
-    assert np.array_equal(r, plain) and pivots == plain_pivots
-    assert gflinalg.rank(fld, t) == len(m)
+@given(stacked_inverses())
+def test_stacked_invert_inverts_every_member_and_refuses_a_singular_one(case):
+    fld, b, bad = case
+    k = b.shape[-1]
+    members = b.reshape(-1, k, k)
+    inv = gflinalg.invert(fld, b)
+    assert inv.shape == b.shape
+    products = gflinalg.matmul(fld, inv.reshape(-1, k, k), members)
+    assert all(np.array_equal(prod, np.eye(k, dtype=np.int64)) for prod in products)
+    # row 0 of one member becomes a multiple of its last row (the zero row when k = 1)
+    singular = members.copy()
+    singular[bad, 0] = fld.mul(singular[bad, -1], fld.q - 1) if k > 1 else 0
+    with pytest.raises(ValueError, match="singular"):
+        gflinalg.invert(fld, singular.reshape(b.shape))
 
 
 def test_field_refuses_products_that_overflow_int64():
     with pytest.raises(ValueError, match="exactly"):
         make_field(4294967311)
-
-
-def test_relative_basis_linearity():
-    src, tgt = make_field(3, 2), make_field(3, 6)
-    emb = get_embedding(src, tgt)
-    rb = RelativeBasis(emb)
-    v = np.arange(0, tgt.q, 11, dtype=np.int64)
-    coords = rb.to_coords(v)
-    # round trip: v = sum_i embed(c_i) g^i, g the target's generator x = p
-    back = np.zeros_like(v)
-    for i in range(rb.r):
-        back = tgt.add(back, tgt.mul(emb.embed(coords[:, i]), tgt.pow(tgt.p, i)))
-    assert np.array_equal(back, v)
-    a, b = v[:30], v[30:60]
-    assert np.array_equal(rb.to_coords(tgt.add(a, b)),
-                          src.add(rb.to_coords(a), rb.to_coords(b)))

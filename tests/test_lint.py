@@ -109,3 +109,34 @@ def test_every_export_is_read_or_allowed():
                 if isinstance(node, ast.ImportFrom) for a in node.names}
     unread = unread_definitions([path.read_text() for path in SOURCES])
     assert sorted(exported & set(unread)) == sorted(exported & set(UNREAD_DEFINITIONS))
+
+
+# The package's modules in import order: each may import only those before it.
+LAYERS = ["gf", "gflinalg", "poly", "bounds", "projective", "codes", "families", "cli"]
+
+
+def layering_faults(module: str, source: str) -> list[tuple[str, str]]:
+    """(imported module, fault) for each package-relative import that is not
+    at module level or reaches a module not before `module` in LAYERS."""
+    tree = ast.parse(source)
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for target in [node.module] if node.module else [a.name for a in node.names]:
+                if node not in tree.body:
+                    faults.append((target, "function-local"))
+                if LAYERS.index(target) >= LAYERS.index(module):
+                    faults.append((target, "backwards"))
+    return faults
+
+
+def test_the_check_finds_a_local_and_a_backwards_import():
+    source = "from . import gf\nfrom .poly import f\nfrom .codes import g\n" \
+             "def h():\n    from .gf import k\n    return k\n"
+    assert layering_faults("projective", source) == [("codes", "backwards"), ("gf", "function-local")]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.stem)
+def test_imports_are_module_level_and_follow_the_layers(path):
+    # __init__.py is skipped: it re-exports every layer
+    assert layering_faults(path.stem, path.read_text()) == []
