@@ -42,9 +42,10 @@ alone (_zero_count): below _RATIO_MIN_Q by packed zero counters, one
 table lookup per coordinate and prefix (_ZeroCounters); from
 _RATIO_MIN_Q on by one histogram of the ratios (_ratio_weights).  Only the
 digit regime, which has no log table, compares P against each of the
-q - 1 negated multiples -v y.  The witness candidates, the lightest
-codewords of each block, are read back from the sums: the message on the
-identity columns, P + v y on the others.
+q - 1 negated multiples -v y.  The witness candidates, the codewords at the
+minimum weight of a chunk's blocks, are read back from the sums once per
+chunk (_first_codeword): the message on the identity columns, P + v y on
+the others.
 
 Budgets are counted in enumerated codewords.  A chunk runs whole or not at
 all: the first chunk that does not fit the budget left ends the run, which
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FiniteField, batched, field_spec_string
+from .gf import FiniteField, batched, field_spec_string, smallest_uint
 from . import gflinalg
 from .poly import HomogPoly, monomials
 from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows, normalizing_scalars
@@ -191,10 +192,6 @@ def projective_message_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def _smallest_uint(bits: int):
-    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= bits)
-
-
 class _AdditiveForm:
     """Field encodings in a form where a sum of multiples is a machine add.
 
@@ -217,9 +214,9 @@ class _AdditiveForm:
         self.bits = (w * (p - 1)).bit_length()
         self.packed = p > 2 and m * self.bits <= 63
         if p == 2:
-            self.add, self.dtype = np.bitwise_xor, _smallest_uint(m)
+            self.add, self.dtype = np.bitwise_xor, smallest_uint(m)
         elif self.packed:
-            self.add, self.dtype = np.add, _smallest_uint(m * self.bits)
+            self.add, self.dtype = np.add, smallest_uint(m * self.bits)
         else:
             self.add, self.dtype = fld.add, np.int64
         self._shifts = self.bits * np.arange(m)
@@ -441,12 +438,14 @@ def _compare_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray,
 
 
 def _first_codeword(ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray, vals: np.ndarray,
-                    redundant) -> np.ndarray:
+                    redundant, rival: tuple | None = None) -> np.ndarray | None:
     """The first in canonical order of candidate codewords, candidate i with
     message values vals[i] on the rows sup[i] (so on their identity columns
     ident[sup[i]]) and the encodings redundant(i, cols) on the redundancy
-    columns cols.  The candidates narrow column by column, each column
-    decoded only for the candidates still tied on the columns before it."""
+    columns cols; None if the word rival comes before every candidate.  The
+    candidates narrow column by column, each column decoded only for the
+    candidates still tied on the columns before it; while they tie with
+    rival too, the first column where rival is smaller ends the read-back."""
     n = len(ident) + len(redundancy)
     row_of, red_of = np.full(n, -1), np.full(n, -1)
     row_of[ident], red_of[redundancy] = np.arange(len(ident)), np.arange(len(redundancy))
@@ -458,7 +457,12 @@ def _first_codeword(ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray, 
             col = (vals[at] * (sup[at] == row_of[j])).sum(axis=1)
         else:
             col = redundant(at, red_of[j])
-        at = at[col == col.min()]
+        low = col.min()
+        if rival is not None and low != rival[j]:
+            if low > rival[j]:
+                return None
+            rival = None
+        at = at[col == low]
     word = np.zeros(n, dtype=np.int64)
     word[redundancy] = redundant(at[0], slice(None))
     word[ident[sup[at[0]]]] = vals[at[0]]
@@ -532,10 +536,12 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     are the prefix sums P (_prefix_sums, in the additive form) plus v y, y
     the last support row, and their zeros are counted by the scan's
     _zero_count, whose table is built once the first chunk fits the budget.
-    The lightest codewords of each block are the witness candidates: their
-    message fills the identity columns, and their redundancy columns are
-    read back as P + v y from the block's own prefix sums P, so no codeword
-    is encoded again.  Round 1 is _weight_one_round.
+    The codewords at the chunk's minimum weight, over all its blocks, are
+    the witness candidates, read back by one _first_codeword call per chunk
+    when that weight does not exceed the running minimum: their message
+    fills the identity columns, and their redundancy columns are P + v y
+    from their own prefix sums P, so no codeword is encoded again.  Round 1
+    is _weight_one_round.
     """
     k, n = sysmat.shape
     q = fld.q
@@ -562,20 +568,30 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
         if weigh is None:  # after the first budget check: a cut scan builds no table
             weigh = _zero_count(fld, form, red)
         sup = np.array(group)
+        low, tied = state.min_weight, []  # the chunk's lightest: (supports, values, prefix sums)
         for a, b, c0, c1 in _blocks(lo, hi, q - 1):
             prefix = _prefix_sums(fld, form, red, sup, a, b)
             weights = weigh(prefix, sup[:, -1], c0, c1)
             weights += w
             state.update(weights.reshape(-1))
-            low = int(weights.min())
-            if low <= state.min_weight:
+            block_low = int(weights.min())
+            if block_low < low:
+                low, tied = block_low, []
+            if block_low == low:
                 g, at = np.nonzero(weights == low)
                 pre, last = np.divmod(at, c1 - c0)
                 vals = _message_values((a + pre) * (q - 1) + c0 + last, w, q)
-                def redundant(i, cols):
-                    return fld.add(form.value(prefix[g[i], pre[i], cols]),
-                                   fld.mul(vals[i, -1], red[sup[g[i], -1], cols]))
-                state.offer(_first_codeword(ident, redundancy, sup[g], vals, redundant))
+                tied.append((sup[g], vals, prefix[g, pre]))
+        if tied:
+            sups, vals, sums = (np.concatenate(part) for part in zip(*tied))
+
+            def redundant(i, cols):
+                return fld.add(form.value(sums[i, cols]), fld.mul(vals[i, -1], red[sups[i, -1], cols]))
+            # on a tie with the running minimum, the read-back stops once the witness comes first
+            word = _first_codeword(ident, redundancy, sups, vals, redundant,
+                                   state.witness if low == state.min_weight else None)
+            if word is not None:
+                state.offer(word)
     return True
 
 
@@ -744,8 +760,8 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     inverses = gflinalg.invert(fld, matrix[:, np.array(bases)].transpose(1, 0, 2))
     # the smallest type that holds an encoding: at q = 49 and n = 2451 the
     # 354 sets take 6 MB instead of 48 MB of int64
-    sysmats = np.empty((len(bases), k, n), dtype=_smallest_uint((fld.q - 1).bit_length()))
-    # each product holds at most 2^20 GF(p) coordinates (8 MB as float64)
+    sysmats = np.empty((len(bases), k, n), dtype=smallest_uint((fld.q - 1).bit_length()))
+    # each product holds at most 2^20 GF(p) digits, so its int64 result at most 8 MB
     block = max(1, (_BATCH_TARGET // 2) // (k * n * fld.n))
     for lo, hi in batched(len(bases), block):
         sysmats[lo:hi] = gflinalg.matmul(fld, inverses[lo:hi], matrix)

@@ -53,6 +53,11 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def smallest_uint(bits: int):
+    """The narrowest unsigned numpy integer type of at least `bits` bits."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= bits)
+
+
 def _is_prime(m: int) -> bool:
     return m >= 2 and _prime_factors(m) == [m]
 
@@ -268,9 +273,15 @@ class FiniteField:
 
     def _build_full_tables(self) -> None:
         q, p = self.q, self.p
-        dig = self._digits
-        add_dig = (dig[:, None, :] + dig[None, :, :]) % p
-        self._add_table = self._recompose(add_dig)
+        # digit by digit, with no q x q x n temporary: q <= FULL_TABLE_MAX, so
+        # a digit sum (below 2p) and its reduced value times p^i (below q) fit uint16
+        add = np.zeros((q, q), dtype=np.int64)
+        for dig, power in zip(self._digits.T.astype(np.uint16), self._pow_p.tolist()):
+            place = np.add.outer(dig, dig)
+            place[place >= p] -= p
+            place *= power
+            add += place
+        self._add_table = add
         la, lb = np.meshgrid(self._log, self._log, indexing="ij")
         mul = self._exp[(la + lb) % (q - 1)]
         mul[0, :] = 0

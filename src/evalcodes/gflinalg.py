@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .gf import FiniteField
+from .gf import FiniteField, smallest_uint
 
 
 def as_matrix(mat) -> np.ndarray:
@@ -78,33 +78,61 @@ def kernel_basis(field: FiniteField, mat) -> np.ndarray:
 def matmul(field: FiniteField, a, b) -> np.ndarray:
     """Exact GF matrix product, broadcast over leading stack dimensions.
 
-    Over GF(p^m) with m > 1 the product is GF(p)-linear in the base-p digits
-    of `a`: row j*m + i of the expanded right factor holds the digits of
-    p^i * b[j] (p^i encodes the i-th power basis element), and the GF(p)
-    result folds back to encodings.  The GF(p) product runs through float64
-    BLAS only while every sum stays below 2^53; otherwise an int64 loop
-    reduces each product mod p before adding (FiniteField keeps (p-1)^2
-    below 2^63, so no product overflows).
+    Over GF(p^m) the product is GF(p)-linear in the base-p digits of `a`:
+    row j*m + i of the expanded right factor holds the digits of p^i * b[j]
+    (p^i encodes the i-th power basis element), and digit d of an output
+    entry is a sum of inner * m GF(p) products, each at most (p-1)^2, so it
+    fits a field of `bits` bits.  The m digit sums of an output entry are
+    computed packed (Kronecker substitution): the right factor carries
+    per = min(m, 53 // bits) of its digits per float word, digit d at bit
+    bits * (d % per) of word d // per, so one BLAS product returns every
+    packed sum exactly, in float32 where a word fits its 24-bit mantissa.
+    Each field is unpacked by shift and mask, reduced mod p in the smallest
+    unsigned dtype that holds it, and the digits fold back to encodings by
+    Horner's rule; a prime field (m = 1, one digit per word) takes the
+    reduction alone.  Where a digit sum needs more than 53 bits, an int64
+    loop reduces each product mod p before adding instead (FiniteField
+    keeps (p-1)^2 below 2^63, so no product overflows).
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     p, m = field.p, field.n
-    cols = b.shape[-1]
+    stack, cols, terms = b.shape[:-2], b.shape[-1], a.shape[-1] * m
     if m > 1:
-        a = field._digits_of(a).reshape(a.shape[:-1] + (a.shape[-1] * m,))
-        powers_b = field.mul(b[..., None, :], field._pow_p[:, None])  # (..., inner, m, cols)
-        b = field._digits_of(powers_b).reshape(b.shape[:-2] + (b.shape[-2] * m, cols * m))
-    inner = a.shape[-1]
-    if (p - 1) ** 2 * inner < 1 << 53:  # every partial sum is an exact integer
-        out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64) % p
+        a = field._digits_of(a).reshape(a.shape[:-1] + (terms,))
+        b = field._digits_of(field.mul(b[..., None, :], field._pow_p[:, None]))
+    b = b.reshape(stack + (terms, cols, m))  # [..., j*m + i, column, digit d]
+    bits = max(1, ((p - 1) ** 2 * terms).bit_length())
+    if bits > 53:
+        sums = 0
+        for j in range(terms):
+            sums = (sums + a[..., j, None, None] * b[..., None, j, :, :] % p) % p
+
+        def digit(d):
+            return sums[..., d]
     else:
-        out = 0
-        for j in range(inner):
-            out = (out + a[..., j, None] * b[..., None, j, :] % p) % p
-    if m > 1:
-        out = out.reshape(out.shape[:-1] + (cols, m)) @ field._pow_p
-    return out
+        per = min(m, 53 // bits)
+        dtype = smallest_uint(max(bits, field.q.bit_length()))
+        words = -(-m // per)
+        packed = np.zeros(stack + (terms, cols, words), dtype=np.int64)
+        for d in range(m):
+            packed[..., d // per] += b[..., d] << bits * (d % per)
+        ftype = np.float32 if per * bits <= 24 else np.float64
+        sums = np.matmul(a.astype(ftype), packed.reshape(stack + (terms, cols * words)).astype(ftype))
+        sums = sums.reshape(sums.shape[:-1] + (cols, words)).astype(smallest_uint(per * bits))
+
+        def digit(d):
+            word = sums[..., d // per]
+            if per > 1:
+                word = word >> bits * (d % per) & (1 << bits) - 1
+            word = word.astype(dtype)
+            word -= word // p * p  # numpy vectorizes floor division by a scalar, not %
+            return word
+    out = digit(m - 1)
+    for d in range(m - 2, -1, -1):
+        out = out * p + digit(d)
+    return out.astype(np.int64)
 
 
 def vecmat(field: FiniteField, v, m) -> np.ndarray:

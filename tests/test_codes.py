@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_invertible
-from evalcodes import gflinalg
+from evalcodes import codes, gflinalg
 from evalcodes.codes import (
     LinearCode,
     _AdditiveForm,
@@ -521,6 +521,37 @@ def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w
     if w == 16:
         assert not _AdditiveForm(fld, w).packed
     _check_scan(fld, _systematic(fld, k, redundancy, random.Random(k)), w, SCAN_BUDGET)
+
+
+def test_witness_read_back_takes_the_tied_blocks_of_a_chunk_at_once(monkeypatch):
+    # the 36 weight-3 messages of a [9, 3] code over GF(7) in chunks of 8:
+    # each chunk spans two blocks of the 6 last values, and with this matrix
+    # the lightest codewords lie in every chunk, in both blocks of three of
+    # them, and the lexicographically first in chunk 2, which must beat the
+    # witness of chunks 0 and 1 on a column where two candidates still tie
+    fld, w, rows = make_field(7), 3, 8
+    sysmat = _systematic(fld, 3, 6, random.Random(11))
+    k, n = sysmat.shape
+    monkeypatch.setattr(codes, "_BATCH_TARGET", rows * n)
+    words = gflinalg.matmul(fld, codes._message_values(np.arange(36), w, fld.q), sysmat)
+    weights = (words != 0).sum(axis=1)
+    lightest = np.flatnonzero(weights == weights.min())
+    first = min(lightest.tolist(), key=lambda i: words[i].tolist())
+    chunks = [(lo, min(36, lo + rows)) for lo in range(0, 36, rows)]
+    tied_blocks = [sum(bool(np.isin(np.arange(a * 6 + c0, (b - 1) * 6 + c1), lightest).any())
+                       for a, b, c0, c1 in codes._blocks(lo, hi, 6)) for lo, hi in chunks]
+    assert tied_blocks == [1, 2, 2, 2, 1] and first // rows == 2
+    calls, read_back = [], codes._first_codeword
+
+    def first_codeword(*args):
+        calls.append(len(args[3]))  # the candidates' message values
+        return read_back(*args)
+    monkeypatch.setattr(codes, "_first_codeword", first_codeword)
+    state = _SweepState(n)
+    assert _weight_scan(fld, sysmat, w, state, 36)
+    # one read-back per chunk, of every lightest codeword in it
+    assert calls == [int(np.isin(np.arange(lo, hi), lightest).sum()) for lo, hi in chunks]
+    assert (state.min_weight, state.witness) == (weights.min(), tuple(words[first].tolist()))
 
 
 # -- weight rounds against encoding every message through matmul ---------------------

@@ -11,6 +11,7 @@ from conftest import random_invertible
 
 from evalcodes import gflinalg
 from evalcodes.gf import (
+    FULL_TABLE_MAX,
     FiniteField,
     NotInSubfield,
     get_embedding,
@@ -232,6 +233,23 @@ def test_make_field_determinism():
     assert make_field(3, 2) is make_field(3, 2)
 
 
+# every full-table field the benchmark workloads open, and GF(2^10) at FULL_TABLE_MAX
+TABLE_FIELDS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (5, 2), (2, 5), (47, 1), (7, 2), (5, 3),
+                (7, 3), (2, 9), (3, 6), (2, 10)]
+
+
+@pytest.mark.parametrize("p, n", TABLE_FIELDS)
+def test_add_table_adds_digit_by_digit(p, n):
+    fld = make_field(p, n)
+    assert fld.q <= FULL_TABLE_MAX and (fld.q == FULL_TABLE_MAX) == ((p, n) == (2, 10))
+    table = fld._add_table
+    assert table.dtype == np.int64 and table.min() >= 0 and table.max() < fld.q
+    encodings = np.arange(fld.q)
+    for i in range(n):  # an entry below q is its n base-p digits
+        digit = encodings // p**i % p
+        assert np.array_equal(table // p**i % p, (digit[:, None] + digit[None, :]) % p)
+
+
 def test_canonical_moduli():
     assert make_field(2, 2).modulus == (1, 1, 1)  # x^2+x+1
     assert make_field(3, 2).modulus == (1, 0, 1)  # x^2+1
@@ -373,9 +391,11 @@ def _reference_matmul(fld, a, b):
 
 @st.composite
 def stacked_products(draw):
-    """Factors over GF(7), GF(2^11) (log tables), GF(2^18) (digit vectors) or
-    GF(2^31 - 1) (beyond float64); one or both factors carry a stack axis."""
-    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 11), (2, 18), (2**31 - 1, 1)])))
+    """Factors over GF(7), GF(9), GF(2^5), GF(7^2), GF(3^5), GF(2^10) (full
+    tables), GF(2^11) (log tables), GF(2^18) (digit vectors) or GF(2^31 - 1)
+    (beyond float64); one or both factors carry a stack axis."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (3, 2), (2, 5), (7, 2), (3, 5), (2, 10), (2, 11),
+                                            (2, 18), (2**31 - 1, 1)])))
     stack, rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(4))
     elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
 
@@ -389,7 +409,7 @@ def stacked_products(draw):
     return fld, a, b
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(stacked_products())
 def test_stacked_matmul_matches_python_ints(case):
     fld, a, b = case
@@ -400,6 +420,53 @@ def test_stacked_matmul_matches_python_ints(case):
         ai = a[i] if a.ndim == 3 else a
         bi = b[i] if b.ndim == 3 else b
         assert out[i].tolist() == _reference_matmul(fld, ai.tolist(), bi.tolist())
+
+
+def _widest_digit_sum_factor(fld):
+    """The element y whose products with every power basis element x^i have
+    base-p digit 0 equal to p - 1 (y = -1 over a prime field): against a left
+    factor of q - 1, whose digits are all p - 1, digit 0 of the product sums
+    inner * m GF(p) products of (p - 1)^2, the most any digit sum holds."""
+    products = fld.mul(np.arange(fld.q)[:, None], fld._pow_p[None, :])
+    return int(np.flatnonzero((fld._digits_of(products)[..., 0] == fld.p - 1).all(axis=1))[0])
+
+
+P26 = 67108859  # the largest prime below 2^26: 2 (P26 - 1)^2 < 2^53 < 3 (P26 - 2)^2
+
+
+# (p, m, inner, x, y): every entry of the left factor is x and of the right
+# factor y, so every product entry is inner * x * y; "widest" is the y of
+# _widest_digit_sum_factor.  With per = min(m, 53 // bits) digits to a float
+# word, bits the bit length of (p - 1)^2 * inner * m:
+MATMUL_EDGES = [
+    (7, 1, 1820, "q-1", "q-1"),  # 36 * 1820 < 2^16: uint16 digit sums
+    (7, 1, 1821, "q-1", "q-1"),  # 2^16 < 36 * 1821: uint32
+    (3, 2, 1, "q-1", "widest"),  # GF(9): two 4-bit digits in a float32 word
+    (2, 5, 1, "q-1", "widest"),  # GF(2^5): five 3-bit digits, float32
+    (2, 5, 7, "q-1", "widest"),  # the sweep's k = 7: five 6-bit digits, 30 bits, float64
+    (7, 2, 56, "q-1", "widest"),  # 72 * 56 < 2^12: two 12-bit digits, 24 bits, float32
+    (7, 2, 57, "q-1", "widest"),  # 2^12 < 72 * 57: 26 bits, float64
+    (7, 2, 57, "q-1", "q-1"),
+    (3, 5, 51, "q-1", "widest"),  # 20 * 51 < 2^10: five 10-bit digits, 50 bits in one word
+    (3, 5, 52, "q-1", "widest"),  # 2^10 < 20 * 52: 11 bits, four digits and one to a word
+    (2, 10, 3, "q-1", "widest"),  # 30 < 2^5: ten 5-bit digits, 50 bits in one word
+    (2, 10, 4, "q-1", "widest"),  # 2^5 < 40: 6 bits, eight digits and two to a word
+    (2, 10, 4, "q-1", "q-1"),
+    (P26, 1, 2, "q-2", "q-2"),  # (p - 1)^2 * 2 < 2^53: float64, exact
+    (P26, 1, 3, "q-2", "q-2"),  # 2^53 < (p - 2)^2 * 3, an odd sum that float64 would round: int64 loop
+]
+
+
+@pytest.mark.parametrize("p, m, inner, x, y", MATMUL_EDGES)
+def test_matmul_at_the_digit_sum_edges(p, m, inner, x, y):
+    fld = make_field(p, m)
+    x, y = (fld.q - 2 if v == "q-2" else fld.q - 1 if v == "q-1" else _widest_digit_sum_factor(fld)
+            for v in (x, y))
+    a = np.full((2, inner), x, dtype=np.int64)
+    b = np.full((inner, 3), y, dtype=np.int64)
+    expected = fld.mul(fld.mul(x, y), inner % p)  # inner * x * y, inner in the prime field
+    assert np.array_equal(gflinalg.matmul(fld, a, b), np.full((2, 3), expected))
+    assert np.array_equal(gflinalg.matmul(fld, a[None], b), np.full((1, 2, 3), expected))
 
 
 @st.composite
