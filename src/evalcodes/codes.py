@@ -67,7 +67,7 @@ import numpy as np
 
 from .gf import FiniteField, batched, field_spec_string, smallest_uint
 from . import gflinalg
-from .poly import HomogPoly, monomials
+from .poly import monomial_values, monomials
 from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows, normalizing_scalars
 
 DEFAULT_DISTANCE_BUDGET = 50_000_000
@@ -138,10 +138,7 @@ def build_code(surface: Surface, s: int) -> LinearCode:
         raise ValueError("surface has no rational points; the code is empty")
     nvars = eval_pts.shape[1]
     basis = monomials(nvars, s)
-    ev = np.stack([
-        HomogPoly(fld, nvars, s, {mono: 1}).eval_points(eval_pts) for mono in basis
-    ])
-    gen = gflinalg.nonzero_rows(fld, ev)
+    gen = gflinalg.nonzero_rows(fld, monomial_values(fld, eval_pts, basis).T)
     return LinearCode(
         fld=fld,
         n=len(eval_pts),
@@ -197,21 +194,22 @@ class _AdditiveForm:
 
     Characteristic 2: the encodings themselves, added by XOR.  Odd p: the
     base-p digits packed into fields of b bits, b the bit length of the
-    largest digit sum w(p - 1) of a weight-w message, so a plain add never
-    carries from one digit into the next.  The width follows from w and p
-    alone.  Where m fields of b bits would exceed 63 bits, sums stay
-    encodings added by FiniteField.add, which reduces every digit mod p at
-    each addition.  At w = 2 no sum is formed (a prefix sum is the first
-    row), and the form is the encodings themselves.  Every sum of two
-    encodings lies below span.  Sums leave this form as encodings (value),
-    which the ratio and compare counts weigh and the witness read-back adds
-    to; the packed zero counters read the sums of two encodings directly.
+    largest digit sum 2(p - 1) of two encodings, which every sum the kernel
+    forms is (_prefix_sums), so a plain add never carries from one digit
+    into the next.  The width follows from p alone.  Where m fields of b
+    bits would exceed 63 bits, sums stay encodings added by
+    FiniteField.add, which reduces every digit mod p at each addition.  At
+    w = 2 no sum is formed (a prefix sum is the first row), and the form is
+    the encodings themselves.  Every sum of two encodings lies below span.
+    Sums leave this form as encodings (value), which the ratio and compare
+    counts weigh and the witness read-back adds to; the packed zero
+    counters read the sums of two encodings directly.
     """
 
     def __init__(self, fld: FiniteField, w: int):
         p, m = fld.p, fld.n
         self.fld = fld
-        self.bits = (w * (p - 1)).bit_length()
+        self.bits = (2 * (p - 1)).bit_length()
         self.packed = p > 2 and m * self.bits <= 63
         if p == 2:
             self.add, self.dtype = np.bitwise_xor, smallest_uint(m)
@@ -761,8 +759,8 @@ def _information_sets(fld: FiniteField, matrix: np.ndarray):
     # the smallest type that holds an encoding: at q = 49 and n = 2451 the
     # 354 sets take 6 MB instead of 48 MB of int64
     sysmats = np.empty((len(bases), k, n), dtype=smallest_uint((fld.q - 1).bit_length()))
-    # each product holds at most 2^20 GF(p) digits, so its int64 result at most 8 MB
-    block = max(1, (_BATCH_TARGET // 2) // (k * n * fld.n))
+    # each product holds at most 2^19 GF(p) digits, so its int64 result at most 4 MB
+    block = max(1, (_BATCH_TARGET // 4) // (k * n * fld.n))
     for lo, hi in batched(len(bases), block):
         sysmats[lo:hi] = gflinalg.matmul(fld, inverses[lo:hi], matrix)
     return sysmats, ranks

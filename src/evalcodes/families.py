@@ -22,7 +22,7 @@ from .bounds import (
     predicted_Nr,
     sectional_genus_hypersurface,
 )
-from .poly import HomogPoly, monomials
+from .poly import HomogPoly, monomial_values, monomials
 from .projective import (
     BudgetExceeded,
     Surface,
@@ -429,8 +429,7 @@ def _orbit_kernel(orbit: FrobeniusOrbit, degree: int) -> np.ndarray:
     the GF(q)-linear conditions, of rank 3 for a proper orbit.
     """
     ext = orbit.ext
-    vals = np.stack([HomogPoly(ext, 3, degree, {mono: 1}).eval_points(orbit.conjugates)
-                     for mono in monomials(3, degree)], axis=1)
+    vals = monomial_values(ext, orbit.conjugates, monomials(3, degree))
     return get_embedding(orbit.base, ext).descend(gflinalg.kernel_basis(ext, vals))
 
 
@@ -530,10 +529,7 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
     if len(conic_kernel) != 3:
         raise DegenerateInput(f"conic system has dimension {len(conic_kernel)}, expected 3")
     conic_basis = monomials(3, 2)
-    kernel_vals = np.stack([
-        HomogPoly.from_coeff_vector(fld, 3, 2, conic_basis, row).eval_points(pts)
-        for row in conic_kernel
-    ])
+    kernel_vals = gflinalg.matmul(fld, conic_kernel, monomial_values(fld, pts, conic_basis).T)
     combos = enumerate_points(fld, 2)  # 57 projective combinations of 3 basis conics
     conic_vals = gflinalg.matmul(fld, combos, kernel_vals)
     line_vals = gflinalg.matmul(fld, combos, pts.T)  # same 57 duals as lines

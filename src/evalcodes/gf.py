@@ -55,7 +55,7 @@ def _prime_factors(m: int) -> list[int]:
 
 def smallest_uint(bits: int):
     """The narrowest unsigned numpy integer type of at least `bits` bits."""
-    return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= bits)
+    return (np.uint8, np.uint16, np.uint32, np.uint64)[max(0, (bits - 1).bit_length() - 3)]
 
 
 def _is_prime(m: int) -> bool:
@@ -261,8 +261,9 @@ class FiniteField:
         inv = np.zeros(q, dtype=np.int64)
         inv[exp] = exp[(q - 1 - log[exp]) % (q - 1)]
         self._inv = inv
-        neg_dig = (-self._digits) % p
-        self._neg_table = self._recompose(neg_dig)
+        # -a = g^((q - 1) / 2) a for odd q; -a = a in characteristic 2
+        half = (log[1:] + (q - 1) // 2) % (q - 1)
+        self._neg_table = np.arange(q) if p == 2 else np.concatenate([[0], exp[half]])
 
     def _mul_by_matrix(self, e: int) -> np.ndarray:
         """n x n GF(p) matrix of multiplication by the element encoded e."""

@@ -4,13 +4,17 @@ Terms map exponent tuples to nonzero coefficient encodings; homogeneity is
 enforced at construction.  The canonical term order everywhere (printing,
 file output, division, monomial bases) is descending lexicographic on the
 exponent tuple, so x0^s comes first in a degree-s basis.
+
+At points, a polynomial is its monomial values times its coefficients, one
+gflinalg.matmul per chunk; whole affine grids take nested Horner instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .gf import FiniteField, FieldEmbedding
+from .gf import FiniteField, FieldEmbedding, batched
+from . import gflinalg
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -92,15 +96,11 @@ class HomogPoly:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def coeff_vector(self, basis: list[tuple[int, ...]]) -> np.ndarray:
-        row = np.zeros(len(basis), dtype=np.int64)
-        for j, exps in enumerate(basis):
-            row[j] = self.terms.get(exps, 0)
-        return row
+        return np.array([self.terms.get(exps, 0) for exps in basis], dtype=np.int64)
 
     @classmethod
     def from_coeff_vector(cls, field, nvars, degree, basis, row) -> "HomogPoly":
-        return cls(field, nvars, degree,
-                   {exps: int(c) for exps, c in zip(basis, row)})
+        return cls(field, nvars, degree, zip(basis, row))
 
     def __eq__(self, other):
         return (
@@ -205,32 +205,48 @@ class HomogPoly:
 
     def eval_at(self, coords) -> int:
         """Value at one coordinate tuple of encodings."""
-        if len(coords) != self.nvars:
-            raise ValueError("coordinate/variable count mismatch")
-        f = self.field
-        total = 0
-        for exps, c in self.terms.items():
-            v = c
-            for x, e in zip(coords, exps):
-                if e:
-                    v = f.mul(v, f.pow(int(x), e))
-            total = f.add(total, v)
-        return total
+        return int(self.eval_points(np.array([coords], dtype=np.int64))[0])
 
     def eval_points(self, points: np.ndarray) -> np.ndarray:
         """Vectorized values at an (N, nvars) array of coordinate encodings."""
-        f = self.field
         pts = np.asarray(points, dtype=np.int64)
-        acc = np.zeros(pts.shape[0], dtype=np.int64)
-        for exps, c in self.sorted_terms():
-            t = None
-            for i, e in enumerate(exps):
-                if e:
-                    col = f.pow(pts[:, i], e)
-                    t = col if t is None else f.mul(t, col)
-            t = np.full(pts.shape[0], c, dtype=np.int64) if t is None else f.mul(t, c)
-            acc = f.add(acc, t)
-        return acc
+        if pts.ndim != 2 or pts.shape[1] != self.nvars:
+            raise ValueError(f"points of {self.nvars} coordinates expected, not {pts.shape}")
+        exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.nvars)
+        coeffs = np.array(list(self.terms.values()), dtype=np.int64)[:, None]
+        out = np.empty(len(pts), dtype=np.int64)
+        for lo, hi in batched(len(pts), max(1, EVAL_CHUNK_ELEMS // max(1, len(exps)))):
+            vals = monomial_values(self.field, pts[lo:hi], exps)
+            out[lo:hi] = gflinalg.matmul(self.field, vals, coeffs)[:, 0]
+        return out
+
+
+EVAL_CHUNK_ELEMS = 1 << 18
+
+
+def monomial_values(fld: FiniteField, points, exps) -> np.ndarray:
+    """Values [point, monomial] of the monomials with exponent rows exps at
+    an (N, nvars) array of encodings, with 0^0 = 1.  With log tables, one
+    product of the logs (exponents e > 0 cut to (e - 1) mod (q - 1) + 1,
+    the same x^e) with the exponent rows gives each monomial's log; a 0 has
+    log `zero`, above any sum of other logs.  Without, each variable's power
+    is computed once per distinct exponent."""
+    pts, exps, q = np.asarray(points, dtype=np.int64), np.asarray(exps, dtype=np.int64), fld.q
+    if fld._log is not None:
+        e = np.where(exps > 0, (exps - 1) % (q - 1) + 1, 0).T
+        degree = int(e.sum(axis=0).max(initial=0))
+        zero = degree * (q - 2) + 1
+        if degree * zero >= 1 << 63:
+            raise ValueError("monomial logs would overflow int64")
+        sums = np.where(pts == 0, zero, fld._log[pts]) @ e
+        vals = fld._exp[sums - sums // (q - 1) * (q - 1)]  # floor division vectorizes, % does not
+        vals[sums >= zero] = 0
+        return vals
+    vals = np.ones((len(exps), len(pts)), dtype=np.int64)
+    for col, powers in zip(pts.T, exps.T, strict=True):
+        for e in np.unique(powers).tolist():
+            vals[powers == e] = fld.mul(vals[powers == e], fld.pow(col, e))
+    return vals.T
 
 
 # -- fast evaluation over full affine grids ------------------------------------
@@ -239,23 +255,12 @@ GRID_CHUNK_ELEMS = 4_000_000
 
 
 def dehomogenize(poly: HomogPoly, chart: int) -> np.ndarray:
-    """Coefficient tensor of poly with x_chart = 1 and x_j = 0 for j > chart.
-
-    The result has one axis per remaining variable x_0..x_{chart-1}, each of
-    length degree+1.  chart = 0 yields a 0-d tensor (the value at the point
-    (1:0:...:0)).
-    """
-    d = poly.degree
-    shape = (d + 1,) * chart if chart else ()
-    tensor = np.zeros(shape, dtype=np.int64)
+    """Coefficient tensor of poly with x_chart = 1 and x_j = 0 for j > chart
+    (chart >= 1), one axis of length degree+1 per x_0..x_{chart-1}."""
+    tensor = np.zeros((poly.degree + 1,) * chart, dtype=np.int64)
     for exps, c in poly.terms.items():
-        if any(e for e in exps[chart + 1 :]):
-            continue
-        idx = exps[:chart]
-        if chart:
-            tensor[idx] = poly.field.add(int(tensor[idx]), c)
-        else:
-            tensor = np.asarray(poly.field.add(int(tensor), c), dtype=np.int64)
+        if not any(exps[chart + 1 :]):
+            tensor[exps[:chart]] = c
     return tensor
 
 

@@ -26,14 +26,15 @@ O only.  Characteristic 3 keeps the grid.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FiniteField, field_spec_string, get_embedding, make_field, parse_field_spec
+from .gf import FiniteField, batched, field_spec_string, get_embedding, make_field, parse_field_spec
 from . import gflinalg
 from .bounds import sectional_genus_hypersurface
-from .poly import GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks
+from .poly import EVAL_CHUNK_ELEMS, GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks
 
 DEFAULT_POINT_BUDGET = 20_000_000
 
@@ -75,16 +76,8 @@ def enumerate_points(fld: FiniteField, r: int, max_points: int = DEFAULT_POINT_B
     total = projective_space_size(q, r)
     if total > max_points:
         raise BudgetExceeded(f"P^{r}(F_{q}) has {total} points, budget is {max_points}")
-    charts = []
-    for ell in range(r + 1):
-        block = np.zeros((q**ell, r + 1), dtype=np.int64)
-        idx = np.arange(q**ell, dtype=np.int64)
-        for i in range(ell):
-            block[:, i] = idx % q
-            idx //= q
-        block[:, ell] = 1
-        charts.append(block)
-    pts = np.concatenate(charts, axis=0)
+    x0 = np.arange(q, dtype=np.int64)
+    pts = np.concatenate([_chart_coords(q, c, x0, np.arange(q**c, dtype=np.int64), r) for c in range(r + 1)])
     return pts[canonical_order(pts)]
 
 
@@ -258,35 +251,34 @@ def section_scan(surface: Surface, *, max_witnesses: int = 16) -> SectionScan:
     return SectionScan(hist, max_count, witnesses, len(hyps))
 
 
-def enumerate_lines(fld: FiniteField, r: int) -> np.ndarray:
-    """All lines of P^r(F_q) as (L, 2, r+1) canonical RREF bases."""
-    q = fld.q
-    blocks = []
-    for c1 in range(r + 1):
-        for c2 in range(c1 + 1, r + 1):
-            free0 = [j for j in range(c1 + 1, r + 1) if j != c2]
-            free1 = [j for j in range(c2 + 1, r + 1)]
-            nfree = len(free0) + len(free1)
-            count = q**nfree
-            block = np.zeros((count, 2, r + 1), dtype=np.int64)
-            block[:, 0, c1] = 1
-            block[:, 1, c2] = 1
-            idx = np.arange(count, dtype=np.int64)
-            for j in free0:
-                block[:, 0, j] = idx % q
-                idx //= q
-            for j in free1:
-                block[:, 1, j] = idx % q
-                idx //= q
-            blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+def _line_chunks(q: int, r: int, size: int):
+    """The lines of P^r(F_q) as (L, 2, r+1) RREF bases, `size` a chunk across
+    pivot blocks: pivots (c1, c2) ascending, then free entries as base-q
+    digits, the first row's fastest."""
+    pairs = list(itertools.combinations(range(r + 1), 2))
+    free = [[(0, j) for j in range(c1 + 1, r + 1) if j != c2] + [(1, j) for j in range(c2 + 1, r + 1)]
+            for c1, c2 in pairs]
+    starts = np.cumsum([0] + [q ** len(f) for f in free]).tolist()
+    for lo, hi in batched(starts[-1], size):
+        block = np.zeros((hi - lo, 2, r + 1), dtype=np.int64)
+        for (c1, c2), cells, start, stop in zip(pairs, free, starts, starts[1:]):
+            a, b = max(lo, start), min(hi, stop)
+            if a < b:
+                part = block[a - lo : b - lo]
+                part[:, [0, 1], [c1, c2]] = 1
+                idx = np.arange(a - start, b - start, dtype=np.int64)
+                for row, j in cells:
+                    part[:, row, j] = idx % q
+                    idx //= q
+        yield block
 
 
 def lines_on_surface(surface: Surface, *, max_lines: int = 2_000_000) -> np.ndarray:
     """All F_q-rational lines contained in X, as (L, 2, r+1) RREF bases.
 
     A line is certified by the vanishing of every generator at deg+1 sample
-    points, which kills the restricted binary form identically.
+    points, which kills the restricted binary form identically.  The
+    candidates are counted before any is built.
     """
     fld = surface.fld
     r = surface.ambient
@@ -294,15 +286,18 @@ def lines_on_surface(surface: Surface, *, max_lines: int = 2_000_000) -> np.ndar
     max_deg = max(g.degree for g in surface.generators)
     if q < max_deg + 1:
         raise ValueError(f"need q >= deg+1 = {max_deg + 1} sample points per line")
-    lines = enumerate_lines(fld, r)
-    if len(lines) > max_lines:
-        raise BudgetExceeded(f"{len(lines)} candidate lines exceeds budget {max_lines}")
-    for g in surface.generators:
-        for c in (None, *range(max_deg + 1)):  # v, then u + c v: each on the surviving lines
-            u, v = lines[:, 0, :], lines[:, 1, :]
-            sample = v if c is None else fld.add(u, fld.mul(c, v))
-            lines = lines[g.eval_points(sample) == 0]
-    return lines
+    total = (q ** (r + 1) - 1) * (q ** (r + 1) - q) // ((q * q - 1) * (q * q - q))
+    if total > max_lines:
+        raise BudgetExceeded(f"{total} candidate lines exceeds budget {max_lines}")
+    terms = max(len(g.terms) for g in surface.generators)
+    found = []
+    for lines in _line_chunks(q, r, max(1, EVAL_CHUNK_ELEMS // max(1, terms))):
+        for g in surface.generators:
+            for c in (None, *range(max_deg + 1)):  # v, then u + c v: each on the surviving lines
+                sample = lines[:, 1] if c is None else fld.add(lines[:, 0], fld.mul(c, lines[:, 1]))
+                lines = lines[g.eval_points(sample) == 0]
+        found.append(lines)
+    return np.concatenate(found)
 
 
 def _root_tables(fld: FiniteField, degree: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +350,7 @@ def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarr
     jac = [cubic.partial_derivative(i) for i in range(4)] if singular else []
     fiber_rows = max(1, GRID_CHUNK_ELEMS // q)
     count = 0 if lead else 1
+    roots = [] if lead else [np.array([[0, 0, 0, 1]])]  # (x, y, z, repeated root); O
     candidates = []
     for chart, x0, vals in _chart_values(fld, forms, 2):
         vals = [np.ravel(v) for v in vals]
@@ -374,13 +370,14 @@ def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarr
             continue
         rep = repeated[idx]
         hit = rep < q
-        xyz = _chart_coords(q, chart, x0, pos[hit], 2)
-        candidates.append(np.column_stack([xyz, fld.sub(rep[hit].astype(np.int64), shift.eval_points(xyz))]))
+        roots.append(np.column_stack([_chart_coords(q, chart, x0, pos[hit], 2), rep[hit]]))
         for start in range(0, len(zero), fiber_rows):  # every point of a zero fiber
             xyz = _chart_coords(q, chart, x0, zero[start : start + fiber_rows], 2)
             candidates.append(np.column_stack([np.repeat(xyz, q, axis=0), np.tile(np.arange(q), len(xyz))]))
-    if not lead and jac:
-        candidates.append(np.array([[0, 0, 0, 1]], dtype=np.int64))
+    if jac:
+        roots = np.concatenate(roots)
+        roots[:, 3] = fld.sub(roots[:, 3], shift.eval_points(roots[:, :3]))  # w = u - shift (0 at O)
+        candidates.append(roots)
     pts = [c[np.all([d.eval_points(c) == 0 for d in jac], axis=0)] for c in candidates if len(c)]
     pts = normalize_rows(fld, np.concatenate(pts)) if pts else np.zeros((0, 4), dtype=np.int64)
     chart = 3 - np.argmax(pts[:, ::-1] != 0, axis=1)  # the grid's order: chart, then lexicographic
@@ -423,9 +420,7 @@ def level_scan(
         count += len(coords)
         if not jac:
             continue
-        jvals = np.stack(
-            [np.stack([d.eval_points(coords) for d in row]) for row in jac]
-        )  # (codim, ambient+1, npts)
+        jvals = np.stack([[d.eval_points(coords) for d in row] for row in jac])  # (codim, ambient+1, npts)
         if codim == 1:
             sing = (jvals[0] == 0).all(axis=0)
         else:

@@ -408,11 +408,11 @@ SCAN_FIELDS = [
     (make_field(2, 11), 2, (0, 8)),
     (make_field(7), 6, (0, 8)),
     (make_field(P31), 2, (80, 100)),
-    (make_field(3, 2), 6, (0, 8)),  # w = k = 6: digit sums up to 12 in 4-bit fields
+    (make_field(3, 2), 6, (0, 8)),  # w up to 6: sums of two encodings in 3-bit digit fields
     (make_field(7, 2), 3, (0, 8)),
     (make_field(5, 2), 3, (0, 8)),  # w = 3: two 4-bit digit fields fill a uint8
     (make_field(3, 5), 3, (0, 8)),  # w = 3: five 3-bit fields in a uint16, digit powers up to 81
-    (make_field(3, 12), 2, (4, 8)),  # digit regime, packed into 36 or 24 bits
+    (make_field(3, 12), 2, (4, 8)),  # digit regime, packed into 36 bits
 ]
 
 
@@ -505,8 +505,16 @@ def test_weight_scan_matches_matmul_encoding(case):
     # long codes: slices of one support start and end inside a prefix
     (2, 4, 4, 196, 4),
     (5, 2, 3, 1900, 3),
-    # 16 digits of 6 bits exceed 63 bits: sums add by FiniteField.add instead
+    # w = 16: every sum is still of two encodings, 12 digits of 3 bits
     (3, 12, 16, 2, 16),
+    # q = 9: digit sums of two encodings fit 3 bits, so the counter table
+    # spans 37 sums at w = 5 and at w = 8 alike
+    (3, 2, 6, 22, 5),
+    (3, 2, 8, 20, 8),
+    # 21 digits of 3 bits fill 63 bits; 22 would not, so over GF(3^22) sums
+    # add by FiniteField.add instead
+    (3, 21, 4, 3, 3),
+    (3, 22, 4, 3, 3),
     # zero counters: n - k >= 64 takes 7-bit counters, 9 to a word, so the
     # 10 or 12 last values span two uint64 words
     (11, 1, 4, 70, 3),
@@ -518,8 +526,10 @@ def test_weight_scan_matches_matmul_encoding(case):
 ])
 def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w):
     fld = make_field(p, m)
-    if w == 16:
-        assert not _AdditiveForm(fld, w).packed
+    if p == 3 and w > 2:
+        form = _AdditiveForm(fld, w)
+        assert form.packed == (m <= 21)
+        assert m != 2 or form.span == 37
     _check_scan(fld, _systematic(fld, k, redundancy, random.Random(k)), w, SCAN_BUDGET)
 
 
@@ -746,7 +756,7 @@ def test_tied_witness_is_the_encoding_of_its_message(p, m):
     for sysmat in _information_sets(fld, code.matrix)[0]:
         for w in range(1, code.k + 1):
             form = _AdditiveForm(fld, w)
-            assert (p == 2) or form.packed == (m == 2 or w == 1)
+            assert (p == 2) or form.packed == (m == 2)
             state = _SweepState(code.n)
             _scan(fld, sysmat, w, state, 100_000)
             word = np.array(state.witness, dtype=np.int64)

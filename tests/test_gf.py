@@ -46,6 +46,14 @@ def test_field_axioms_exhaustive(p, n):
     assert np.array_equal(fld.mul(nz, fld.inv(nz)), np.ones(q - 1, dtype=np.int64))
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 4), (7, 1), (3, 2), (7, 3), (2, 11), (3, 7), (7, 4), (131, 2)])
+def test_negation_table_is_digitwise_negation(p, n):
+    # built from the log table: -1 = g^((q - 1) / 2) for odd q, so -a = g^((q - 1) / 2) a
+    fld = make_field(p, n)
+    v = np.arange(fld.q, dtype=np.int64)
+    assert np.array_equal(fld.neg(v), fld._recompose((-fld._digits_of(v)) % p))
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (7, 2), (11, 1), (7, 3), (2, 8), (53, 1)])
 def test_power_q_fixes_everything(p, n):
     fld = make_field(p, n)

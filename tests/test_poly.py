@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from evalcodes import poly as poly_module
 from evalcodes.gf import make_field
 from evalcodes.poly import (
     HomogPoly,
     dehomogenize,
     eval_affine_grid_chunks,
+    monomial_values,
     monomials,
 )
 
@@ -84,6 +87,69 @@ def test_eval_points_matches_eval_at():
                        dtype=np.int64)
         vec = p.eval_points(pts)
         assert [p.eval_at(tuple(pt)) for pt in pts] == [int(v) for v in vec]
+
+
+# fields with full tables, with log tables alone (GF(7^3) has both) and one
+# in the digit regime, which has neither
+EVAL_FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2), make_field(7, 3),
+               make_field(2, 18)]
+
+
+def _scalar_value(fld, poly, point):
+    """The value term by term, from the scalar reference operations and a
+    digit-by-digit sum."""
+    total = 0
+    for exps, c in poly.terms.items():
+        term = c
+        for x, e in zip(point, exps):
+            term = fld._mul_scalar_raw(term, fld._pow_scalar_raw(int(x), e))
+        total = sum((total // fld.p**i + term // fld.p**i) % fld.p * fld.p**i for i in range(fld.n))
+    return total
+
+
+@st.composite
+def evaluations(draw):
+    fld = draw(st.sampled_from(EVAL_FIELDS))
+    nvars = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 3 * fld.q if fld.q < 16 else 4))  # exponents past q - 1 too
+    basis = monomials(nvars, degree)
+    chosen = draw(st.lists(st.sampled_from(basis), max_size=6, unique=True))  # [] is the zero polynomial
+    terms = {mono: draw(st.integers(1, fld.q - 1)) for mono in chosen}
+    chunk = draw(st.integers(1, 4))  # points per chunk
+    count = draw(st.sampled_from([0, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.integers(0, fld.q, (count, nvars))
+    points[rng.random(points.shape) < 0.3] = 0  # many zero coordinates
+    return HomogPoly(fld, nvars, degree, terms), points, chunk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(evaluations())
+@example((HomogPoly(make_field(7), 3, 0, {(0, 0, 0): 5}), np.zeros((3, 3), dtype=np.int64), 2))
+@example((HomogPoly.zero(make_field(2, 18), 2, 2), np.array([[0, 5], [7, 0], [1, 1]]), 2))
+def test_evaluator_matches_scalar_reference(case):
+    poly, points, chunk = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "EVAL_CHUNK_ELEMS", chunk * max(1, len(poly.terms)))
+        values = poly.eval_points(points)
+    assert values.tolist() == [_scalar_value(poly.field, poly, pt) for pt in points.tolist()]
+    if len(points):
+        assert poly.eval_at(tuple(points[0].tolist())) == values[0]
+    exps = list(poly.terms)
+    if exps:
+        mono = monomial_values(poly.field, points, exps)
+        assert mono.shape == (len(points), len(exps))
+        assert mono.tolist() == [[_scalar_value(poly.field, HomogPoly(poly.field, poly.nvars, poly.degree, {e: 1}), pt)
+                                  for e in exps] for pt in points.tolist()]
+
+
+def test_eval_points_refuses_points_of_another_length():
+    p = HomogPoly(make_field(7), 3, 1, {(1, 0, 0): 1})
+    for bad in (np.zeros((4, 2), dtype=np.int64), np.zeros(3, dtype=np.int64)):
+        with pytest.raises(ValueError):
+            p.eval_points(bad)
+    with pytest.raises(ValueError):
+        p.eval_at((1, 2))
 
 
 def test_frobenius_coeffs():

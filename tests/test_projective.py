@@ -7,6 +7,7 @@ module, which re-run here against plain modular arithmetic.
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,63 @@ def test_lines_on_two_generators():
     surface = Surface(F7, 3, [quadric_xw_yz().generators[0], x], degree=2, sectional_genus=0)
     lines = lines_on_surface(surface)
     assert lines.tolist() == [[[0, 1, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]]]
+
+
+def _reference_lines(q, r):
+    """The lines of P^r(F_q) block by block, in plain ints: pivot columns
+    (c1, c2) ascending, then the free entries as base-q digits of the index
+    in the block, those of the first row fastest."""
+    out = []
+    for c1, c2 in itertools.combinations(range(r + 1), 2):
+        cells = [(0, j) for j in range(c1 + 1, r + 1) if j != c2] + [(1, j) for j in range(c2 + 1, r + 1)]
+        for index in range(q ** len(cells)):
+            line = [[int(j == c1) for j in range(r + 1)], [int(j == c2) for j in range(r + 1)]]
+            for row, j in cells:
+                index, line[row][j] = divmod(index, q)
+            out.append(line)
+    return out
+
+
+@pytest.mark.parametrize("q, r", [(2, 4), (3, 3), (5, 2)])
+def test_line_chunks_run_across_pivot_blocks(q, r):
+    reference = _reference_lines(q, r)
+    for size in (1, 7, 31, len(reference), 10**6):
+        chunks = list(projective._line_chunks(q, r, size))
+        assert [len(c) for c in chunks[:-1]] == [size] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1]) <= size
+        assert np.concatenate(chunks).tolist() == reference
+
+
+def test_chunked_line_search_equals_one_chunk(monkeypatch, dp4):
+    # 1009 lines a chunk cut the pivot blocks of P^4 over GF(7) (7^k lines
+    # each) at many places; the quadric cone xw - yz in P^4 has lines in 8
+    # of the 10 blocks, the dp4 fixture has none
+    cone = Surface(F7, 4, [quadric_xw_yz().generators[0].pad_vars(5)])
+    found = []
+    for surface in (cone, dp4):
+        terms = max(len(g.terms) for g in surface.generators)
+        monkeypatch.setattr(projective, "EVAL_CHUNK_ELEMS", 10**9)
+        whole = lines_on_surface(surface)
+        monkeypatch.setattr(projective, "EVAL_CHUNK_ELEMS", 1009 * terms)
+        chunked = lines_on_surface(surface)
+        assert chunked.shape == whole.shape and chunked.tolist() == whole.tolist()
+        found.append(chunked)
+    pivot_pairs = {tuple(np.argmax(line != 0, axis=1)) for line in found[0]}
+    assert len(pivot_pairs) == 8 and len(found[1]) == 0
+
+
+def test_line_budget_is_checked_before_any_line_is_built():
+    cubic = Surface(F7, 3, [HomogPoly.from_int_terms(F7, 4, 3, {(3, 0, 0, 0): 1, (0, 0, 0, 3): 1})], degree=3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="2850 candidate lines"):
+            lines_on_surface(cubic, max_lines=2849)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+    # x^3 + w^3 = 0 is three planes over GF(7), all through the line x = w = 0
+    assert len(lines_on_surface(cubic, max_lines=2850)) == 3 * 57 - 2
 
 
 def test_singular_points_examples(dp4):
