@@ -286,11 +286,11 @@ def _horner_outer(field: FiniteField, sub: list[np.ndarray], x: np.ndarray, inne
     return np.broadcast_to(acc, full)
 
 
-def eval_affine_grid_chunks(field: FiniteField, tensors: list[np.ndarray]):
+def eval_affine_grid_chunks(field: FiniteField, tensors: list[np.ndarray], chunk_elems=GRID_CHUNK_ELEMS):
     """Yield (x0_values, [value_arrays]) evaluating each tensor over F^t.
 
     All tensors must share a rank t >= 1.  The outermost variable is chunked
-    so intermediate arrays stay near GRID_CHUNK_ELEMS elements; each chunk's
+    so intermediate arrays stay near chunk_elems elements; each chunk's
     value arrays have shape (len(x0_values),) + (q,)*(t-1) and may be
     read-only views.
     """
@@ -298,7 +298,7 @@ def eval_affine_grid_chunks(field: FiniteField, tensors: list[np.ndarray]):
     if any(tt.ndim != t for tt in tensors):
         raise ValueError("tensors must share a rank")
     q = field.q
-    block = max(1, GRID_CHUNK_ELEMS // q ** (t - 1))
+    block = max(1, chunk_elems // q ** (t - 1))
     subevals = [
         [np.asarray(_eval_tensor_full(field, tensor[j])) for j in range(tensor.shape[0])]
         for tensor in tensors

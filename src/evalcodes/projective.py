@@ -37,6 +37,7 @@ from .bounds import sectional_genus_hypersurface
 from .poly import EVAL_CHUNK_ELEMS, GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks
 
 DEFAULT_POINT_BUDGET = 20_000_000
+FIBER_CHUNK_ELEMS = 1 << 14  # fibered cubic scan chunks: its temporaries do not grow with Q or a3 = 0
 
 
 class BudgetExceeded(RuntimeError):
@@ -106,7 +107,7 @@ def rational_points(
     return pts[mask]
 
 
-def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int):
+def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int, chunk_elems=GRID_CHUNK_ELEMS):
     """Yield (chart, x0, values) for every grid chunk of every affine chart of P^r.
 
     Chart c holds the points with x_c = 1 and later coordinates 0; its grid
@@ -120,7 +121,7 @@ def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int):
             origin = tuple(int(i == 0) for i in range(r + 1))
             yield 0, np.ones(1, dtype=np.int64), [np.array([f.eval_at(origin)]) for f in forms]
             continue
-        for x0, vals in eval_affine_grid_chunks(fld, [dehomogenize(f, chart) for f in forms]):
+        for x0, vals in eval_affine_grid_chunks(fld, [dehomogenize(f, chart) for f in forms], chunk_elems):
             yield chart, x0, vals
 
 
@@ -314,7 +315,7 @@ def _root_tables(fld: FiniteField, degree: int) -> tuple[np.ndarray, np.ndarray]
     t = np.arange(q, dtype=np.int64)
     t_deg = fld.pow(t, degree)
     counts = np.empty(q * q, dtype=np.uint8)
-    rows = max(1, GRID_CHUNK_ELEMS // q)
+    rows = max(1, FIBER_CHUNK_ELEMS // q)
     for start in range(0, q, rows):
         b = np.arange(start, min(start + rows, q), dtype=np.int64)[:, None]
         c = fld.neg(fld.add(t_deg, fld.mul(b, t)))
@@ -348,11 +349,11 @@ def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarr
         forms = [a[2], a[1], a[0]]
         counts, repeated = _root_tables(fld, 2)
     jac = [cubic.partial_derivative(i) for i in range(4)] if singular else []
-    fiber_rows = max(1, GRID_CHUNK_ELEMS // q)
+    fiber_rows = max(1, FIBER_CHUNK_ELEMS // q)
     count = 0 if lead else 1
     roots = [] if lead else [np.array([[0, 0, 0, 1]])]  # (x, y, z, repeated root); O
     candidates = []
-    for chart, x0, vals in _chart_values(fld, forms, 2):
+    for chart, x0, vals in _chart_values(fld, forms, 2, FIBER_CHUNK_ELEMS):
         vals = [np.ravel(v) for v in vals]
         if lead:
             pos = np.arange(len(vals[0]))

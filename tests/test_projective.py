@@ -205,6 +205,41 @@ def test_fibered_scan_matches_the_grid(field, r, data):
     assert level_scan(surface, r, singular=False)[0] == count
 
 
+@pytest.mark.parametrize("shape", sorted(CUBIC_SHAPES))
+def test_fibered_scan_in_small_chunks_equals_one_chunk(monkeypatch, shape):
+    fld = make_field(11)
+    rng = random.Random(shape)
+    basis = [e for e in monomials(4, 3) if not CUBIC_SHAPES[shape](e)]
+    surface = Surface(fld, 3, [HomogPoly(fld, 4, 3, {e: rng.randrange(1, 11) for e in basis})], degree=3)
+    results = []
+    for chunk in (10**9, 1, 500):  # one chunk per chart; one row of P^2 per chunk; rows of 4
+        monkeypatch.setattr(projective, "FIBER_CHUNK_ELEMS", chunk)
+        results.append([level_scan(surface, r) for r in (1, 2)])
+    for got in results[1:]:
+        for (count, singular), (want_count, want_singular) in zip(got, results[0]):
+            assert count == want_count
+            assert np.array_equal(singular, want_singular)
+
+
+def test_fibered_scan_peak_does_not_depend_on_a3():
+    # GF(7^3) fibers, as in a depth-3 search over GF(7); unchunked, the scan
+    # peaked at 7.5 MB with a3 = 0 and 4.5 MB otherwise
+    fld = make_field(7)
+    rng = random.Random(3)
+    coeffs = {e: rng.randrange(1, 7) for e in monomials(4, 3)}
+    peaks = []
+    for a3 in (0, 1):
+        surface = Surface(fld, 3, [HomogPoly(fld, 4, 3, {**coeffs, (0, 0, 0, 3): a3})], degree=3)
+        level_scan(surface, 3)  # builds and caches GF(7^3)
+        tracemalloc.start()
+        try:
+            level_scan(surface, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 3 << 20
+
+
 def test_fibered_scan_finds_the_forced_singular_points():
     f5 = make_field(5)
     # a cone in w over the nodal cubic y^2 z = x^3 + x^2 z: the vertex O and
