@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import _prime_factors, make_field
+from . import gf
+from .gf import _prime_factors, batched, make_field
 
 
 def floor_2sqrt(q: int) -> int:
@@ -193,22 +194,12 @@ def _max_weierstrass_count(p: int, n: int) -> int:
         return int(counts.max())
     # char 2/3: full Weierstrass y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6
     best = 0
-    tuples = q**5
-    batch = max(1, 2_000_000 // (q * q))
     x = np.arange(q, dtype=np.int64)[None, :, None]
     y = np.arange(q, dtype=np.int64)[None, None, :]
-    for start in range(0, tuples, batch):
-        idx = np.arange(start, min(start + batch, tuples), dtype=np.int64)
-        coeffs = []
-        rem = idx.copy()
-        for _ in range(5):
-            coeffs.append(rem % q)
-            rem //= q
-        a1, a2, a3, a4, a6 = [c.astype(np.int64) for c in coeffs]
-        if not len(a1):
-            continue
-        disc = _weierstrass_disc(fld, a1, a2, a3, a4, a6)
-        keep = disc != 0
+    for lo, hi in batched(q**5, max(1, gf.CHUNK_ELEMS // (q * q))):  # each tuple holds a q x q grid
+        idx = np.arange(lo, hi, dtype=np.int64)
+        a1, a2, a3, a4, a6 = [idx // q**i % q for i in range(5)]
+        keep = _weierstrass_disc(fld, a1, a2, a3, a4, a6) != 0
         if not keep.any():
             continue
         a1, a2, a3, a4, a6 = a1[keep], a2[keep], a3[keep], a4[keep], a6[keep]

@@ -509,6 +509,11 @@ def field_spec_string(field: FiniteField) -> str:
     return f"{field.p}^{field.n}" if field.n > 1 else str(field.p)
 
 
+# int64 values (2 MiB) held by one chunk of a geometric scan; each site
+# divides it by what it holds per item, reading gf.CHUNK_ELEMS at call time
+CHUNK_ELEMS = 1 << 18
+
+
 def batched(total: int, batch: int):
     """Yield (start, stop) covering range(total) in deterministic order."""
     for start in range(0, total, batch):

@@ -6,7 +6,11 @@ file output, division, monomial bases) is descending lexicographic on the
 exponent tuple, so x0^s comes first in a degree-s basis.
 
 At points, a polynomial is its monomial values times its coefficients, one
-gflinalg.matmul per chunk; whole affine grids take nested Horner instead.
+gflinalg.matmul per chunk of gf.CHUNK_ELEMS // terms points.  Whole affine
+grids take nested Horner instead, in chart chunks of gf.CHUNK_ELEMS // 16
+points: monomial values at the chart coordinates measured 4-10x slower
+(11.8 -> 118.8 ms on the fibered GF(7^3) forms, 114 -> 433 ms on a quartic
+over GF(11^2)).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FiniteField, FieldEmbedding, batched
-from . import gflinalg
+from . import gf, gflinalg
 
 
 def monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
@@ -215,13 +219,10 @@ class HomogPoly:
         exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.nvars)
         coeffs = np.array(list(self.terms.values()), dtype=np.int64)[:, None]
         out = np.empty(len(pts), dtype=np.int64)
-        for lo, hi in batched(len(pts), max(1, EVAL_CHUNK_ELEMS // max(1, len(exps)))):
+        for lo, hi in batched(len(pts), max(1, gf.CHUNK_ELEMS // max(1, len(exps)))):
             vals = monomial_values(self.field, pts[lo:hi], exps)
             out[lo:hi] = gflinalg.matmul(self.field, vals, coeffs)[:, 0]
         return out
-
-
-EVAL_CHUNK_ELEMS = 1 << 18
 
 
 def monomial_values(fld: FiniteField, points, exps) -> np.ndarray:
@@ -251,7 +252,11 @@ def monomial_values(fld: FiniteField, points, exps) -> np.ndarray:
 
 # -- fast evaluation over full affine grids ------------------------------------
 
-GRID_CHUNK_ELEMS = 4_000_000
+def chart_chunk() -> int:
+    """Points in one chunk of a chart scan: gf.CHUNK_ELEMS over the 16 int64
+    values a point may hold across its forms' Horner temporaries and the
+    scan's index arrays."""
+    return gf.CHUNK_ELEMS // 16
 
 
 def dehomogenize(poly: HomogPoly, chart: int) -> np.ndarray:
@@ -286,19 +291,19 @@ def _horner_outer(field: FiniteField, sub: list[np.ndarray], x: np.ndarray, inne
     return np.broadcast_to(acc, full)
 
 
-def eval_affine_grid_chunks(field: FiniteField, tensors: list[np.ndarray], chunk_elems=GRID_CHUNK_ELEMS):
+def eval_affine_grid_chunks(field: FiniteField, tensors: list[np.ndarray]):
     """Yield (x0_values, [value_arrays]) evaluating each tensor over F^t.
 
     All tensors must share a rank t >= 1.  The outermost variable is chunked
-    so intermediate arrays stay near chunk_elems elements; each chunk's
-    value arrays have shape (len(x0_values),) + (q,)*(t-1) and may be
-    read-only views.
+    so a chunk holds about chart_chunk() points, and at least one x0 row;
+    each chunk's value arrays have shape (len(x0_values),) + (q,)*(t-1) and
+    may be read-only views.
     """
     t = tensors[0].ndim
     if any(tt.ndim != t for tt in tensors):
         raise ValueError("tensors must share a rank")
     q = field.q
-    block = max(1, chunk_elems // q ** (t - 1))
+    block = max(1, chart_chunk() // q ** (t - 1))
     subevals = [
         [np.asarray(_eval_tensor_full(field, tensor[j])) for j in range(tensor.shape[0])]
         for tensor in tensors

@@ -22,6 +22,12 @@ all forms zero has Q.  A singular zero other than O has dF/dw = 0, so it is
 the repeated root of its fiber (the tables record it) or lies on a fiber
 that vanishes identically; the Jacobian is evaluated at those points and at
 O only.  Characteristic 3 keeps the grid.
+
+Every scan works in chunks cut from one budget of gf.CHUNK_ELEMS int64
+values, divided by what an item holds: a chart chunk (grid, fibered scan,
+root-table rows, zero-fiber expansion) is poly.chart_chunk() =
+CHUNK_ELEMS // 16 points, a line-search chunk CHUNK_ELEMS // terms lines and
+a section-scan block CHUNK_ELEMS // n hyperplanes against the n points.
 """
 
 from __future__ import annotations
@@ -32,12 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FiniteField, batched, field_spec_string, get_embedding, make_field, parse_field_spec
-from . import gflinalg
+from . import gf, gflinalg
 from .bounds import sectional_genus_hypersurface
-from .poly import EVAL_CHUNK_ELEMS, GRID_CHUNK_ELEMS, HomogPoly, dehomogenize, eval_affine_grid_chunks
+from .poly import HomogPoly, chart_chunk, dehomogenize, eval_affine_grid_chunks
 
 DEFAULT_POINT_BUDGET = 20_000_000
-FIBER_CHUNK_ELEMS = 1 << 14  # fibered cubic scan chunks: its temporaries do not grow with Q or a3 = 0
 
 
 class BudgetExceeded(RuntimeError):
@@ -107,7 +112,7 @@ def rational_points(
     return pts[mask]
 
 
-def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int, chunk_elems=GRID_CHUNK_ELEMS):
+def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int):
     """Yield (chart, x0, values) for every grid chunk of every affine chart of P^r.
 
     Chart c holds the points with x_c = 1 and later coordinates 0; its grid
@@ -121,18 +126,8 @@ def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int, chunk_elems=
             origin = tuple(int(i == 0) for i in range(r + 1))
             yield 0, np.ones(1, dtype=np.int64), [np.array([f.eval_at(origin)]) for f in forms]
             continue
-        for x0, vals in eval_affine_grid_chunks(fld, [dehomogenize(f, chart) for f in forms], chunk_elems):
+        for x0, vals in eval_affine_grid_chunks(fld, [dehomogenize(f, chart) for f in forms]):
             yield chart, x0, vals
-
-
-def _chart_zero_masks(fld: FiniteField, gens: list[HomogPoly], r: int):
-    """Yield (chart, x0, mask) per chunk of _chart_values; mask flags the
-    common zeros of the generators."""
-    for chart, x0, vals in _chart_values(fld, gens, r):
-        mask = vals[0] == 0
-        for v in vals[1:]:
-            mask &= v == 0
-        yield chart, x0, mask
 
 
 def _chart_coords(q: int, chart: int, x0: np.ndarray, flat: np.ndarray, r: int) -> np.ndarray:
@@ -166,14 +161,17 @@ def count_rational_points(
     total_pts = projective_space_size(fld.q, r)
     if total_pts > max_enum:
         raise BudgetExceeded(f"{total_pts} points exceeds budget {max_enum}")
-    return sum(int(mask.sum()) for _, _, mask in _chart_zero_masks(fld, gens, r))
+    return sum(len(coords) for _, coords in iter_zero_point_batches(fld, gens, r))
 
 
 def iter_zero_point_batches(fld: FiniteField, gens: list[HomogPoly], r: int):
     """Yield (chart, coordinate-array) batches of the generators' common
     projective zeros; coordinates arrive normalized (x_chart = 1, later
     coordinates 0)."""
-    for chart, x0, mask in _chart_zero_masks(fld, gens, r):
+    for chart, x0, vals in _chart_values(fld, gens, r):
+        mask = vals[0] == 0
+        for v in vals[1:]:
+            mask &= v == 0
         if mask.any():
             yield chart, _chart_coords(fld.q, chart, x0, np.flatnonzero(mask), r)
 
@@ -239,11 +237,9 @@ def section_scan(surface: Surface, *, max_witnesses: int = 16) -> SectionScan:
     r = surface.ambient
     pts = surface.points()
     hyps = enumerate_points(fld, r)  # dual coordinates, same normalization
-    if len(pts):
-        incidence = gflinalg.matmul(fld, hyps, pts.T)
-        counts = (incidence == 0).sum(axis=1)
-    else:
-        counts = np.zeros(len(hyps), dtype=np.int64)
+    counts = np.zeros(len(hyps), dtype=np.int64)
+    for lo, hi in batched(len(hyps), max(1, gf.CHUNK_ELEMS // max(1, len(pts)))):  # incidence rows
+        counts[lo:hi] = (gflinalg.matmul(fld, hyps[lo:hi], pts.T) == 0).sum(axis=1)
     hist: dict[int, int] = {}
     for c in counts:
         hist[int(c)] = hist.get(int(c), 0) + 1
@@ -278,23 +274,25 @@ def lines_on_surface(surface: Surface, *, max_lines: int = 2_000_000) -> np.ndar
     """All F_q-rational lines contained in X, as (L, 2, r+1) RREF bases.
 
     A line is certified by the vanishing of every generator at deg+1 sample
-    points, which kills the restricted binary form identically.  The
-    candidates are counted before any is built.
+    points (v, then u + c v for c = 0..deg-1, so q >= deg suffices), which
+    kills the restricted binary form identically.  The candidates are
+    counted before any is built, then tested in chunks of
+    gf.CHUNK_ELEMS // terms lines.
     """
     fld = surface.fld
     r = surface.ambient
     q = fld.q
     max_deg = max(g.degree for g in surface.generators)
-    if q < max_deg + 1:
-        raise ValueError(f"need q >= deg+1 = {max_deg + 1} sample points per line")
+    if q < max_deg:
+        raise ValueError(f"need q >= deg = {max_deg} for deg+1 sample points per line")
     total = (q ** (r + 1) - 1) * (q ** (r + 1) - q) // ((q * q - 1) * (q * q - q))
     if total > max_lines:
         raise BudgetExceeded(f"{total} candidate lines exceeds budget {max_lines}")
     terms = max(len(g.terms) for g in surface.generators)
     found = []
-    for lines in _line_chunks(q, r, max(1, EVAL_CHUNK_ELEMS // max(1, terms))):
+    for lines in _line_chunks(q, r, max(1, gf.CHUNK_ELEMS // max(1, terms))):
         for g in surface.generators:
-            for c in (None, *range(max_deg + 1)):  # v, then u + c v: each on the surviving lines
+            for c in (None, *range(max_deg)):  # v, then u + c v: each on the surviving lines
                 sample = lines[:, 1] if c is None else fld.add(lines[:, 0], fld.mul(c, lines[:, 1]))
                 lines = lines[g.eval_points(sample) == 0]
         found.append(lines)
@@ -315,12 +313,10 @@ def _root_tables(fld: FiniteField, degree: int) -> tuple[np.ndarray, np.ndarray]
     t = np.arange(q, dtype=np.int64)
     t_deg = fld.pow(t, degree)
     counts = np.empty(q * q, dtype=np.uint8)
-    rows = max(1, FIBER_CHUNK_ELEMS // q)
-    for start in range(0, q, rows):
-        b = np.arange(start, min(start + rows, q), dtype=np.int64)[:, None]
+    for lo, hi in batched(q, max(1, chart_chunk() // q)):
+        b = np.arange(lo, hi, dtype=np.int64)[:, None]
         c = fld.neg(fld.add(t_deg, fld.mul(b, t)))
-        counts[start * q : (start + len(b)) * q] = np.bincount(
-            ((b - start) * q + c).ravel(), minlength=len(b) * q)
+        counts[lo * q : hi * q] = np.bincount(((b - lo) * q + c).ravel(), minlength=(hi - lo) * q)
     repeated = np.full(q * q, q, dtype=np.uint16 if q < 1 << 16 else np.uint32)
     b = fld.neg(fld.mul(degree % fld.p, fld.pow(t, degree - 1)))
     repeated[b * q + fld.mul((degree - 1) % fld.p, t_deg)] = t
@@ -349,11 +345,10 @@ def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarr
         forms = [a[2], a[1], a[0]]
         counts, repeated = _root_tables(fld, 2)
     jac = [cubic.partial_derivative(i) for i in range(4)] if singular else []
-    fiber_rows = max(1, FIBER_CHUNK_ELEMS // q)
     count = 0 if lead else 1
     roots = [] if lead else [np.array([[0, 0, 0, 1]])]  # (x, y, z, repeated root); O
     candidates = []
-    for chart, x0, vals in _chart_values(fld, forms, 2, FIBER_CHUNK_ELEMS):
+    for chart, x0, vals in _chart_values(fld, forms, 2):
         vals = [np.ravel(v) for v in vals]
         if lead:
             pos = np.arange(len(vals[0]))
@@ -372,8 +367,8 @@ def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarr
         rep = repeated[idx]
         hit = rep < q
         roots.append(np.column_stack([_chart_coords(q, chart, x0, pos[hit], 2), rep[hit]]))
-        for start in range(0, len(zero), fiber_rows):  # every point of a zero fiber
-            xyz = _chart_coords(q, chart, x0, zero[start : start + fiber_rows], 2)
+        for lo, hi in batched(len(zero), max(1, chart_chunk() // q)):  # every point of a zero fiber
+            xyz = _chart_coords(q, chart, x0, zero[lo:hi], 2)
             candidates.append(np.column_stack([np.repeat(xyz, q, axis=0), np.tile(np.arange(q), len(xyz))]))
     if jac:
         roots = np.concatenate(roots)
@@ -415,24 +410,26 @@ def level_scan(
         return _fibered_cubic_scan(gens[0], singular)
     codim = len(gens)
     jac = [[g.partial_derivative(i) for i in range(surface.ambient + 1)] for g in gens] if singular else []
-    count = 0
-    bad = []
-    for _, coords in iter_zero_point_batches(fld, gens, surface.ambient):
-        count += len(coords)
-        if not jac:
-            continue
-        jvals = np.stack([[d.eval_points(coords) for d in row] for row in jac])  # (codim, ambient+1, npts)
-        if codim == 1:
-            sing = (jvals[0] == 0).all(axis=0)
-        else:
-            sing = np.array([
-                gflinalg.rank(fld, jvals[:, :, t]) < codim
-                for t in range(jvals.shape[2])
-            ])
-        if sing.any():
+    count, pending, bad = 0, [], [np.zeros((0, surface.ambient + 1), dtype=np.int64)]
+    batches = (coords for _, coords in iter_zero_point_batches(fld, gens, surface.ambient))
+    for coords in itertools.chain(batches, [None]):  # None flushes the last zeros
+        if coords is not None:
+            count += len(coords)
+            pending += [coords] if jac else []
+            if sum(map(len, pending)) < chart_chunk():  # one Jacobian pass per chart chunk of zeros
+                continue
+        if pending:
+            coords, pending = np.concatenate(pending), []
+            jvals = np.stack([[d.eval_points(coords) for d in row] for row in jac])  # (codim, ambient+1, npts)
+            if codim == 1:
+                sing = (jvals[0] == 0).all(axis=0)
+            else:
+                sing = np.array([
+                    gflinalg.rank(fld, jvals[:, :, t]) < codim
+                    for t in range(jvals.shape[2])
+                ])
             bad.append(coords[sing])
-    pts = np.concatenate(bad, axis=0) if bad else np.zeros((0, surface.ambient + 1), dtype=np.int64)
-    return count, pts
+    return count, np.concatenate(bad)
 
 
 # -- surface text format -------------------------------------------------------

@@ -3,11 +3,13 @@
 import cmath
 import math
 import time
+import tracemalloc
 
 import pytest
 
 from evalcodes.bounds import (
     CUBIC_CLASSES,
+    _max_weierstrass_count,
     _prime_power,
     build_bound_report,
     d1_bound,
@@ -20,6 +22,7 @@ from evalcodes.bounds import (
     ramanujan_sum,
     sectional_genus_hypersurface,
 )
+from evalcodes.gf import make_field
 
 TABLE_N1_Q7 = {"C10": 43, "C11": 36, "C12": 64, "C13": 50, "C14": 57}
 
@@ -132,6 +135,19 @@ def test_optimal_g1_counts():
         assert q + 2 <= res.value <= hws_bound(q, 1)
     big = optimal_g1_count(17)
     assert not big.certified and big.value == hws_bound(17, 1)
+
+
+def test_weierstrass_oracle_holds_a_few_chunk_budgets():
+    # chunks of CHUNK_ELEMS // q^2 coefficient tuples; at 2e6 // q^2 the
+    # q = 9 oracle peaked at 46 MiB
+    make_field(3, 2)
+    tracemalloc.start()
+    try:
+        assert _max_weierstrass_count(3, 2) == 16
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20  # 4 budgets of 2 MiB
 
 
 def test_prime_power_check_is_fast_beyond_the_table():

@@ -10,6 +10,7 @@ import pytest
 
 import evalcodes
 from evalcodes import cli
+from evalcodes.bounds import predicted_Nr
 from evalcodes.cli import main
 from evalcodes.families import del_pezzo4_fixture
 from evalcodes.projective import surface_to_text
@@ -85,6 +86,19 @@ def test_classify_cubic_cli(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["matched"] == "C12"
     assert doc["observed_Nr"]["1"] == 64
+
+
+def test_classify_cubic_cli_over_gf3(tmp_path, capsys):
+    # characteristic 3 counts on the grid; the line search needs q >= 3
+    out = tmp_path / "c3.json"
+    code, _, _ = run_cli([
+        "classify", "--family", "cayley-salmon", "--field", "3", "--seed", "1",
+        "--depth", "2", "--out", str(out),
+    ], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["matched"] == "C12" and doc["line_count"] == 0
+    assert doc["observed_Nr"] == {str(r): predicted_Nr("C12", 3, r) for r in (1, 2)}
 
 
 def test_scan_sections_dp4(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from evalcodes import poly as poly_module
+from evalcodes import gf
 from evalcodes.gf import make_field
 from evalcodes.poly import (
     HomogPoly,
@@ -130,7 +130,7 @@ def evaluations(draw):
 def test_evaluator_matches_scalar_reference(case):
     poly, points, chunk = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(poly_module, "EVAL_CHUNK_ELEMS", chunk * max(1, len(poly.terms)))
+        mp.setattr(gf, "CHUNK_ELEMS", chunk * max(1, len(poly.terms)))
         values = poly.eval_points(points)
     assert values.tolist() == [_scalar_value(poly.field, poly, pt) for pt in points.tolist()]
     if len(points):

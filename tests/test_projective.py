@@ -6,6 +6,7 @@ module, which re-run here against plain modular arithmetic.
 """
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evalcodes import projective
+from evalcodes import gf, projective
 from evalcodes.bounds import CUBIC_CLASSES, predicted_Nr
-from evalcodes.families import DegenerateInput, classify_cubic
+from evalcodes.families import DegenerateInput, classify_cubic, shioda_surface
 from evalcodes.gf import get_embedding, make_field
 from evalcodes.poly import HomogPoly, monomials
 from evalcodes.projective import (
@@ -212,8 +213,8 @@ def test_fibered_scan_in_small_chunks_equals_one_chunk(monkeypatch, shape):
     basis = [e for e in monomials(4, 3) if not CUBIC_SHAPES[shape](e)]
     surface = Surface(fld, 3, [HomogPoly(fld, 4, 3, {e: rng.randrange(1, 11) for e in basis})], degree=3)
     results = []
-    for chunk in (10**9, 1, 500):  # one chunk per chart; one row of P^2 per chunk; rows of 4
-        monkeypatch.setattr(projective, "FIBER_CHUNK_ELEMS", chunk)
+    for chunk in (10**9, 1, 500):  # chart chunk points: one chunk per chart; one row of P^2; rows of 4
+        monkeypatch.setattr(gf, "CHUNK_ELEMS", 16 * chunk)
         results.append([level_scan(surface, r) for r in (1, 2)])
     for got in results[1:]:
         for (count, singular), (want_count, want_singular) in zip(got, results[0]):
@@ -238,6 +239,30 @@ def test_fibered_scan_peak_does_not_depend_on_a3():
         finally:
             tracemalloc.stop()
     assert max(peaks) < 3 << 20
+
+
+def _traced_peak(fn):
+    """(fn(), its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_scans_hold_a_few_chunk_budgets(f11, shioda4_q11):
+    # chart chunks of CHUNK_ELEMS // 16 points (one x0 row at least); at
+    # 4e6 points a chunk these peaked at 127 MiB and 41 MiB
+    budget = 2 << 20  # CHUNK_ELEMS int64 values
+    shioda = shioda_surface(4, F7)
+    ext = make_field(7, 3)
+    get_embedding(F7, ext)
+    count, peak = _traced_peak(lambda: count_rational_points(shioda.generators, ext))
+    assert count == 118_336 and peak < 8 * budget
+    get_embedding(f11, make_field(11, 2))
+    (count, singular), peak = _traced_peak(lambda: level_scan(shioda4_q11, 2))
+    assert count == 15_126 and len(singular) == 0 and peak < 2 * budget
 
 
 def test_fibered_scan_finds_the_forced_singular_points():
@@ -275,6 +300,21 @@ def test_characteristic_three_keeps_the_grid(monkeypatch):
         count, singular = level_scan(cone, r)
         assert (count, len(singular)) == (n_cone, n_singular)
         assert singular[:2].tolist() == [[0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("budget", [16, 16 * 40])  # chart chunks of one x0 row, of 40 points
+def test_grid_scan_in_small_chunks_equals_one_chunk(monkeypatch, dp4, budget):
+    # the Jacobian takes the zeros of several grid chunks at once
+    fld = make_field(3, 2)
+    cone = Surface(fld, 3, [HomogPoly.from_int_terms(fld, 4, 3, CHAR3_CONE)], degree=3)
+    cases = [(cone, 1), (cone, 2), (dp4, 1), (dp4, 2)]
+    monkeypatch.setattr(gf, "CHUNK_ELEMS", 10**9)
+    whole = [level_scan(surface, r) for surface, r in cases]
+    monkeypatch.setattr(gf, "CHUNK_ELEMS", budget)
+    for (surface, r), (count, singular) in zip(cases, whole):
+        got_count, got_singular = level_scan(surface, r)
+        assert got_count == count and got_singular.tolist() == singular.tolist()
+    assert [len(singular) for _, singular in whole] == [10, 82, 0, 0]
 
 
 def test_fibered_scan_checks_the_budget_first(monkeypatch, c12_sample):
@@ -352,6 +392,18 @@ def test_section_scan_matches_direct_section_counts():
         assert vals.count(0) == expect
 
 
+def test_section_scan_takes_incidence_blocks(monkeypatch, dp6_q7):
+    # blocks of CHUNK_ELEMS // n hyperplanes; the whole 137,257 x 57
+    # incidence matrix at once peaked at 82 MiB
+    scan, peak = _traced_peak(lambda: section_scan(dp6_q7))
+    assert peak < 24 << 20  # P^6 itself is 7.7 MB
+    monkeypatch.setattr(gf, "CHUNK_ELEMS", 1 << 40)
+    whole = section_scan(dp6_q7)
+    assert (scan.histogram, scan.max_count, scan.total_hyperplanes) == \
+        (whole.histogram, whole.max_count, whole.total_hyperplanes)
+    assert scan.witnesses.tolist() == whole.witnesses.tolist()
+
+
 def test_lines_on_quadric_oracle():
     quad = quadric_xw_yz()
     lines = lines_on_surface(quad)
@@ -389,6 +441,43 @@ def test_lines_on_two_generators():
     assert lines.tolist() == [[[0, 1, 0, 0], [0, 0, 0, 1]], [[0, 0, 1, 0], [0, 0, 0, 1]]]
 
 
+def _brute_lines(surface):
+    """The lines of P^3(F_p), p prime, on all of whose p + 1 points every
+    generator vanishes, in plain ints and in the search's order."""
+    p = surface.fld.p
+
+    def value(g, pt):
+        return sum(c * math.prod(x**e for x, e in zip(pt, exps)) for exps, c in g.terms.items()) % p
+
+    out = []
+    for u, v in _reference_lines(p, 3):
+        points = [v] + [[(a + c * b) % p for a, b in zip(u, v)] for c in range(p)]
+        if all(value(g, pt) == 0 for g in surface.generators for pt in points):
+            out.append([u, v])
+    return out
+
+
+def test_line_search_over_gf3_matches_every_point_of_every_line():
+    # a cubic's deg + 1 = 4 samples per line need q >= 3, not q >= 4
+    f3 = make_field(3)
+    rng = random.Random(3)
+    basis = monomials(4, 3)
+    five = HomogPoly.from_int_terms(f3, 4, 3, {(1, 0, 2, 0): 1, (0, 1, 0, 2): 1, (1, 1, 1, 0): 2})  # xz^2 + yw^2 + 2xyz
+    cubics = [five] + [HomogPoly(f3, 4, 3, {e: rng.randrange(1, 3) for e in rng.sample(basis, 6)}) for _ in range(8)]
+    cubics += [HomogPoly(f3, 4, 1, {e: rng.randrange(1, 3) for e in rng.sample(monomials(4, 1), 2)})
+               * HomogPoly(f3, 4, 2, {e: rng.randrange(1, 3) for e in rng.sample(monomials(4, 2), 4)})
+               for _ in range(4)]  # a plane and a quadric: many lines
+    found = []
+    for cubic in cubics:
+        surface = Surface(f3, 3, [cubic], degree=3)
+        found.append(lines_on_surface(surface).tolist())
+        assert found[-1] == _brute_lines(surface)
+    assert len(found[0]) == 5 and min(len(lines) for lines in found[-4:]) >= 13
+    f2 = make_field(2)
+    with pytest.raises(ValueError, match="need q >= deg = 3"):
+        lines_on_surface(Surface(f2, 3, [HomogPoly.from_int_terms(f2, 4, 3, {(1, 0, 2, 0): 1, (0, 1, 0, 2): 1})]))
+
+
 def _reference_lines(q, r):
     """The lines of P^r(F_q) block by block, in plain ints: pivot columns
     (c1, c2) ascending, then the free entries as base-q digits of the index
@@ -422,14 +511,21 @@ def test_chunked_line_search_equals_one_chunk(monkeypatch, dp4):
     found = []
     for surface in (cone, dp4):
         terms = max(len(g.terms) for g in surface.generators)
-        monkeypatch.setattr(projective, "EVAL_CHUNK_ELEMS", 10**9)
+        monkeypatch.setattr(gf, "CHUNK_ELEMS", 10**9)
         whole = lines_on_surface(surface)
-        monkeypatch.setattr(projective, "EVAL_CHUNK_ELEMS", 1009 * terms)
+        monkeypatch.setattr(gf, "CHUNK_ELEMS", 1009 * terms)
         chunked = lines_on_surface(surface)
         assert chunked.shape == whole.shape and chunked.tolist() == whole.tolist()
         found.append(chunked)
     pivot_pairs = {tuple(np.argmax(line != 0, axis=1)) for line in found[0]}
     assert len(pivot_pairs) == 8 and len(found[1]) == 0
+
+
+def test_line_search_holds_a_few_chunk_budgets(dp4):
+    # the 140,050 candidate lines of P^4 over GF(7) in chunks of
+    # CHUNK_ELEMS // terms lines
+    lines, peak = _traced_peak(lambda: lines_on_surface(dp4))
+    assert len(lines) == 0 and peak < 12 << 20  # 6 budgets of 2 MiB
 
 
 def test_line_budget_is_checked_before_any_line_is_built():
