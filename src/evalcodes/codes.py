@@ -325,7 +325,7 @@ def _prefix_sums(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: np
     return sums[:, a - h0 * run:b - h0 * run]
 
 
-def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
+def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, buffers: _CounterBuffers):
     """The zero count of one scan, as weigh(prefix, last, c0, c1): the
     nonzero counts [support, message] over the n - k coordinates of P + v y,
     P the prefix sums [support, prefix, :] as _prefix_sums leaves them, y
@@ -343,11 +343,26 @@ def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
     if fld._log is None:
         return functools.partial(_compare_weights, fld, form, red)
     if q >= _RATIO_MIN_Q:
-        of_prefix = fld._log.copy()
+        of_prefix = fld._log.astype(np.int64)
         of_prefix[0] = 2 * q - 2
-        of_last = np.where(red == 0, 2 * q - 2, q - 1 - fld._log[fld.neg(red)])
+        of_last = np.where(red == 0, 2 * q - 2, q - 1 - fld._log[fld.neg(red)].astype(np.int64))
         return functools.partial(_ratio_weights, fld, form, of_prefix, of_last)
-    return _ZeroCounters(fld, form, red)
+    return _ZeroCounters(fld, form, red, buffers)
+
+
+class _CounterBuffers:
+    """The table indices and counter words of a block of _ZeroCounters, grown
+    to the largest block and kept by one run of weight rounds (_rounds)
+    across its scans, so a run faults their pages in once, not every scan."""
+
+    def __init__(self):
+        self.at, self.word = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
+
+    def take(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        size = math.prod(shape)
+        if len(self.at) < size:
+            self.at, self.word = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.uint64)
+        return self.at[:size].reshape(shape), self.word[:size].reshape(shape)
 
 
 class _ZeroCounters:
@@ -363,7 +378,7 @@ class _ZeroCounters:
     n = 3000 over GF(13), where b = 12 and 3 words hold the 12 counters.
     """
 
-    def __init__(self, fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
+    def __init__(self, fld: FiniteField, form: _AdditiveForm, red: np.ndarray, buffers: _CounterBuffers):
         q = fld.q
         k, r = red.shape
         self.bits = max(1, r.bit_length())
@@ -378,17 +393,12 @@ class _ZeroCounters:
         self.counts = by_y[:, red].reshape(len(one_hot), -1)
         self.offsets = (np.arange(k)[:, None] * r + np.arange(r)) * form.span
         self.full = r * one_hot.sum(axis=1)
-        # a block's table indices and counter words, kept from block to block
-        self._at = np.empty(0, dtype=np.intp)
-        self._word = np.empty(0, dtype=np.uint64)
+        self.buffers = buffers
 
     def __call__(self, prefix: np.ndarray, last: np.ndarray, c0: int, c1: int) -> np.ndarray:
         g, n_pre, _ = prefix.shape
-        size = prefix.size
-        if len(self._at) < size:
-            self._at, self._word = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.uint64)
-        at = np.add(prefix, self.offsets[last][:, None, :], out=self._at[:size].reshape(prefix.shape))
-        word = self._word[:size].reshape(prefix.shape)
+        at, word = self.buffers.take(prefix.shape)
+        np.add(prefix, self.offsets[last][:, None, :], out=at)
         weights = np.empty((g, n_pre, c1 - c0), dtype=np.int64)
         for t in range(c0 // self.per_word, -(-c1 // self.per_word)):
             lo, hi = max(c0, t * self.per_word), min(c1, (t + 1) * self.per_word)
@@ -418,7 +428,7 @@ def _ratio_weights(fld: FiniteField, form: _AdditiveForm, of_prefix: np.ndarray,
     key += of_last[last][:, None, :]
     key += (bins * np.arange(g * n_pre)).reshape(g, n_pre, 1)
     hist = np.bincount(key.reshape(-1), minlength=g * n_pre * bins).reshape(g * n_pre, bins)
-    t = fld._log[c0 + 1:c1 + 1]
+    t = fld._log[c0 + 1:c1 + 1].astype(np.int64)
     zeros = hist[:, t + q - 1] + hist[:, t] + hist[:, -1:]
     return (r - zeros).reshape(g, -1)
 
@@ -515,7 +525,7 @@ def _weight_one_round(fld: FiniteField, sysmats: np.ndarray, state: _SweepState,
 
 
 def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepState, budget: int,
-                 part: tuple[int, int] = (0, 1)) -> bool:
+                 part: tuple[int, int] = (0, 1), buffers: _CounterBuffers | None = None) -> bool:
     """Enumerate the weight-w projective messages, w >= 2, against a
     systematic matrix.
 
@@ -539,7 +549,8 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     when that weight does not exceed the running minimum: their message
     fills the identity columns, and their redundancy columns are P + v y
     from their own prefix sums P, so no codeword is encoded again.  Round 1
-    is _weight_one_round.
+    is _weight_one_round.  The packed zero counters work in `buffers`, the
+    run's (_rounds) or fresh ones.
     """
     k, n = sysmat.shape
     q = fld.q
@@ -564,7 +575,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
         if c % parts != index:
             continue
         if weigh is None:  # after the first budget check: a cut scan builds no table
-            weigh = _zero_count(fld, form, red)
+            weigh = _zero_count(fld, form, red, buffers or _CounterBuffers())
         sup = np.array(group)
         low, tied = state.min_weight, []  # the chunk's lightest: (supports, values, prefix sums)
         for a, b, c0, c1 in _blocks(lo, hi, q - 1):
@@ -605,12 +616,12 @@ def _rounds(fld: FiniteField, sysmats: np.ndarray, ranks, state: _SweepState, bu
     done = _weight_one_round(fld, sysmats, state, budget, part)
     if done < sets:
         return 0, done
-    spent = sets * k
+    spent, buffers = sets * k, _CounterBuffers()
     for w in range(2, k + 1):
         for j, sysmat in enumerate(sysmats):
             if stop and _lower_bound(k, ranks, (w - 1, j)) >= state.min_weight:
                 return w - 1, j
-            if not _weight_scan(fld, sysmat, w, state, budget - spent, part):
+            if not _weight_scan(fld, sysmat, w, state, budget - spent, part, buffers):
                 return w - 1, j
             spent += math.comb(k, w) * (fld.q - 1) ** (w - 1)
     return k, 0

@@ -3,15 +3,29 @@
 Elements are encoded as integers in [0, p^n): the element sum(c_i * a^i)
 with coefficients c_i in GF(p) is encoded as sum(c_i * p^i), where a is the
 class of x modulo the field's irreducible modulus.  All field operations
-accept plain ints or numpy integer arrays of encodings and are exact.
+accept plain ints or numpy integer arrays of encodings and are exact; they
+return ints for scalars and int64 arrays otherwise (add, sub, neg, mul, inv,
+pow, _digits_of, and FieldEmbedding.embed and descend).
 
 Three internal regimes, chosen by field size:
-  * q <= FULL_TABLE_MAX:  full q x q add/mul tables (fastest gathers),
+  * q <= FULL_TABLE_MAX:  full q x q mul tables, and add tables for odd p,
   * q <= LOG_TABLE_MAX:   exp/log/inverse tables plus digit tables,
   * larger q:             table-free digit-vector arithmetic (slower but
                           unbounded; keeps large-characteristic searches
                           possible); every power and inverse is one
                           vectorized square-and-multiply in ``pow``.
+In characteristic 2, a + b = a - b = a ^ b and -a = a in every regime, with
+no add or negation table.
+
+Each table is stored in the narrowest unsigned type that holds it
+(``smallest_uint``): encodings (exp, inv, neg, add, mul) in uint16 up to
+q = 65536, digits in uint8 while p < 256, logs in the narrowest type that
+holds q - 2 (log 0 has no value; every reader masks it).  Operations widen
+what they gather to int64, and readers of the private tables widen before
+any arithmetic that could pass the table's type.  Kept MiB, int64 ->
+narrow: GF(7^3) 1.8 -> 0.45, GF(2^9) 4.1 -> 0.51, GF(3^6) 8.2 -> 2.0,
+GF(2^10) 16.1 -> 2.0, GF(2^15) 4.8 -> 0.66, GF(47^3) 5.5 -> 1.9,
+GF(7^6) 9.0 -> 2.5.
 
 A field is built the same way every time: the modulus is the smallest monic
 irreducible of degree n, ``generator`` is the smallest element of order
@@ -29,6 +43,7 @@ operation is pure and safe under any amount of concurrency.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FULL_TABLE_MAX = 1024
 LOG_TABLE_MAX = 1 << 17
@@ -58,8 +73,9 @@ def smallest_uint(bits: int):
     return (np.uint8, np.uint16, np.uint32, np.uint64)[max(0, (bits - 1).bit_length() - 3)]
 
 
-def _is_prime(m: int) -> bool:
-    return m >= 2 and _prime_factors(m) == [m]
+def _int64(out):
+    """An int for a 0-d result, else the array widened to int64."""
+    return int(out) if out.ndim == 0 else out.astype(np.int64, copy=False)
 
 
 # -- dense univariate polynomials over GF(p), used only at construction time --
@@ -164,7 +180,7 @@ class FiniteField:
     """GF(p^n) over the prime field, with encoded-integer element arithmetic."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
@@ -193,12 +209,13 @@ class FiniteField:
             cur = [0] + cur[:n]
         self._reduction = np.array(red, dtype=np.int64).reshape(max(n - 1, 0), n)
 
-        self._digits = None
-        self._exp = self._log = self._inv = None
+        self._digits = self._exp = self._log = self._inv = None
         self._add_table = self._mul_table = self._neg_table = None
         self.generator = self._find_primitive_scalar() if self.q > 2 else 1
         if self.q <= LOG_TABLE_MAX:
-            self._digits = self._digits_of(np.arange(self.q))
+            # digit i of encoding a is index n - 1 - i of a in a (p, ..., p) grid
+            self._digits = np.ascontiguousarray(
+                np.indices((p,) * n, dtype=smallest_uint((p - 1).bit_length())).reshape(n, -1)[::-1].T)
             self._build_log_tables()
             if self.q <= FULL_TABLE_MAX:
                 self._build_full_tables()
@@ -209,13 +226,8 @@ class FiniteField:
         """Base-p digit rows for encodings; works with or without the table."""
         a = np.asarray(a, dtype=np.int64)
         if self._digits is not None:
-            return self._digits[a]
-        out = np.empty(a.shape + (self.n,), dtype=np.int64)
-        e = a.copy()
-        for i in range(self.n):
-            out[..., i] = e % self.p
-            e //= self.p
-        return out
+            return self._digits[a].astype(np.int64)
+        return a[..., None] // self._pow_p % self.p
 
     def _recompose(self, digits: np.ndarray) -> np.ndarray:
         return digits @ self._pow_p
@@ -244,26 +256,28 @@ class FiniteField:
 
     def _build_log_tables(self) -> None:
         q, p = self.q, self.p
-        # fill by doubling: exp[m:2m] = exp[:m] * g^m, one GF(p) product per step
-        exp = np.empty(q - 1, dtype=np.int64)
+        # fill by doubling: exp[m:2m] = exp[:m] * g^m, one GF(p) product per
+        # step, in a dtype that holds a digit's sum of n products below p^2
+        exp = np.empty(q - 1, dtype=smallest_uint((q - 1).bit_length()))
         exp[0] = 1
+        dot = smallest_uint((self.n * (p - 1) ** 2).bit_length())
         m, g_m = 1, self.generator
         while m < q - 1:
             take = min(m, q - 1 - m)
-            exp[m : m + take] = self._recompose(self._digits[exp[:take]] @ self._mul_by_matrix(g_m).T % p)
+            prod = self._digits[exp[:take]].astype(dot) @ self._mul_by_matrix(g_m).T.astype(dot) % p
+            exp[m : m + take] = np.einsum("ij,j", prod, self._pow_p, dtype=exp.dtype, casting="unsafe")
             m, g_m = 2 * m, self._mul_scalar_raw(g_m, g_m)
         self._exp = exp
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(q - 1, dtype=np.int64)
-        if np.any(log[1:] < 0):
+        log = np.zeros(q, dtype=smallest_uint((q - 2).bit_length()))  # log 0 has no value
+        log[exp] = np.arange(q - 1, dtype=log.dtype)
+        if np.count_nonzero(log[2:]) != q - 2:
             raise AssertionError("exp table is not a bijection (unreachable)")
         self._log = log
-        inv = np.zeros(q, dtype=np.int64)
-        inv[exp] = exp[(q - 1 - log[exp]) % (q - 1)]
-        self._inv = inv
-        # -a = g^((q - 1) / 2) a for odd q; -a = a in characteristic 2
-        half = (log[1:] + (q - 1) // 2) % (q - 1)
-        self._neg_table = np.arange(q) if p == 2 else np.concatenate([[0], exp[half]])
+        self._inv = np.zeros(q, dtype=exp.dtype)
+        self._inv[exp] = np.roll(exp[::-1], 1)  # (g^i)^-1 = g^-i
+        if p > 2:  # -a = g^((q - 1) / 2) a; characteristic 2 negates nothing
+            self._neg_table = np.zeros(q, dtype=exp.dtype)
+            self._neg_table[exp] = np.roll(exp, -((q - 1) // 2))
 
     def _mul_by_matrix(self, e: int) -> np.ndarray:
         """n x n GF(p) matrix of multiplication by the element encoded e."""
@@ -273,83 +287,67 @@ class FiniteField:
         return self._digits_of(cols).T
 
     def _build_full_tables(self) -> None:
-        q, p = self.q, self.p
-        # digit by digit, with no q x q x n temporary: q <= FULL_TABLE_MAX, so
-        # a digit sum (below 2p) and its reduced value times p^i (below q) fit uint16
-        add = np.zeros((q, q), dtype=np.int64)
-        for dig, power in zip(self._digits.T.astype(np.uint16), self._pow_p.tolist()):
-            place = np.add.outer(dig, dig)
-            place[place >= p] -= p
-            place *= power
-            add += place
-        self._add_table = add
-        la, lb = np.meshgrid(self._log, self._log, indexing="ij")
-        mul = self._exp[(la + lb) % (q - 1)]
-        mul[0, :] = 0
-        mul[:, 0] = 0
-        self._mul_table = mul
+        q, p, exp = self.q, self.p, self._exp
+        # g^s g^t = exp[s + t] in exp written twice: the windows of that are
+        # the products in log order, scattered to their encodings
+        self._mul_table = np.zeros((q, q), dtype=exp.dtype)
+        self._mul_table[np.ix_(exp, exp)] = sliding_window_view(np.concatenate([exp, exp]), q - 1)[:-1]
+        if p > 2:  # characteristic 2 adds by XOR
+            # digit by digit: a digit sum (below 2p) and its reduced value
+            # times p^i (below q) fit uint16
+            self._add_table = np.zeros((q, q), dtype=exp.dtype)
+            for dig, power in zip(self._digits.T.astype(np.uint16), self._pow_p.tolist()):
+                place = np.add.outer(dig, dig)
+                place[place >= p] -= p
+                place *= power
+                self._add_table += place
 
     # -- arithmetic on encodings (ints or numpy arrays) ----------------------
+    # Tables are narrow; every operation widens what it gathers to int64.
 
     def add(self, a, b):
-        if self._add_table is not None:
+        if self.p == 2:  # digit sums mod 2, in every regime
             if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-                return int(self._add_table[a, b])
-            return self._add_table[a, b]
-        da, db = self._digits_of(a), self._digits_of(b)
-        out = self._recompose((da + db) % self.p)
-        return int(out) if out.ndim == 0 else out
+                return int(a) ^ int(b)
+            return np.bitwise_xor(a, b, dtype=np.int64)
+        if self._add_table is not None:
+            return _int64(self._add_table[a, b])
+        return _int64(self._recompose((self._digits_of(a) + self._digits_of(b)) % self.p))
 
     def neg(self, a):
+        if self.p == 2:
+            return _int64(np.array(a))
         if self._neg_table is not None:
-            if isinstance(a, (int, np.integer)):
-                return int(self._neg_table[a])
-            return self._neg_table[a]
-        out = self._recompose((-self._digits_of(a)) % self.p)
-        return int(out) if out.ndim == 0 else out
+            return _int64(self._neg_table[a])
+        return _int64(self._recompose((-self._digits_of(a)) % self.p))
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self._mul_table is not None:
-            if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-                return int(self._mul_table[a, b])
-            return self._mul_table[a, b]
-        if self._exp is not None:
-            scalar = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            out = self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-            out = np.where((a == 0) | (b == 0), 0, out)
-            return int(out) if scalar else out
-        return self._mul_digits(a, b)
+            return _int64(self._mul_table[a, b])
+        if self._exp is None:
+            return self._mul_digits(a, b)
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        out = self._exp[np.add(self._log[a], self._log[b], dtype=np.int64) % (self.q - 1)]
+        return _int64(np.where((a == 0) | (b == 0), 0, out))
 
     def _mul_digits(self, a, b):
         scalar = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
-        da, db = self._digits_of(a), self._digits_of(b)
-        da, db = np.broadcast_arrays(da, db)
+        da, db = np.broadcast_arrays(self._digits_of(a), self._digits_of(b))
         n = self.n
         conv = np.zeros(da.shape[:-1] + (2 * n - 1,), dtype=np.int64)
         for i in range(n):
             conv[..., i : i + n] += da[..., i : i + 1] * db
-        conv %= self.p
-        low = conv[..., :n]
-        if n > 1:
-            high = conv[..., n:]
-            low = (low + high @ self._reduction) % self.p
-        out = self._recompose(low)
+        conv %= self.p  # the high digits x^(n+j) fold back through their reductions
+        out = self._recompose((conv[..., :n] + conv[..., n:] @ self._reduction) % self.p)
         return int(out) if scalar else out
 
     def inv(self, a):
-        if isinstance(a, (int, np.integer)):
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0 in GF")
-            return int(self._inv[a]) if self._inv is not None else self.pow(a, self.q - 2)
-        a = np.asarray(a, dtype=np.int64)
-        if np.any(a == 0):
+        if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of 0 in GF")
-        return self._inv[a] if self._inv is not None else self.pow(a, self.q - 2)
+        return self.pow(a, self.q - 2) if self._inv is None else _int64(self._inv[a])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -368,8 +366,8 @@ class FiniteField:
             return 1 if scalar else np.ones_like(a)
         if self._log is not None:
             # e > 0 here; reduced first so the int64 product cannot overflow
-            out = self._exp[(self._log[a] * (e % (self.q - 1))) % (self.q - 1)]
-            return np.where(a == 0, 0, out)
+            out = self._exp[np.multiply(self._log[a], e % (self.q - 1), dtype=np.int64) % (self.q - 1)]
+            return np.where(a == 0, 0, out.astype(np.int64))
         out = np.ones_like(a)  # digit regime: square-and-multiply on digit vectors
         base = a.copy()
         while e:
@@ -439,20 +437,20 @@ class FieldEmbedding:
         """Image in the target field of an encoding or an array of them;
         ValueError for anything else."""
         a = np.asarray(_encodings(self.source, a), dtype=np.int64)
-        logs = self.source._log[a] * self._log_image % (self.target.q - 1)
+        logs = np.multiply(self.source._log[a], self._log_image, dtype=np.int64) % (self.target.q - 1)
         out = np.where(a == 0, 0, self.target._exp[logs])
-        return int(out) if out.ndim == 0 else out
+        return _int64(out)
 
     def descend(self, a):
         """Unique source preimage, or raise NotInSubfield; ValueError for
         anything that is not an encoding of the target or an array of them."""
         a = np.asarray(_encodings(self.target, a), dtype=np.int64)
-        logs = self.target._log[a]
+        logs = self.target._log[a].astype(np.int64)
         if np.any((a != 0) & (logs % self._m != 0)):
             raise NotInSubfield(f"element {a} of {self.target} has no preimage in {self.source}")
         logs = logs // self._m * self._log_unit_inv % (self.source.q - 1)
         out = np.where(a == 0, 0, self.source._exp[logs])
-        return int(out) if out.ndim == 0 else out
+        return _int64(out)
 
     def contains(self, a) -> bool:
         try:

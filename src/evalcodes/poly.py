@@ -6,7 +6,7 @@ file output, division, monomial bases) is descending lexicographic on the
 exponent tuple, so x0^s comes first in a degree-s basis.
 
 At points, a polynomial is its monomial values times its coefficients, one
-gflinalg.matmul per chunk of gf.CHUNK_ELEMS // terms points.  Whole affine
+gflinalg.matmul per chunk of gf.CHUNK_ELEMS // (4 terms) points.  Whole affine
 grids take nested Horner instead, in chart chunks of gf.CHUNK_ELEMS // 16
 points: monomial values at the chart coordinates measured 4-10x slower
 (11.8 -> 118.8 ms on the fibered GF(7^3) forms, 114 -> 433 ms on a quartic
@@ -219,7 +219,9 @@ class HomogPoly:
         exps = np.array(list(self.terms), dtype=np.int64).reshape(-1, self.nvars)
         coeffs = np.array(list(self.terms.values()), dtype=np.int64)[:, None]
         out = np.empty(len(pts), dtype=np.int64)
-        for lo, hi in batched(len(pts), max(1, gf.CHUNK_ELEMS // max(1, len(exps)))):
+        # a point holds about four int64 values per term: log sums, their
+        # reduction, the values and the product's float copy
+        for lo, hi in batched(len(pts), max(1, gf.CHUNK_ELEMS // (4 * max(1, len(exps))))):
             vals = monomial_values(self.field, pts[lo:hi], exps)
             out[lo:hi] = gflinalg.matmul(self.field, vals, coeffs)[:, 0]
         return out
@@ -239,8 +241,9 @@ def monomial_values(fld: FiniteField, points, exps) -> np.ndarray:
         zero = degree * (q - 2) + 1
         if degree * zero >= 1 << 63:
             raise ValueError("monomial logs would overflow int64")
-        sums = np.where(pts == 0, zero, fld._log[pts]) @ e
-        vals = fld._exp[sums - sums // (q - 1) * (q - 1)]  # floor division vectorizes, % does not
+        sums = np.where(pts == 0, zero, fld._log[pts].astype(np.int64)) @ e
+        # floor division vectorizes, % does not
+        vals = fld._exp[sums - sums // (q - 1) * (q - 1)].astype(np.int64)
         vals[sums >= zero] = 0
         return vals
     vals = np.ones((len(exps), len(pts)), dtype=np.int64)

@@ -27,7 +27,8 @@ Every scan works in chunks cut from one budget of gf.CHUNK_ELEMS int64
 values, divided by what an item holds: a chart chunk (grid, fibered scan,
 root-table rows, zero-fiber expansion) is poly.chart_chunk() =
 CHUNK_ELEMS // 16 points, a line-search chunk CHUNK_ELEMS // terms lines and
-a section-scan block CHUNK_ELEMS // n hyperplanes against the n points.
+a section-scan block CHUNK_ELEMS // n hyperplanes against the n points, the
+hyperplanes generated chart by chart.
 """
 
 from __future__ import annotations
@@ -232,20 +233,33 @@ class SectionScan:
 
 
 def section_scan(surface: Surface, *, max_witnesses: int = 16) -> SectionScan:
-    """Count X-points on every hyperplane (any ambient dimension)."""
-    fld = surface.fld
-    r = surface.ambient
+    """Count X-points on every hyperplane (any ambient dimension).
+
+    The hyperplanes (dual coordinates, normalized like points) are generated
+    chart by chart in blocks of CHUNK_ELEMS // n against the n points, never
+    all at once; the witnesses are the first max_witnesses of the largest
+    count in canonical order, merged from block to block."""
+    fld, r, q = surface.fld, surface.ambient, surface.fld.q
+    total = projective_space_size(q, r)
+    if total > DEFAULT_POINT_BUDGET:
+        raise BudgetExceeded(f"P^{r}(F_{q}) has {total} hyperplanes, budget is {DEFAULT_POINT_BUDGET}")
     pts = surface.points()
-    hyps = enumerate_points(fld, r)  # dual coordinates, same normalization
-    counts = np.zeros(len(hyps), dtype=np.int64)
-    for lo, hi in batched(len(hyps), max(1, gf.CHUNK_ELEMS // max(1, len(pts)))):  # incidence rows
-        counts[lo:hi] = (gflinalg.matmul(fld, hyps[lo:hi], pts.T) == 0).sum(axis=1)
-    hist: dict[int, int] = {}
-    for c in counts:
-        hist[int(c)] = hist.get(int(c), 0) + 1
-    max_count = int(counts.max()) if len(counts) else 0
-    witnesses = hyps[np.nonzero(counts == max_count)[0][:max_witnesses]]
-    return SectionScan(hist, max_count, witnesses, len(hyps))
+    hist = np.zeros(len(pts) + 1, dtype=np.int64)
+    max_count, witnesses = -1, None
+    for chart in range(r + 1):
+        for lo, hi in batched(q**chart, max(1, gf.CHUNK_ELEMS // max(1, len(pts)))):  # incidence rows
+            hyps = _chart_coords(q, chart, np.arange(q), np.arange(lo, hi), r)
+            counts = (gflinalg.matmul(fld, hyps, pts.T) == 0).sum(axis=1)
+            hist += np.bincount(counts, minlength=len(hist))
+            top = int(counts.max())
+            if top >= max_count:  # a block's rows are in canonical order
+                best = hyps[counts == top][:max_witnesses]
+                if top == max_count:
+                    best = np.concatenate([witnesses, best])
+                    best = best[canonical_order(best)[:max_witnesses]]
+                max_count, witnesses = top, best
+    histogram = {count: number for count, number in enumerate(hist.tolist()) if number}
+    return SectionScan(histogram, max_count, witnesses, total)
 
 
 def _line_chunks(q: int, r: int, size: int):

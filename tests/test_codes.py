@@ -567,20 +567,16 @@ def test_witness_read_back_takes_the_tied_blocks_of_a_chunk_at_once(monkeypatch)
 # -- weight rounds against encoding every message through matmul ---------------------
 
 # both sides of the zero count: the broadcast compare (q <= 9) and the ratio
-# histogram (GF(29), GF(2^5), GF(37), GF(7^2))
+# histogram (GF(29), GF(2^5), GF(37), GF(7^2), and GF(3^10), whose uint16
+# logs plus q - 1 pass 2^16)
 ROUND_FIELDS = [make_field(7), make_field(2, 3), make_field(3, 2), make_field(29),
-                make_field(2, 5), make_field(37), make_field(7, 2)]
+                make_field(2, 5), make_field(37), make_field(7, 2), make_field(3, 10)]
 
 
-@st.composite
-def round_cases(draw):
-    """Generators with zero columns, repeated columns and scalar multiples of
-    columns, and sparse ones, so that the last row's coordinate is zero both
-    where the prefix sum is and where it is not."""
-    fld = draw(st.sampled_from(ROUND_FIELDS))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    k = draw(st.integers(1, 3 if fld.q > 9 else 4))
-    n = draw(st.integers(k + 2, k + 10))
+def _round_matrix(fld, rng, k, n):
+    """A generator with zero columns, repeated columns and scalar multiples
+    of columns, and sparse ones, so that the last row's coordinate is zero
+    both where the prefix sum is and where it is not; its nonzero rows."""
     cols = [[0] * k]
     while len(cols) < n:
         kind = rng.random()
@@ -590,13 +586,23 @@ def round_cases(draw):
             scalar = 1 if kind < 0.7 else rng.randrange(1, fld.q)
             cols.append(fld.mul(np.array(rng.choice(cols)), scalar).tolist())
     rng.shuffle(cols)
-    matrix = gflinalg.nonzero_rows(fld, np.array(cols, dtype=np.int64).T)
+    return gflinalg.nonzero_rows(fld, np.array(cols, dtype=np.int64).T)
+
+
+@st.composite
+def round_cases(draw):
+    fld = draw(st.sampled_from(ROUND_FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = draw(st.integers(1, 3 if fld.q > 9 else 4))
+    matrix = _round_matrix(fld, rng, k, draw(st.integers(k + 2, k + 10)))
     assume(len(matrix) == k)
-    return fld, matrix, draw(st.integers(1, k))
+    # at q = 3^10, w = 3 would take (q - 1)^2 > 3 * 10^9 messages
+    return fld, matrix, draw(st.integers(1, k if fld.q < 1 << 15 else min(k, 2)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(round_cases())
+@example((ROUND_FIELDS[-1], _round_matrix(ROUND_FIELDS[-1], random.Random(3), 3, 9), 2))
 def test_rounds_match_matmul_encoding(case):
     fld, matrix, w = case
     sysmats, ranks = _information_sets(fld, matrix)

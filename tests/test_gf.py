@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from evalcodes.gf import (
     get_embedding,
     make_field,
     parse_field_spec,
+    smallest_uint,
 )
 
 AXIOM_FIELDS = [(2, 1), (2, 2), (7, 1), (3, 2)]  # GF(2), GF(4), GF(7), GF(9)
@@ -248,11 +250,14 @@ TABLE_FIELDS = [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (5, 2), (2, 5), (47, 1)
 
 @pytest.mark.parametrize("p, n", TABLE_FIELDS)
 def test_add_table_adds_digit_by_digit(p, n):
+    # odd p keeps a uint8 or uint16 table; characteristic 2 adds by XOR, with none
     fld = make_field(p, n)
     assert fld.q <= FULL_TABLE_MAX and (fld.q == FULL_TABLE_MAX) == ((p, n) == (2, 10))
-    table = fld._add_table
-    assert table.dtype == np.int64 and table.min() >= 0 and table.max() < fld.q
+    narrow = None if p == 2 else np.uint8 if fld.q <= 256 else np.uint16
+    assert getattr(fld._add_table, "dtype", None) == narrow
     encodings = np.arange(fld.q)
+    table = fld.add(encodings[:, None], encodings[None, :])
+    assert table.dtype == np.int64 and table.min() >= 0 and table.max() < fld.q
     for i in range(n):  # an entry below q is its n base-p digits
         digit = encodings // p**i % p
         assert np.array_equal(table // p**i % p, (digit[:, None] + digit[None, :]) % p)
@@ -349,7 +354,7 @@ def exp_table_indices(draw):
 def test_exp_log_tables_follow_the_smallest_generator(case):
     fld, i = case
     q, g = fld.q, fld.generator
-    assert fld._exp is not None and (fld._add_table is not None) == (q <= 1024)
+    assert fld._exp is not None and (fld._mul_table is not None) == (q <= 1024)
     cofactors = [(q - 1) // ell for ell in range(2, q) if (q - 1) % ell == 0
                  and all(ell % f for f in range(2, int(ell**0.5) + 1))]
 
@@ -510,3 +515,113 @@ def test_stacked_invert_inverts_every_member_and_refuses_a_singular_one(case):
 def test_field_refuses_products_that_overflow_int64():
     with pytest.raises(ValueError, match="exactly"):
         make_field(4294967311)
+
+
+# -- narrow tables: every op widens to int64 -----------------------------------
+
+# GF(2^10) at FULL_TABLE_MAX, GF(2^16) at the top of uint16, GF(2^17) at
+# LOG_TABLE_MAX (uint32 logs), GF(3^10) (uint16, odd p), GF(7^6) (uint32)
+EDGE_FIELDS = [(2, 10), (2, 16), (2, 17), (3, 10), (7, 6)]
+
+
+def _digit_add(fld, x, y, sign=1):
+    """x + sign * y digit by digit, on Python ints."""
+    return sum((x // fld.p**i + sign * (y // fld.p**i)) % fld.p * fld.p**i for i in range(fld.n))
+
+
+@st.composite
+def edge_operands(draw):
+    fld = make_field(*draw(st.sampled_from(EDGE_FIELDS)))
+    edges = [0, 1, 2, fld.p ** (fld.n - 1), fld.q - 2, fld.q - 1]
+    elems = st.one_of(st.sampled_from(edges), st.integers(0, fld.q - 1))
+    values = draw(st.lists(elems, min_size=2, max_size=6))
+    exponent = draw(st.one_of(st.sampled_from([2**32 + 1, 2**40 + 3, 2**63 + 5, fld.q - 1]),
+                              st.integers(2**32, 2**70)))
+    return fld, values, exponent
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(edge_operands())
+def test_ops_widen_narrow_tables_to_int64(case):
+    fld, values, e = case
+    v = np.array(values)
+    w = np.roll(v, 1)
+    pairs = list(zip(v.tolist(), w.tolist()))
+    nonzero = v[v != 0]
+    results = {
+        "mul": (fld.mul(v, w), [fld._mul_scalar_raw(x, y) for x, y in pairs]),
+        "add": (fld.add(v, w), [_digit_add(fld, x, y) for x, y in pairs]),
+        "sub": (fld.sub(v, w), [_digit_add(fld, x, y, -1) for x, y in pairs]),
+        "neg": (fld.neg(v), [_digit_add(fld, 0, x, -1) for x in values]),
+        "pow": (fld.pow(v, e), [fld._pow_scalar_raw(x, e % (fld.q - 1)) if x else 0 for x in values]),
+        "inv": (fld.mul(fld.inv(nonzero), nonzero), [1] * len(nonzero)),
+        "digits": (fld._digits_of(v), [[x // fld.p**i % fld.p for i in range(fld.n)] for x in values]),
+    }
+    for op, (out, expected) in results.items():
+        assert out.dtype == np.int64 and out.tolist() == expected, op
+    assert fld.inv(nonzero).dtype == np.int64
+    narrow = v.astype(np.uint32)  # narrow operands, as the weight kernel passes them
+    for out, expected in ((fld.add(narrow, np.roll(narrow, 1)), results["add"][1]),
+                          (fld.neg(narrow), results["neg"][1])):
+        assert out.dtype == np.int64 and out.tolist() == expected
+    for (x, y), product, total in zip(pairs, results["mul"][1], results["add"][1]):
+        assert (fld.mul(x, y), fld.add(np.int64(x), y), fld.pow(x, e)) == \
+            (product, total, results["pow"][1][values.index(x)])
+        assert all(type(out) is int for out in (fld.mul(x, y), fld.add(x, y), fld.neg(x), fld.pow(x, e)))
+
+
+X16 = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)  # x^16 + x^5 + x^3 + x^2 + 1, not the canonical modulus
+
+
+@pytest.mark.parametrize("src_spec, tgt_spec", [((2, 8), (2, 16)), ((2, 16), (2, 16, X16))])
+def test_embedding_widens_narrow_logs(src_spec, tgt_spec):
+    # a uint8 log times the image's log passes uint8; between two moduli of
+    # GF(2^16), descent multiplies a uint16 log by the inverse unit 1234
+    src, tgt = make_field(*src_spec), make_field(*tgt_spec)
+    emb = get_embedding(src, tgt)
+    v = np.unique(np.r_[0, 1, src.q - 1, np.linspace(0, src.q - 1, 200).astype(np.int64)])
+    img = emb.embed(v)
+    assert img.dtype == np.int64 and emb.descend(img).dtype == np.int64
+    assert np.array_equal(emb.descend(img), v)
+    # the digits of each source element at the image of its variable, on Python ints
+    powers = [tgt._pow_scalar_raw(emb.gen_image, i) for i in range(src.n)]
+    expected = []
+    for digits in src._digits_of(v).tolist():
+        total = 0
+        for d, x in zip(digits, powers):
+            total = _digit_add(tgt, total, tgt._mul_scalar_raw(d, x))
+        expected.append(total)
+    assert img.tolist() == expected
+
+
+TABLES = ("_digits", "_exp", "_log", "_inv", "_neg_table", "_add_table", "_mul_table")
+# kept table bytes, bounded a little above the narrow build (int64 tables
+# kept 8.2, 4.1, 4.8, 5.5 and 9.0 MiB)
+KEPT_MIB = {(3, 6): 2.2, (2, 9): 0.6, (2, 15): 0.75, (47, 3): 2.1, (7, 6): 2.7}
+
+
+@pytest.mark.parametrize("p, n", list(KEPT_MIB))
+def test_tables_are_narrow(p, n):
+    fld = make_field(p, n)
+    tables = {name: getattr(fld, name) for name in TABLES if getattr(fld, name) is not None}
+    assert sum(t.nbytes for t in tables.values()) < KEPT_MIB[p, n] * 2**20
+    narrowest = {"_digits": smallest_uint((p - 1).bit_length()),
+                 "_log": smallest_uint((fld.q - 2).bit_length())}
+    for name, table in tables.items():  # encodings in uint16 up to q = 2^16
+        assert table.dtype == narrowest.get(name, smallest_uint((fld.q - 1).bit_length())), name
+    assert set(tables) >= {"_digits", "_exp", "_log", "_inv"}
+    assert ("_neg_table" in tables) == (p > 2)  # characteristic 2 negates nothing
+    assert ("_add_table" in tables) == (p > 2 and fld.q <= FULL_TABLE_MAX)  # and adds by XOR
+
+
+@pytest.mark.parametrize("p, n, mib", [(3, 6, 5), (2, 10, 3)])
+def test_table_build_peak(p, n, mib):
+    # int64 builds peaked at 21.4 and 42.1 MiB: q x q int64 log pairs and
+    # q x n int64 digits
+    tracemalloc.start()
+    try:
+        FiniteField(p, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20

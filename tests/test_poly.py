@@ -130,7 +130,7 @@ def evaluations(draw):
 def test_evaluator_matches_scalar_reference(case):
     poly, points, chunk = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gf, "CHUNK_ELEMS", chunk * max(1, len(poly.terms)))
+        mp.setattr(gf, "CHUNK_ELEMS", 4 * chunk * max(1, len(poly.terms)))
         values = poly.eval_points(points)
     assert values.tolist() == [_scalar_value(poly.field, poly, pt) for pt in points.tolist()]
     if len(points):
@@ -184,3 +184,30 @@ def test_grid_evaluator_matches_pointwise(p, n):
     for v0 in range(fld.q):
         for v1 in range(fld.q):
             assert values[(v0, v1)] == poly.eval_at((v0, v1, 1, 0))
+
+
+@pytest.mark.parametrize("p, n", [(2, 16), (2, 17), (3, 10), (7, 6)])
+def test_monomial_values_widen_narrow_logs(p, n):
+    # exponents past q - 1 put the log of a zero past 2^16 at q = 2^16 and 3^10
+    fld = make_field(p, n)
+    q = fld.q
+    rng = np.random.default_rng(q)
+    points = rng.integers(0, q, (12, 3))
+    points[:4] = [[0, 0, 0], [1, q - 1, 0], [q - 1, q - 2, 1], [0, 2, q - 1]]
+    exps = [(q, 2 * q - 1, 0), (3, 0, q + 5), (0, 0, 0), (1, 1, 1), (2**40, 1, q - 1)]
+    vals = monomial_values(fld, points, exps)
+    assert vals.dtype == np.int64
+
+    def power(x, e):  # x^e = x^(e mod (q - 1)) for x != 0, and 0^0 = 1
+        return fld._pow_scalar_raw(x, e % (q - 1)) if x else int(e == 0)
+
+    expected = []
+    for pt in points.tolist():
+        row = []
+        for mono in exps:
+            value = 1
+            for x, e in zip(pt, mono):
+                value = fld._mul_scalar_raw(value, power(x, e))
+            row.append(value)
+        expected.append(row)
+    assert vals.tolist() == expected

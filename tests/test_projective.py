@@ -5,6 +5,7 @@ Frozen expected values for the quadric xw - yz over GF(7) (max section 15,
 module, which re-run here against plain modular arithmetic.
 """
 
+import collections
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from evalcodes import gf, projective
+from evalcodes import gf, gflinalg, projective
 from evalcodes.bounds import CUBIC_CLASSES, predicted_Nr
 from evalcodes.families import DegenerateInput, classify_cubic, shioda_surface
 from evalcodes.gf import get_embedding, make_field
@@ -393,15 +394,25 @@ def test_section_scan_matches_direct_section_counts():
 
 
 def test_section_scan_takes_incidence_blocks(monkeypatch, dp6_q7):
-    # blocks of CHUNK_ELEMS // n hyperplanes; the whole 137,257 x 57
-    # incidence matrix at once peaked at 82 MiB
+    # blocks of CHUNK_ELEMS // n hyperplanes, generated chart by chart; the
+    # whole 137,257 x 57 incidence matrix at once peaked at 82 MiB, and the
+    # whole sorted dual space (7.7 MB) at 15.7 MiB
     scan, peak = _traced_peak(lambda: section_scan(dp6_q7))
-    assert peak < 24 << 20  # P^6 itself is 7.7 MB
-    monkeypatch.setattr(gf, "CHUNK_ELEMS", 1 << 40)
-    whole = section_scan(dp6_q7)
-    assert (scan.histogram, scan.max_count, scan.total_hyperplanes) == \
-        (whole.histogram, whole.max_count, whole.total_hyperplanes)
-    assert scan.witnesses.tolist() == whole.witnesses.tolist()
+    assert peak < 8 << 20
+    # oracle: the whole dual space in canonical order, counted block by block
+    hyps, pts = enumerate_points(F7, 6), dp6_q7.points()
+    counts = np.concatenate([(gflinalg.matmul(F7, hyps[lo:lo + 4096], pts.T) == 0).sum(axis=1)
+                             for lo in range(0, len(hyps), 4096)])
+    assert scan.histogram == dict(collections.Counter(counts.tolist()))
+    assert (scan.max_count, scan.total_hyperplanes) == (counts.max(), len(hyps))
+    best = hyps[counts == counts.max()]
+    assert scan.witnesses.tolist() == best[:16].tolist()
+    # one block, then blocks in every chart, keeping 3 witnesses or all
+    for budget, keep in ((1 << 40, 16), (57 * 1000, 16), (57 * 97, 3), (57 * 97, len(hyps))):
+        monkeypatch.setattr(gf, "CHUNK_ELEMS", budget)
+        other = section_scan(dp6_q7, max_witnesses=keep)
+        assert (other.histogram, other.max_count) == (scan.histogram, scan.max_count)
+        assert other.witnesses.tolist() == best[:keep].tolist()
 
 
 def test_lines_on_quadric_oracle():
