@@ -83,7 +83,7 @@ def _load_surface(args) -> Surface:
 
 def _distance_hint(surface: Surface, code: LinearCode):
     if surface.family == "del-pezzo-6" and code.s == 2 and surface.fld.q > 5:
-        return geometric_witness_dp6(surface).codeword
+        return geometric_witness_dp6(surface)
     return None
 
 

@@ -2,12 +2,12 @@
 
 The generator matrix of every code is the reduced row echelon form of the
 full degree-s monomial evaluation matrix at the surface's rational points in
-canonical column order, so (n, k, matrix) are byte-reproducible.  A computed
-k below the monomial-space dimension means some degree-s forms vanish at
-every rational point.  No attempt is made to evaluate anything beyond the
-degree-s monomial span, so for surfaces that are not projectively normal
-this code can be a proper subcode of the sheaf-level code with the same
-data.
+the order of Surface.points(), so (n, k, matrix) are byte-reproducible.  A
+computed k below the monomial-space dimension means some degree-s forms
+vanish at every rational point.  No attempt is made to evaluate anything
+beyond the degree-s monomial span, so for surfaces that are not projectively
+normal this code can be a proper subcode of the sheaf-level code with the
+same data.
 
 Both distance engines are one weight-round loop, _rounds, over a list of
 information sets (systematic matrix, relative rank r_i):
@@ -68,7 +68,7 @@ import numpy as np
 from .gf import FiniteField, batched, field_spec_string, smallest_uint
 from . import gflinalg
 from .poly import monomial_values, monomials
-from .projective import BudgetExceeded, Surface, canonical_order, normalize_rows, normalizing_scalars
+from .projective import BudgetExceeded, Surface, canonical_order, normalizing_scalars
 
 DEFAULT_DISTANCE_BUDGET = 50_000_000
 DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
@@ -90,7 +90,6 @@ class LinearCode:
     k: int
     matrix: np.ndarray  # k x n RREF generator matrix
     columns: np.ndarray  # the ambient point evaluated under column j
-    provenance: np.ndarray  # construction-domain point behind column j
     s: int
     surface_ref: str = ""
     function_space_dim: int | None = None
@@ -98,8 +97,8 @@ class LinearCode:
     def __post_init__(self):
         if self.matrix.shape != (self.k, self.n):
             raise ValueError("generator matrix shape disagrees with (k, n)")
-        if len(self.provenance) != self.n or len(self.columns) != self.n:
-            raise ValueError("one provenance point per column is required")
+        if len(self.columns) != self.n:
+            raise ValueError("one point per column is required")
         if not np.array_equal(gflinalg.nonzero_rows(self.fld, self.matrix), self.matrix):
             raise ValueError("generator matrix must be a full-rank RREF matrix")
 
@@ -120,20 +119,15 @@ class LinearCode:
 def build_code(surface: Surface, s: int) -> LinearCode:
     """The code of degree-s forms evaluated at X(F_q).
 
-    For parametrized surfaces the columns are the normalized image vectors of
-    the parametrization (so the result matches the embedded image's code
-    entry for entry) while provenance records the parameter-domain points.
+    The columns are surface.points(), in its order: canonical for a surface
+    cut out by generators, parameter order for a parametrized one (the
+    normalized image of each parameter point, so the code is the embedded
+    image's).
     """
     if s < 1:
         raise ValueError("evaluation degree must be >= 1")
     fld = surface.fld
-    param = surface.parametrization
-    if param is not None and hasattr(param, "column_data"):
-        provenance, image_rows = param.column_data()
-        eval_pts = normalize_rows(fld, image_rows)
-    else:
-        eval_pts = surface.points()
-        provenance = eval_pts
+    eval_pts = surface.points()
     if len(eval_pts) == 0:
         raise ValueError("surface has no rational points; the code is empty")
     nvars = eval_pts.shape[1]
@@ -145,7 +139,6 @@ def build_code(surface: Surface, s: int) -> LinearCode:
         k=len(gen),
         matrix=gen,
         columns=eval_pts,
-        provenance=np.asarray(provenance),
         s=s,
         surface_ref=surface.label or surface.family,
         function_space_dim=len(basis),
@@ -920,7 +913,7 @@ def apply_projective_transform(code: LinearCode, transform) -> tuple[LinearCode,
     new_gen = new_rref[: len(pivots)]
     new_code = LinearCode(
         fld=fld, n=code.n, k=len(new_gen), matrix=new_gen,
-        columns=new_points, provenance=new_points, s=1,
+        columns=new_points, s=1,
         surface_ref=code.surface_ref, function_space_dim=code.function_space_dim,
     )
     scaled = fld.mul(code.matrix, scalings[None, :])

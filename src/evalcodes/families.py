@@ -139,7 +139,6 @@ def del_pezzo4_fixture(fld: FiniteField | None = None) -> Surface:
 class ClassificationResult:
     matched: str  # "C10".."C14" | "not-rho-one-consistent" | "unknown"
     observed: dict[int, int]
-    predicted: dict[str, dict[int, int]]
     line_count: int
     checked_depth: int
     note: str = ""
@@ -181,8 +180,8 @@ def classify_cubic(
     classes is what a search looks for.  With None (classify) the scan goes
     on, through a rational line, until no class fits.  A search stops at a
     rational line before any count, and before level r+1 once none of its
-    classes fits N_1..N_r.  Either way the candidates, predicted and matched
-    range over all five classes, so a stopped sample keeps its true label at
+    classes fits N_1..N_r.  Either way the candidates and the match range
+    over all five classes, so a stopped sample keeps its true label at
     the depth it reached.
     """
     if surface.ambient != 3 or surface.degree != 3:
@@ -190,7 +189,6 @@ def classify_cubic(
     q = surface.fld.q
     lines = lines_on_surface(surface)
     observed: dict[int, int] = {}
-    predicted = {tag: {} for tag in CUBIC_CLASSES}
     candidates = list(CUBIC_CLASSES)
     note = ""
     depth = screened = 0
@@ -213,17 +211,14 @@ def classify_cubic(
         if want_count:
             observed[r] = n_r
             depth = r
-            for tag in list(candidates):
-                predicted[tag][r] = predicted_Nr(tag, q, r)
-                if predicted[tag][r] != n_r:
-                    candidates.remove(tag)
+            candidates = [tag for tag in candidates if predicted_Nr(tag, q, r) == n_r]
     if len(lines) or not candidates:
         matched = NOT_RHO_ONE
     elif len(candidates) == 1:
         matched = candidates[0]
     else:
         matched = "unknown"
-    return ClassificationResult(matched, observed, predicted, len(lines), depth, note, screened)
+    return ClassificationResult(matched, observed, len(lines), depth, note, screened)
 
 
 # Searches are budgeted in samples drawn, so their point counts are not capped.
@@ -376,7 +371,6 @@ def sample_cayley_salmon(
 class FrobeniusOrbit:
     base: FiniteField
     ext: FiniteField  # GF(q^3), absolute
-    point: tuple[int, ...]  # normalized representative over ext
     conjugates: np.ndarray  # (3, 3) rows: P, F(P), F^2(P), normalized
     collinear: bool
 
@@ -417,7 +411,7 @@ def frobenius_orbit(fld: FiniteField, seed: int | None = None, point=None) -> Fr
         collinear = gflinalg.rank(ext, tri) < 3
         if collinear and point is None:
             continue
-        return FrobeniusOrbit(fld, ext, tuple(int(v) for v in p0), tri, collinear=collinear)
+        return FrobeniusOrbit(fld, ext, tri, collinear=collinear)
 
 
 def _orbit_kernel(orbit: FrobeniusOrbit, degree: int) -> np.ndarray:
@@ -440,20 +434,21 @@ class DelPezzo6Parametrization:
     orbit: FrobeniusOrbit
     cubics: list[HomogPoly]
 
-    def column_data(self):
-        fld = self.orbit.base
-        pts = enumerate_points(fld, 2)
+    def image(self) -> np.ndarray:
+        """The 7 cubics at the points of P^2(F_q) in canonical order, one
+        unnormalized row per point."""
+        pts = enumerate_points(self.orbit.base, 2)
         image = np.stack([c.eval_points(pts) for c in self.cubics], axis=1)
         if not (image != 0).any(axis=1).all():
             raise AssertionError("parametrization vanishes at a rational point")
-        return pts, image
+        return image
 
     def image_points(self) -> np.ndarray:
-        fld = self.orbit.base
-        _, image = self.column_data()
-        rows = normalize_rows(fld, image)
-        rows = rows[canonical_order(rows)]
-        if len(np.unique(rows, axis=0)) != len(rows):
+        """The normalized image rows in parameter order, checked injective:
+        no two are equal once sorted canonically."""
+        rows = normalize_rows(self.orbit.base, self.image())
+        ordered = rows[canonical_order(rows)]
+        if not (ordered[1:] != ordered[:-1]).any(axis=1).all():
             raise AssertionError("parametrization image has collisions")
         return rows
 
@@ -498,17 +493,8 @@ def del_pezzo6(orbit: FrobeniusOrbit) -> Surface:
     )
 
 
-@dataclass
-class GeometricWitness:
-    codeword: np.ndarray
-    sextic: HomogPoly
-    zero_count: int
-    conics: tuple[HomogPoly, HomogPoly]
-    lines: tuple[HomogPoly, HomogPoly]
-
-
-def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
-    """A minimum-weight witness for the s=2 code from two conic-line pairs.
+def geometric_witness_dp6(surface: Surface, s: int = 2) -> np.ndarray:
+    """A minimum-weight codeword of the s=2 code from two conic-line pairs.
 
     Searches conics through the orbit and rational lines for two pairs whose
     unions have 2q+2 points each and whose full union has 4q+2; the resulting
@@ -524,15 +510,14 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
     q = fld.q
     if q <= 5:
         raise ValueError("construction needs q > 5")
-    pts = enumerate_points(fld, 2)
+    pts = enumerate_points(fld, 2)  # also the combinations of the 3 basis conics, and the lines
     conic_kernel = _orbit_kernel(param.orbit, 2)
     if len(conic_kernel) != 3:
         raise DegenerateInput(f"conic system has dimension {len(conic_kernel)}, expected 3")
     conic_basis = monomials(3, 2)
     kernel_vals = gflinalg.matmul(fld, conic_kernel, monomial_values(fld, pts, conic_basis).T)
-    combos = enumerate_points(fld, 2)  # 57 projective combinations of 3 basis conics
-    conic_vals = gflinalg.matmul(fld, combos, kernel_vals)
-    line_vals = gflinalg.matmul(fld, combos, pts.T)  # same 57 duals as lines
+    conic_vals = gflinalg.matmul(fld, pts, kernel_vals)
+    line_vals = gflinalg.matmul(fld, pts, pts.T)
     conic_masks = conic_vals == 0
     line_masks = line_vals == 0
     union = (conic_masks[:, None, :] | line_masks[None, :, :]).sum(axis=2)
@@ -548,21 +533,17 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> GeometricWitness:
             if total != 4 * q + 2:
                 continue
             conic_a = HomogPoly.from_coeff_vector(
-                fld, 3, 2, conic_basis, gflinalg.vecmat(fld, combos[ci], conic_kernel))
+                fld, 3, 2, conic_basis, gflinalg.vecmat(fld, pts[ci], conic_kernel))
             conic_b = HomogPoly.from_coeff_vector(
-                fld, 3, 2, conic_basis, gflinalg.vecmat(fld, combos[cj], conic_kernel))
-            line_a = HomogPoly.linear(fld, combos[li])
-            line_b = HomogPoly.linear(fld, combos[lj])
-            sextic = conic_a * line_a * conic_b * line_b
+                fld, 3, 2, conic_basis, gflinalg.vecmat(fld, pts[cj], conic_kernel))
+            sextic = conic_a * HomogPoly.linear(fld, pts[li]) * conic_b * HomogPoly.linear(fld, pts[lj])
             _assert_in_degree2_span(fld, param, sextic)
-            _, image = param.column_data()
-            mu = normalizing_scalars(fld, image)
+            mu = normalizing_scalars(fld, param.image())
             codeword = fld.mul(sextic.eval_points(pts), fld.pow(mu, 2))
             zeros = int((codeword == 0).sum())
             if zeros != 4 * q + 2:
                 raise AssertionError(f"witness has {zeros} zeros, expected {4 * q + 2}")
-            return GeometricWitness(codeword, sextic, zeros,
-                                    (conic_a, conic_b), (line_a, line_b))
+            return codeword
     raise RuntimeError(
         "no conic-line witness found; for q > 5 this contradicts the construction"
     )

@@ -322,6 +322,8 @@ class FiniteField:
         return _int64(self._recompose((-self._digits_of(a)) % self.p))
 
     def sub(self, a, b):
+        if self.p == 2:  # -b = b: the XOR itself, no copy of b
+            return self.add(a, b)
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

@@ -1,27 +1,31 @@
 """Projective points, surfaces, and the geometric searches built on them.
 
 Point normalization follows one convention everywhere: the rightmost nonzero
-coordinate of a representative is scaled to 1.  Point lists are ordered
-lexicographically on the normalized coordinate vector (encodings compared as
-integers), which fixes generator-matrix column order globally.
+coordinate of a representative is scaled to 1.  The points of P^r and the
+zero sets of generators are listed in canonical order, lexicographic on the
+normalized coordinate vector (encodings compared as integers).  A code's
+columns are Surface.points(): canonical order for a surface cut out by
+generators, parameter order for a parametrized one (the normalized images of
+the parameter points, taken in their canonical order).
 
 All enumerations are deterministic; chunked scans merge in index order, so
 results do not depend on how work is partitioned.
 
-Zeros are counted on a chunked Horner grid over each affine chart of P^r
-(``count_rational_points``), except that ``level_scan`` counts a cubic
-surface F = 0 in P^3 fiber by fiber when 3 is invertible.  Projecting from
-O = (0:0:0:1), every other point lies on exactly one line through O and a
-point (x:y:z) of P^2, so N = [O in X] + sum over P^2 of the roots in F_Q of
-F(x, y, z, w) = a3 w^3 + a2 w^2 + a1 w + a0.  The forms a2, a1, a0 (a3 is a
-constant) are evaluated once on the Q^2 + Q + 1 points of P^2 and each
-fiber's root count is read from a Q x Q table: of the depressed cubics
-u^3 + p u + r (w = u - a2/(3 a3)) when a3 != 0, of the monic quadratics
-where a3 = 0 and a2 != 0; a fiber with only a1 != 0 has one root, one with
-all forms zero has Q.  A singular zero other than O has dF/dw = 0, so it is
-the repeated root of its fiber (the tables record it) or lies on a fiber
-that vanishes identically; the Jacobian is evaluated at those points and at
-O only.  Characteristic 3 keeps the grid.
+Zeros are found by one chart loop, a chunked Horner grid over each affine
+chart of P^r (``iter_zero_point_batches``): ``rational_points`` sorts its
+zeros, ``count_rational_points`` and ``level_scan`` count them, except that
+``level_scan`` counts a cubic surface F = 0 in P^3 fiber by fiber when 3 is
+invertible.  Projecting from O = (0:0:0:1), every other point lies on
+exactly one line through O and a point (x:y:z) of P^2, so N = [O in X] + sum
+over P^2 of the roots in F_Q of F(x, y, z, w) = a3 w^3 + a2 w^2 + a1 w + a0.
+The forms a2, a1, a0 (a3 is a constant) are evaluated once on the Q^2 + Q +
+1 points of P^2 and each fiber's root count is read from a Q x Q table: of
+the depressed cubics u^3 + p u + r (w = u - a2/(3 a3)) when a3 != 0, of the
+monic quadratics where a3 = 0 and a2 != 0; a fiber with only a1 != 0 has one
+root, one with all forms zero has Q.  A singular zero other than O has dF/dw
+= 0, so it is the repeated root of its fiber (the tables record it) or lies
+on a fiber that vanishes identically; the Jacobian is evaluated at those
+points and at O only.  Characteristic 3 keeps the grid.
 
 Every scan works in chunks cut from one budget of gf.CHUNK_ELEMS int64
 values, divided by what an item holds: a chart chunk (grid, fibered scan,
@@ -33,6 +37,7 @@ hyperplanes generated chart by chart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -77,12 +82,16 @@ def canonical_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(np.asarray(points).T[::-1])
 
 
-def enumerate_points(fld: FiniteField, r: int, max_points: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
-    """All points of P^r(F_q) as an (N, r+1) array in canonical order."""
-    q = fld.q
+def _check_point_budget(q: int, r: int, max_points: int):
     total = projective_space_size(q, r)
     if total > max_points:
         raise BudgetExceeded(f"P^{r}(F_{q}) has {total} points, budget is {max_points}")
+
+
+def enumerate_points(fld: FiniteField, r: int, max_points: int = DEFAULT_POINT_BUDGET) -> np.ndarray:
+    """All points of P^r(F_q) as an (N, r+1) array in canonical order."""
+    q = fld.q
+    _check_point_budget(q, r, max_points)
     x0 = np.arange(q, dtype=np.int64)
     pts = np.concatenate([_chart_coords(q, c, x0, np.arange(q**c, dtype=np.int64), r) for c in range(r + 1)])
     return pts[canonical_order(pts)]
@@ -101,16 +110,16 @@ def rational_points(
     *,
     max_points: int = DEFAULT_POINT_BUDGET,
 ) -> np.ndarray:
-    """All common projective zeros of the generators, in canonical order."""
+    """All common projective zeros of the generators, in canonical order:
+    the chart loop's zeros, sorted.  max_points bounds the size of P^r."""
     if not gens:
         raise ValueError("need at least one generator (use enumerate_points for P^r)")
     gens, fld = _generators_over(gens, extension_field)
     r = gens[0].nvars - 1
-    pts = enumerate_points(fld, r, max_points=max_points)
-    mask = np.ones(len(pts), dtype=bool)
-    for g in gens:
-        mask &= g.eval_points(pts) == 0
-    return pts[mask]
+    _check_point_budget(fld.q, r, max_points)
+    batches = [coords for _, coords in iter_zero_point_batches(fld, gens, r)]
+    pts = np.concatenate(batches) if batches else np.zeros((0, r + 1), dtype=np.int64)
+    return pts[canonical_order(pts)]
 
 
 def _chart_values(fld: FiniteField, forms: list[HomogPoly], r: int):
@@ -202,7 +211,10 @@ class Surface:
                 raise ValueError("hypersurface degree does not match its generator")
 
     def points(self, extension_field: FiniteField | None = None) -> np.ndarray:
-        if self.parametrization is not None and hasattr(self.parametrization, "image_points"):
+        """X(F_q), or X over extension_field, as normalized rows: the
+        parametrization's image in parameter order, else the zeros of the
+        generators (all of P^ambient without any) in canonical order."""
+        if self.parametrization is not None:
             if extension_field is not None:
                 raise ValueError("parametrized surfaces only enumerate base-field points")
             return self.parametrization.image_points()
@@ -211,15 +223,12 @@ class Surface:
         return rational_points(self.generators, extension_field)
 
     def count_points(self, r: int = 1, *, max_enum: int = 500_000_000) -> int:
-        """|X(F_{q^r})|; parametrized families may override with a closed form."""
+        """|X(F_{q^r})|: the parametrization's closed form, else level_scan's count."""
         if self.parametrization is not None:
-            n = self.parametrization.count_points(r)
-            if n is not None:
-                return n
+            return self.parametrization.count_points(r)
         if not self.generators:
             return projective_space_size(self.fld.q**r, self.ambient)
-        ext = None if r == 1 else make_field(self.fld.p, self.fld.n * r)
-        return count_rational_points(self.generators, ext, max_enum=max_enum)
+        return level_scan(self, r, singular=False, max_enum=max_enum)[0]
 
 
 @dataclass
@@ -388,7 +397,7 @@ def _fibered_cubic_scan(cubic: HomogPoly, singular: bool) -> tuple[int, np.ndarr
         roots = np.concatenate(roots)
         roots[:, 3] = fld.sub(roots[:, 3], shift.eval_points(roots[:, :3]))  # w = u - shift (0 at O)
         candidates.append(roots)
-    pts = [c[np.all([d.eval_points(c) == 0 for d in jac], axis=0)] for c in candidates if len(c)]
+    pts = [c[_minors_vanish(fld, [[d.eval_points(c) for d in jac]])] for c in candidates if len(c)]
     pts = normalize_rows(fld, np.concatenate(pts)) if pts else np.zeros((0, 4), dtype=np.int64)
     chart = 3 - np.argmax(pts[:, ::-1] != 0, axis=1)  # the grid's order: chart, then lexicographic
     return int(count), pts[np.lexsort(np.vstack([pts.T[::-1], chart]))]
@@ -404,14 +413,15 @@ def level_scan(
     """(N_r, singular zeros) of X over F_{q^r}, the zeros in the grid's order
     (chart, then lexicographic).
 
-    A zero is singular where the Jacobian drops rank: for a hypersurface all
-    partials vanish; for codimension-c intersections the c x (ambient+1)
-    Jacobian has rank < c.  singular=False skips that test and returns no
-    rows.  A cubic surface in P^3 outside characteristic 3 is scanned fiber
-    by fiber over P^2 (see the module docstring): the a3 w^3 + ... + a0 of
-    each fiber is read from a table of Q^2 depressed cubics or monic
-    quadratics, and the Jacobian is evaluated only at the repeated roots of
-    the fibers, on fibers that vanish identically and at O.  Every other
+    A zero is singular where the c x (ambient+1) Jacobian of the c
+    generators has rank < c, that is where all its c x c minors vanish (all
+    partials, for a hypersurface); the minors are taken on a chart chunk of
+    zeros at once.  singular=False skips that test and returns no rows.  A
+    cubic surface in P^3 outside characteristic 3 is scanned fiber by fiber
+    over P^2 (see the module docstring): the a3 w^3 + ... + a0 of each fiber
+    is read from a table of Q^2 depressed cubics or monic quadratics, and
+    the Jacobian is evaluated only at the repeated roots of the fibers, on
+    fibers that vanish identically and at O.  Every other
     surface, and characteristic 3, takes one zero scan of the grid of
     P^ambient.
     """
@@ -422,7 +432,6 @@ def level_scan(
     gens, fld = _generators_over(surface.generators, ext)
     if surface.ambient == 3 and len(gens) == 1 and gens[0].degree == 3 and fld.p != 3:
         return _fibered_cubic_scan(gens[0], singular)
-    codim = len(gens)
     jac = [[g.partial_derivative(i) for i in range(surface.ambient + 1)] for g in gens] if singular else []
     count, pending, bad = 0, [], [np.zeros((0, surface.ambient + 1), dtype=np.int64)]
     batches = (coords for _, coords in iter_zero_point_batches(fld, gens, surface.ambient))
@@ -434,16 +443,26 @@ def level_scan(
                 continue
         if pending:
             coords, pending = np.concatenate(pending), []
-            jvals = np.stack([[d.eval_points(coords) for d in row] for row in jac])  # (codim, ambient+1, npts)
-            if codim == 1:
-                sing = (jvals[0] == 0).all(axis=0)
-            else:
-                sing = np.array([
-                    gflinalg.rank(fld, jvals[:, :, t]) < codim
-                    for t in range(jvals.shape[2])
-                ])
-            bad.append(coords[sing])
+            bad.append(coords[_minors_vanish(fld, [[d.eval_points(coords) for d in row] for row in jac])])
     return count, np.concatenate(bad)
+
+
+def _minors_vanish(fld: FiniteField, vals: list[list[np.ndarray]]) -> np.ndarray:
+    """Per point, whether the c x m matrix vals[i][j][point] has rank < c,
+    that is whether all its c x c minors vanish.  Each minor is a Leibniz sum
+    over the permutations of its columns, taken on all points at once; for a
+    1 x m matrix the minors are its entries."""
+    c = len(vals)
+    perms = [(perm, sum(a > b for a, b in itertools.combinations(perm, 2)) % 2)
+             for perm in itertools.permutations(range(c))]  # the identity, even, first
+    vanish = np.ones(len(vals[0][0]), dtype=bool)
+    for cols in itertools.combinations(range(len(vals[0])), c):
+        minor = None
+        for perm, odd in perms:
+            term = functools.reduce(fld.mul, [vals[i][cols[j]] for i, j in enumerate(perm)])
+            minor = term if minor is None else (fld.sub if odd else fld.add)(minor, term)
+        vanish &= minor == 0
+    return vanish
 
 
 # -- surface text format -------------------------------------------------------

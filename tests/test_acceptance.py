@@ -79,11 +79,11 @@ def test_criterion_3_dp6_s2(dp6_q7, dp6_q8, dp6_q9):
         assert code.k == 19, q
     for surf, q in ((dp6_q7, 7), (dp6_q9, 9)):
         wit = geometric_witness_dp6(surf)
-        assert int((wit.codeword != 0).sum()) == q * q - 3 * q - 1
+        assert int((wit != 0).sum()) == q * q - 3 * q - 1
     code7 = build_code(dp6_q7, 2)
     wit7 = geometric_witness_dp6(dp6_q7)
     dist = min_distance(code7, "information-set", budget=3_000_000,
-                        upper_hint=wit7.codeword)
+                        upper_hint=wit7)
     assert dist.lower <= 27 <= dist.upper
     assert dist.upper == 27  # the witness pins the upper bound
     _ok("criterion-3",
@@ -100,7 +100,7 @@ def test_criterion_3_dp6_s2_slow_certification(dp6_q7):
     code = build_code(dp6_q7, 2)
     wit = geometric_witness_dp6(dp6_q7)
     dist = min_distance(code, "information-set", budget=10_000_000_000,
-                        upper_hint=wit.codeword)
+                        upper_hint=wit)
     if dist.exact:
         assert dist.d == 27
     else:
@@ -115,7 +115,7 @@ def test_criterion_4_dp6_q8_s2(dp6_q8):
     code = build_code(dp6_q8, 2)
     wit = geometric_witness_dp6(dp6_q8)
     dist = min_distance(code, "information-set", budget=3_000_000,
-                        upper_hint=wit.codeword)
+                        upper_hint=wit)
     assert dist.lower <= 37 <= dist.upper
     assert not (dist.exact and dist.upper == 39)
     _ok("criterion-4",
@@ -202,7 +202,7 @@ def test_criterion_8_bound_conformance(dp4, dp6_q7, c12_sample, shioda4_q11, shi
     assert 64 - c12_d[2] == 2 * (64 - c12_d[1]) == 26
     dp6_d1 = next(d for s_, _, d in checked if s_ is dp6_q7)
     wit = geometric_witness_dp6(dp6_q7)
-    d2_upper = int((wit.codeword != 0).sum())
+    d2_upper = int((wit != 0).sum())
     assert (57 - d2_upper) <= 2 * (57 - dp6_d1.d)
     _ok("criterion-8",
         "Singleton, the genus bound, the degree-2 relation (26 = 26), and "
@@ -247,7 +247,7 @@ def test_criterion_9b_strategy_agreement():
         from evalcodes.codes import LinearCode
 
         dummy = np.zeros((n, 1), dtype=np.int64)
-        code = LinearCode(fld, n, k, gen, dummy, dummy, 1)
+        code = LinearCode(fld, n, k, gen, dummy, 1)
         d_ex = min_distance(code, "exhaustive")
         d_is = min_distance(code, "information-set")
         assert d_ex.exact and d_is.exact and d_ex.d == d_is.d, (fld.q, k, n)

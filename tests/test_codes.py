@@ -41,7 +41,7 @@ def _plain_code(fld, matrix):
     matrix = np.asarray(matrix, dtype=np.int64)
     k, n = matrix.shape
     dummy = np.zeros((n, 1), dtype=np.int64)
-    return LinearCode(fld, n, k, matrix, dummy, dummy, 1)
+    return LinearCode(fld, n, k, matrix, dummy, 1)
 
 
 def _random_code(fld, k, n, rng):

@@ -1,7 +1,9 @@
 """Surface families: fixtures, samplers, classifier, Del Pezzo machinery."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from evalcodes import families, gflinalg
@@ -20,7 +22,14 @@ from evalcodes.families import (
 )
 from evalcodes.gf import get_embedding, make_field
 from evalcodes.poly import HomogPoly, monomials
-from evalcodes.projective import Surface, count_rational_points, level_scan, lines_on_surface
+from evalcodes.projective import (
+    Surface,
+    canonical_order,
+    count_rational_points,
+    level_scan,
+    lines_on_surface,
+    normalize_rows,
+)
 
 F7 = make_field(7)
 
@@ -137,9 +146,8 @@ def test_classifier_identifies_c10():
     surface = families._cayley_salmon_surface(F7, [269, 47, 143], [3, 0, 38, 30])
     cls = classify_cubic(surface, 2, screen_depth=1, max_enum=families._SEARCH_MAX_ENUM)
     assert cls.matched == "C10"
-    assert cls.observed == {1: 43, 2: 2451}
+    assert cls.observed == {1: 43, 2: 2451} == {r: predicted_Nr("C10", 7, r) for r in (1, 2)}
     assert cls.line_count == 0
-    assert cls.predicted["C10"] == {1: 43, 2: 2451}
 
 
 # -- Cayley-Salmon ----------------------------------------------------------------
@@ -273,7 +281,7 @@ def test_dp6_cubic_system_dimension(dp6_q7, dp6_q8, dp6_q9):
             for pt in param.orbit.conjugates:
                 assert lifted.eval_at(tuple(pt)) == 0
         # evaluation matrix of the 7 cubics has full rank 7
-        pts, image = param.column_data()
+        image = param.image()
         assert gflinalg.rank(dp6.fld, image.T) == 7
 
 
@@ -282,6 +290,27 @@ def test_dp6_point_counts(dp6_q7):
     assert dp6_q7.count_points(1) == q * q + q + 1
     assert dp6_q7.count_points(3) == delpezzo6_Nr(q, 3)
     assert len(dp6_q7.points()) == 57
+
+
+def test_dp6_columns_are_the_image_in_parameter_order(dp6_q7, dp6_q8):
+    # the normalized images of P^2(F_q) in its canonical order, not sorted
+    for dp6 in (dp6_q7, dp6_q8):
+        want = normalize_rows(dp6.fld, dp6.parametrization.image())
+        assert not np.array_equal(want, want[canonical_order(want)])
+        assert np.array_equal(dp6.points(), want)
+        assert np.array_equal(build_code(dp6, 2).columns, want)
+
+
+def test_parametrized_points_are_checked_injective(dp6_q7):
+    # x^3 and the twisted cubic in (y, z) over GF(7): x^3 = 1 at x = 1, 2, 4,
+    # so (1:0:1), (2:0:1) and (4:0:1) share an image, and no two of them are
+    # neighbours in parameter order
+    x, y, z = (HomogPoly.variable(F7, 3, i) for i in range(3))
+    cubics = [x * x * x, y * y * y, y * y * z, y * z * z, z * z * z, x * x * x, x * x * x]
+    param = dataclasses.replace(dp6_q7.parametrization, cubics=cubics)
+    surface = dataclasses.replace(dp6_q7, parametrization=param)
+    with pytest.raises(AssertionError, match="collisions"):
+        build_code(surface, 1)
 
 
 def test_dp6_codes_and_rank19(dp6_q7, dp6_q8, dp6_q9):
@@ -295,10 +324,10 @@ def test_dp6_codes_and_rank19(dp6_q7, dp6_q8, dp6_q9):
 def test_geometric_witness_weights(dp6_q7, dp6_q8, dp6_q9):
     for dp6, q in ((dp6_q7, 7), (dp6_q8, 8), (dp6_q9, 9)):
         wit = geometric_witness_dp6(dp6)
-        assert wit.zero_count == 4 * q + 2
-        assert int((wit.codeword != 0).sum()) == q * q - 3 * q - 1
+        assert int((wit == 0).sum()) == 4 * q + 2
+        assert int((wit != 0).sum()) == q * q - 3 * q - 1
         code = build_code(dp6, 2)
-        assert code.contains_word(wit.codeword)
+        assert code.contains_word(wit)
 
 
 def test_geometric_witness_needs_q_above_5():

@@ -570,6 +570,21 @@ def test_ops_widen_narrow_tables_to_int64(case):
         assert all(type(out) is int for out in (fld.mul(x, y), fld.add(x, y), fld.neg(x), fld.pow(x, e)))
 
 
+@pytest.mark.parametrize("m", [16, 18])  # log tables; digits only
+def test_sub_in_characteristic_2_is_the_xor(monkeypatch, m):
+    fld = make_field(2, m)
+    monkeypatch.setattr(type(fld), "neg", lambda self, a: pytest.fail("sub negated its operand"))
+    rng = np.random.default_rng(m)
+    a, b = rng.integers(0, fld.q, 1000), rng.integers(0, fld.q, 1000)
+    for x, y in ((a, b), (a.astype(np.uint32), b.astype(np.uint32)), (a, int(b[0])), (int(a[0]), b)):
+        out = fld.sub(x, y)
+        assert out.dtype == np.int64 and out.tolist() == np.bitwise_xor(x, y, dtype=np.int64).tolist()
+    for x, y in zip(a[:50].tolist(), b[:50].tolist()):
+        for out in (fld.sub(x, y), fld.sub(np.int64(x), np.uint32(y))):
+            assert type(out) is int and out == x ^ y
+        assert fld.sub(fld.add(x, y), y) == x
+
+
 X16 = (1, 0, 1, 1, 0, 1) + (0,) * 10 + (1,)  # x^16 + x^5 + x^3 + x^2 + 1, not the canonical modulus
 
 

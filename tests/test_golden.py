@@ -84,7 +84,7 @@ def _check_isd_witness(name, code, hint, budget, interval):
 def _check_truncated_isd_witness(tag, spec, interval):
     surface = del_pezzo6(frobenius_orbit(parse_field_spec(spec), seed=1))
     code = build_code(surface, 2)
-    hint = geometric_witness_dp6(surface).codeword
+    hint = geometric_witness_dp6(surface)
     _check_isd_witness(f"min_dist_dp6_{tag}_s2_budget200k", code, hint, 200_000, interval)
 
 

@@ -111,6 +111,37 @@ def test_every_export_is_read_or_allowed():
     assert sorted(exported & set(unread)) == sorted(exported & set(UNREAD_DEFINITIONS))
 
 
+def unread_fields(sources: list[str]) -> list[str]:
+    """Class.field for each field of a @dataclass class whose name no
+    attribute load in the sources reads; a store (self.x = ...) is no read."""
+    fields, loads = [], set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                fields += [f"{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.add(node.attr)
+    return [field for field in fields if field.split(".")[1] not in loads]
+
+
+def test_the_check_finds_unread_fields():
+    # b is only stored and c only named in a string; D is no dataclass, and
+    # a read through any object counts (x.a reads P.a)
+    sources = ["@dataclass\nclass P:\n    a: int\n    b: int = 0\n    c: str = ''\n"
+               "    def f(self):\n        self.b = 1\n        return 'c'\n",
+               "@dataclass(frozen=True)\nclass Q:\n    e: int\n    a: int\n",
+               "class D:\n    g: int\n",
+               "def h(x):\n    return x.a\n"]
+    assert unread_fields(sources) == ["P.b", "P.c", "Q.e"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields([path.read_text() for path in SOURCES]) == []
+
+
 # The package's modules in import order: each may import only those before it.
 LAYERS = ["gf", "gflinalg", "poly", "bounds", "projective", "codes", "families", "cli"]
 

@@ -6,6 +6,7 @@ module, which re-run here against plain modular arithmetic.
 """
 
 import collections
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from evalcodes import gf, gflinalg, projective
 from evalcodes.bounds import CUBIC_CLASSES, predicted_Nr
-from evalcodes.families import DegenerateInput, classify_cubic, shioda_surface
+from evalcodes.families import DegenerateInput, classify_cubic, del_pezzo4_fixture, shioda_surface
 from evalcodes.gf import get_embedding, make_field
 from evalcodes.poly import HomogPoly, monomials
 from evalcodes.projective import (
@@ -64,6 +65,28 @@ def brute_points_p3(q):
 def brute_quadric_value(pt):
     x, y, z, w = pt
     return (x * w - y * z) % 7
+
+
+def enumerated_zeros(gens):
+    """Oracle for rational_points that shares nothing with the chart loop:
+    every point of P^r, each generator's eval_points, a mask, canonical
+    order.  The points with x_r = 0 are enumerate_points(P^(r-1)); those
+    with x_r = 1 come one x_0 value at a time, so P^4(F_49) is never held
+    whole."""
+    fld, r = gens[0].field, gens[0].nvars - 1
+    q = fld.q
+    at_infinity = enumerate_points(fld, r - 1)
+    blocks = [np.column_stack([at_infinity, np.zeros(len(at_infinity), dtype=np.int64)])]
+    middle = np.indices((q,) * (r - 1)).reshape(r - 1, q ** (r - 1)).T  # x_1 .. x_(r-1)
+    ones = np.ones((len(middle), 1), dtype=np.int64)
+    blocks += [np.hstack([x0 * ones, middle, ones]) for x0 in range(q)]
+    zeros = []
+    for pts in blocks:
+        for g in gens:
+            pts = pts[g.eval_points(pts) == 0]
+        zeros.append(pts)
+    zeros = np.concatenate(zeros)
+    return zeros[np.lexsort(zeros.T[::-1])]
 
 
 def test_point_counts_match_formula():
@@ -132,7 +155,7 @@ def _over(surface, r):
 def test_zero_scan_matches_rational_points(case):
     surface, r = case
     ext, gens = _over(surface, r)
-    listed = rational_points(gens)
+    listed = enumerated_zeros(gens)
     assert count_rational_points(gens) == len(listed)
     batches = [coords for _, coords in iter_zero_point_batches(ext, gens, 3)]
     scanned = np.concatenate(batches) if batches else np.zeros((0, 4), dtype=np.int64)
@@ -153,7 +176,59 @@ def test_classifier_counts_match_rational_points(case, search):
     except DegenerateInput:
         return
     for level, n_r in result.observed.items():
-        assert n_r == len(rational_points(surface.generators, _over(surface, level)[0]))
+        assert n_r == len(enumerated_zeros(_over(surface, level)[1]))
+
+
+@functools.lru_cache(maxsize=None)
+def _dp4_zeros(n):
+    """The oracle's zeros of the del Pezzo-4 fixture over GF(7^n)."""
+    return enumerated_zeros(del_pezzo4_fixture(make_field(7, n)).generators)
+
+
+@st.composite
+def zero_sets(draw):
+    """(generators, extension field or None, the oracle's zeros): a drawn
+    cubic over its field or GF(q^2), or the del Pezzo-4 fixture over GF(7)
+    or GF(7^2)."""
+    if draw(st.booleans()):
+        surface, r = draw(cubic_surfaces())
+        ext, gens = _over(surface, r)
+        return surface.generators, ext if r > 1 else None, enumerated_zeros(gens)
+    n = draw(st.sampled_from([1, 2]))
+    return del_pezzo4_fixture(F7).generators, make_field(7, n) if n > 1 else None, _dp4_zeros(n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(zero_sets(), st.sampled_from([16, 16 * 40, gf.CHUNK_ELEMS]))
+def test_rational_points_match_the_enumerated_zeros(case, chunk_elems):
+    # chart chunks of one x0 row, of 40 points (several short rows) and the default
+    gens, ext, want = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "CHUNK_ELEMS", chunk_elems)
+        got = rational_points(gens, ext)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_rational_points_never_build_projective_space():
+    # the chart loop's chunks and the zeros; P^4(F_49) as one array peaked
+    # at 494 MiB
+    fld = make_field(7, 2)
+    gens = del_pezzo4_fixture(fld).generators
+    pts, peak = _traced_peak(lambda: rational_points(gens))
+    assert len(pts) == 2353 and peak < 24 << 20
+
+
+def test_count_points_is_the_count_of_rational_points(dp4):
+    # count_points goes through level_scan, which scans a cubic fiber by
+    # fiber; count_rational_points counts the chart loop's zeros
+    rng = random.Random(11)
+    cubics = [Surface(F7, 3, [HomogPoly(F7, 4, 3, {e: rng.randrange(7) for e in monomials(4, 3)
+                                                  if e != (0, 0, 0, 3) or lead})], degree=3)
+              for lead in (True, False)]
+    for surface in (dp4, shioda_surface(4, F7), *cubics):
+        for r in (1, 2):
+            ext = make_field(7, r)
+            assert surface.count_points(r) == count_rational_points(surface.generators, ext)
 
 
 # Monomials zeroed to force a degenerate shape on a drawn cubic: no w^3 puts
@@ -553,6 +628,62 @@ def test_line_budget_is_checked_before_any_line_is_built():
     assert len(lines_on_surface(cubic, max_lines=2850)) == 3 * 57 - 2
 
 
+def _rank_below_rows(fld, mats):
+    """Oracle: per (c, m) matrix of the stack, whether gflinalg.rank < c."""
+    return np.array([gflinalg.rank(fld, m) < len(m) for m in mats])
+
+
+def _jacobians(gens, pts):
+    """The (npts, c, r+1) stack of the generators' Jacobians at pts."""
+    return np.array([[d.eval_points(pts) for d in map(g.partial_derivative, range(g.nvars))]
+                     for g in gens]).transpose(2, 0, 1)
+
+
+def _minors_vanish_on(fld, mats):
+    return projective._minors_vanish(fld, [list(row) for row in mats.transpose(1, 2, 0)])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_vanishing_minors_match_the_rank_on_dp4(n):
+    # every point of P^4(F_7), and over GF(49) the 2353 zeros and 3000 random points
+    fld = make_field(7, n)
+    gens = del_pezzo4_fixture(fld).generators
+    rng = np.random.default_rng(n)
+    pts = enumerate_points(fld, 4) if n == 1 else np.vstack([_dp4_zeros(2), rng.integers(0, fld.q, (3000, 5))])
+    mats = _jacobians(gens, pts)
+    assert np.array_equal(_minors_vanish_on(fld, mats), _rank_below_rows(fld, mats))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(cubic_surfaces())
+def test_vanishing_minors_match_the_rank_on_cubics(case):
+    surface, _ = case
+    fld = surface.fld
+    mats = _jacobians(surface.generators, enumerate_points(fld, 3))
+    assert np.array_equal(_minors_vanish_on(fld, mats), _rank_below_rows(fld, mats))
+
+
+@pytest.mark.parametrize("spec", [(7, 1), (3, 2), (2, 3)], ids=["q7", "q9", "q8"])
+@pytest.mark.parametrize("c, m", [(1, 4), (2, 2), (2, 5), (3, 3), (3, 5)])
+def test_vanishing_minors_match_the_rank_on_chosen_matrices(spec, c, m):
+    # 0/1 matrices with a single nonzero c x c minor (each column set once)
+    # catch a dropped minor; matrices of rank < c whose terms do not cancel
+    # in pairs of equal sign catch a flipped sign (outside characteristic 2)
+    fld = make_field(*spec)
+    rng = np.random.default_rng(c * 10 + m)
+    units = np.zeros((math.comb(m, c), c, m), dtype=np.int64)
+    for k, cols in enumerate(itertools.combinations(range(m), c)):
+        units[k, range(c), cols] = 1
+    full = rng.integers(0, fld.q, (300, c, m))
+    low = full.copy()
+    low[:, -1] = gflinalg.matmul(fld, rng.integers(0, fld.q, (300, 1, c - 1)), full[:, :-1]).reshape(300, m) \
+        if c > 1 else 0
+    mats = np.concatenate([units, full, low])
+    want = _rank_below_rows(fld, mats)
+    assert not want[:len(units)].any() and want[-300:].all()
+    assert np.array_equal(_minors_vanish_on(fld, mats), want)
+
+
 def test_singular_points_examples(dp4):
     quad = quadric_xw_yz()
     assert all(len(level_scan(quad, r)[1]) == 0 for r in (1, 2))
@@ -567,6 +698,8 @@ def test_singular_points_examples(dp4):
 def test_budget_errors():
     with pytest.raises(BudgetExceeded):
         enumerate_points(F7, 3, max_points=10)
+    with pytest.raises(BudgetExceeded, match=r"P\^3\(F_49\) has 120100 points, budget is 120099"):
+        rational_points([quadric_xw_yz().generators[0]], make_field(7, 2), max_points=120_099)
     with pytest.raises(BudgetExceeded):
         count_rational_points([weierstrass_cubic()], make_field(7, 6), max_enum=1000)
 
