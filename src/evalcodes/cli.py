@@ -458,16 +458,17 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
         if not isinstance(overrides, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
         commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in commands.choices[args.command]._actions}
-        # the flags given, as argparse read them (an abbreviation too): a
-        # second parse in which no flag has a default
-        for action in (*ap._actions, *actions.values()):
-            action.default = argparse.SUPPRESS
-        explicit = set(vars(ap.parse_args(argv)))
+        command = commands.choices[args.command]
+        actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
+        defaults = {}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if attr in actions and hasattr(args, attr) and attr not in explicit:
-                setattr(args, attr, _config_value(actions[attr], key, value))
+            if attr in actions:
+                defaults[attr] = _config_value(actions[attr], key, value)
+        # the config values become the command's defaults, so any flag given
+        # (an abbreviation too) wins over them
+        command.set_defaults(**defaults)
+        args = ap.parse_args(argv)
     return args
 
 

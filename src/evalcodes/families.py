@@ -228,27 +228,26 @@ _SEARCH_MAX_ENUM = sys.maxsize
 # -- Cayley-Salmon cubics -----------------------------------------------------------------
 
 
-@dataclass
-class C12Sample:
-    surface: Surface
-    classification: ClassificationResult
-
-
-def _proportional_to_subfield_form(coeffs: np.ndarray, fld_ext: FiniteField, emb) -> bool:
-    vec = normalize_rows(fld_ext, np.asarray(coeffs, dtype=np.int64)[None, :])[0]
-    return all(emb.contains(int(c)) for c in vec)
+def _proportional_to_subfield_form(coeffs: np.ndarray, emb) -> bool:
+    return emb.contains(normalize_rows(emb.target, coeffs[None, :])[0])
 
 
 def _cayley_salmon_surface(fld: FiniteField, l_coeffs, m_coeffs) -> Surface:
+    """The Cayley-Salmon cubic N(L) - w N(M) over GF(q).
+
+    L is a form in x, y, z over GF(q^3), M one in x, y, z, w over GF(q^2),
+    and sigma is the q-power map.  N(L) = L L^sigma L^sigma^2 and
+    N(M) = M M^sigma are their norm forms.  sigma maps GF(q^3) and GF(q^2)
+    to themselves, so each norm is a product inside its own field; sigma
+    permutes its factors, so its coefficients are fixed by sigma and lie in
+    GF(q).  Each norm descends through the one embedding of GF(q) into its
+    field, and no field beyond GF(q^3) is built.
+    """
     n0 = fld.n
     f3 = make_field(fld.p, 3 * n0)
     f2 = make_field(fld.p, 2 * n0)
-    f6 = make_field(fld.p, 6 * n0)
-    e_q_q3 = get_embedding(fld, f3)
-    e_q_q2 = get_embedding(fld, f2)
-    e3 = get_embedding(f3, f6)
-    e2 = get_embedding(f2, f6)
-    e_base = get_embedding(fld, f6)
+    e3 = get_embedding(fld, f3)
+    e2 = get_embedding(fld, f2)
 
     l_coeffs = np.asarray(l_coeffs, dtype=np.int64)
     m_coeffs = np.asarray(m_coeffs, dtype=np.int64)
@@ -256,20 +255,17 @@ def _cayley_salmon_surface(fld: FiniteField, l_coeffs, m_coeffs) -> Surface:
         raise ValueError("L takes 3 coefficients (x,y,z); M takes 4 (x,y,z,w)")
     if not l_coeffs.any() or not m_coeffs.any():
         raise DegenerateInput("zero linear form")
-    if _proportional_to_subfield_form(l_coeffs, f3, e_q_q3):
+    if _proportional_to_subfield_form(l_coeffs, e3):
         raise DegenerateInput("L is proportional to a GF(q) form")
-    if _proportional_to_subfield_form(m_coeffs, f2, e_q_q2):
+    if _proportional_to_subfield_form(m_coeffs, e2):
         raise DegenerateInput("M is proportional to a GF(q) form")
 
-    l6 = HomogPoly.linear(f6, [e3.embed(int(c)) for c in l_coeffs]).pad_vars(4)
-    m6 = HomogPoly.linear(f6, [e2.embed(int(c)) for c in m_coeffs])
-    w6 = HomogPoly.variable(f6, 4, 3)
-    lhs = l6 * l6.frobenius_coeffs(n0) * l6.frobenius_coeffs(2 * n0)
-    rhs = w6 * m6 * m6.frobenius_coeffs(n0)
-    cubic6 = lhs - rhs
-    if cubic6.is_zero():
-        raise DegenerateInput("the two sides coincide; no cubic surface")
-    cubic = cubic6.descend_coeffs(e_base)  # NotInSubfield here would be a bug
+    l3 = HomogPoly.linear(f3, l_coeffs).pad_vars(4)
+    m2 = HomogPoly.linear(f2, m_coeffs)
+    norm_l = l3 * l3.frobenius_coeffs(n0) * l3.frobenius_coeffs(2 * n0)
+    norm_m = m2 * m2.frobenius_coeffs(n0)
+    # NotInSubfield from either descent would be a bug
+    cubic = norm_l.descend_coeffs(e3) - HomogPoly.variable(fld, 4, 3) * norm_m.descend_coeffs(e2)
     return Surface(
         fld, 3, [cubic], degree=3, sectional_genus=1,
         family="cayley-salmon-c12", label=f"c12-q{fld.q}",
@@ -352,7 +348,7 @@ def sample_cayley_salmon(
     max_draws: int = 500,
     classify_depth: int = 3,
     screen_depth: int = 3,
-) -> C12Sample:
+) -> SearchHit:
     """First confirmed-C12 Cayley-Salmon sample along a fixed seed schedule.
 
     The draws are those of random_cubic_search(fld, "C12", seed, max_draws),
@@ -360,7 +356,7 @@ def sample_cayley_salmon(
     or before level r+1 once C12 fits none of N_1..N_r.
     """
     for hit in _search(fld, ("C12",), seed, 0, max_draws, classify_depth, screen_depth):
-        return C12Sample(hit.surface, hit.classification)
+        return hit
     raise RuntimeError(f"no confirmed C12 sample in {max_draws} draws (seed={seed})")
 
 
@@ -493,7 +489,7 @@ def del_pezzo6(orbit: FrobeniusOrbit) -> Surface:
     )
 
 
-def geometric_witness_dp6(surface: Surface, s: int = 2) -> np.ndarray:
+def geometric_witness_dp6(surface: Surface) -> np.ndarray:
     """A minimum-weight codeword of the s=2 code from two conic-line pairs.
 
     Searches conics through the orbit and rational lines for two pairs whose
@@ -501,8 +497,6 @@ def geometric_witness_dp6(surface: Surface, s: int = 2) -> np.ndarray:
     sextic lies in the degree-2 span of the parametrization and its codeword
     has weight q^2 - 3q - 1.
     """
-    if s != 2:
-        raise ValueError("the geometric witness construction is for s=2")
     param = surface.parametrization
     if not isinstance(param, DelPezzo6Parametrization):
         raise ValueError("expects a del-pezzo-6 surface")

@@ -66,12 +66,10 @@ def kernel_basis(field: FiniteField, mat) -> np.ndarray:
     m = as_matrix(mat)
     cols = m.shape[1]
     r, pivots = rref(field, m)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, f in enumerate(free):
-        basis[i, f] = 1
-        for j, pc in enumerate(pivots):
-            basis[i, pc] = field.neg(int(r[j, f]))
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = field.neg(r[: len(pivots), free].T)
     return basis
 
 

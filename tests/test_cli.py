@@ -101,6 +101,15 @@ def test_classify_cubic_cli_over_gf3(tmp_path, capsys):
     assert doc["observed_Nr"] == {str(r): predicted_Nr("C12", 3, r) for r in (1, 2)}
 
 
+def test_classify_cubic_cli_over_gf8(capsys):
+    # the C12 draw over GF(8) builds no field beyond GF(2^9)
+    code, out, _ = run_cli(["classify", "--family", "cayley-salmon", "--field", "2^3", "--depth", "3"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["matched"] == "C12"
+    assert doc["observed_Nr"] == {str(r): predicted_Nr("C12", 8, r) for r in (1, 2, 3)}
+
+
 def test_scan_sections_dp4(tmp_path, capsys):
     out = tmp_path / "s.json"
     code, _, _ = run_cli([

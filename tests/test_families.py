@@ -164,6 +164,84 @@ def test_cayley_salmon_degenerate_inputs():
         families._cayley_salmon_surface(F7, [0, 0, 0], [1, 2, 3, 4])
 
 
+def _cayley_salmon_over_gf_q6(fld, l_coeffs, m_coeffs):
+    """The conjugate-plane cubic L L^s L^s^2 - w M M^s formed in GF(q^6) and
+    descended from there: an independent construction to compare against."""
+    n0 = fld.n
+    f3, f2, f6 = make_field(fld.p, 3 * n0), make_field(fld.p, 2 * n0), make_field(fld.p, 6 * n0)
+    l_coeffs, m_coeffs = np.asarray(l_coeffs), np.asarray(m_coeffs)
+    if not l_coeffs.any() or not m_coeffs.any():
+        raise DegenerateInput("zero linear form")
+    for coeffs, ext, name in ((l_coeffs, f3, "L"), (m_coeffs, f2, "M")):
+        if get_embedding(fld, ext).contains(normalize_rows(ext, coeffs[None, :])[0]):
+            raise DegenerateInput(f"{name} is proportional to a GF(q) form")
+    l6 = HomogPoly.linear(f6, get_embedding(f3, f6).embed(l_coeffs)).pad_vars(4)
+    m6 = HomogPoly.linear(f6, get_embedding(f2, f6).embed(m_coeffs))
+    lhs = l6 * l6.frobenius_coeffs(n0) * l6.frobenius_coeffs(2 * n0)
+    rhs = HomogPoly.variable(f6, 4, 3) * m6 * m6.frobenius_coeffs(n0)
+    return (lhs - rhs).descend_coeffs(get_embedding(fld, f6))
+
+
+def _outcome(build, fld, l_coeffs, m_coeffs):
+    try:
+        return build(fld, l_coeffs, m_coeffs)
+    except DegenerateInput as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("spec", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)])
+def test_cayley_salmon_matches_the_gf_q6_construction(spec):
+    # the same cubic, or the same DegenerateInput message, on every seeded
+    # draw: 200 drawn as the sampler draws, then 100 from small coordinate
+    # ranges, so that proportional and zero forms turn up at every q
+    fld = make_field(*spec)
+    q = fld.q
+    rng = random.Random(2024 + q)
+    degenerate = 0
+    for draw in range(300):
+        top = (q**3, q**2) if draw < 200 else (q, q)
+        l_coeffs = [rng.randrange(top[0]) for _ in range(3)]
+        m_coeffs = [rng.randrange(top[1]) for _ in range(4)]
+        want = _outcome(_cayley_salmon_over_gf_q6, fld, l_coeffs, m_coeffs)
+        got = _outcome(families._cayley_salmon_surface, fld, l_coeffs, m_coeffs)
+        if isinstance(want, str):
+            degenerate += 1
+            assert got == want, (l_coeffs, m_coeffs)
+        else:
+            assert got.generators[0] == want, (l_coeffs, m_coeffs)
+    assert 0 < degenerate < 300
+
+
+def test_cayley_salmon_builds_no_field_beyond_gf_q3(monkeypatch):
+    made, embedded = [], []
+
+    def record_field(p, n=1, modulus=None):
+        made.append(p**n)
+        return make_field(p, n, modulus)
+
+    def record_embedding(source, target):
+        embedded.append((source.q, target.q))
+        return get_embedding(source, target)
+
+    monkeypatch.setattr(families, "make_field", record_field)
+    monkeypatch.setattr(families, "get_embedding", record_embedding)
+    for fld in (F7, make_field(2, 3)):
+        q = fld.q
+        surface = families._cayley_salmon_surface(fld, [q + 2, 1, q * q], [q, 1, 0, 1])
+        assert surface.fld is fld
+        assert max(made) == q**3
+        assert set(embedded) == {(q, q**3), (q, q**2)}
+        made.clear()
+        embedded.clear()
+
+
+def test_cayley_salmon_c12_over_gf8(f8):
+    # forming the cubic in GF(q^6) would need GF(2^18), which has no log tables
+    sample = sample_cayley_salmon(f8, seed=1)
+    assert sample.classification.matched == "C12"
+    assert sample.classification.observed == {r: predicted_Nr("C12", 8, r) for r in (1, 2, 3)}
+
+
 def test_cayley_salmon_coefficients_descend(c12_sample):
     # Frobenius-invariance by construction: the surface generator exists over
     # GF(7) at all (descent already asserted inside); spot-check that the
