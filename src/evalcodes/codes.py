@@ -19,18 +19,17 @@ information sets (systematic matrix, relative rank r_i):
     lightest codeword found.
 
 Set i takes the first k independent columns in the order (unused ascending,
-then used ascending), its pivots read from a row reduction of a window of
-that order; its systematic matrix is B_i^-1 G, B_i the generator on those
-columns, with every B_i inverted by one stacked gflinalg.invert
-(_information_sets).
+then used ascending); its systematic matrix is B_i^-1 G, B_i the generator
+on those columns.  The sets are chosen and multiplied out a block at a time,
+as round 1 reaches them (_InformationSets).
 
 With w_i the last round set i finished, the certified lower bound is
 sum(max(0, w_i + 1 - (k - r_i))) over the sets with w_i >= 1, or 1 with none;
 w_0 + 1 for the exhaustive sweep, one set.  A completed run takes lower = upper.
 
-The systematic matrices are one stack, and round 1 weighs the rows of every
-set in one pass (_weight_one_round): the weight-1 codewords of a set are
-its rows.  Round w >= 2 runs one kernel per set, _weight_scan, which weighs
+Round 1 weighs the rows of each block of sets as it is built
+(_weight_one_round): the weight-1 codewords of a set are its rows.
+Round w >= 2 runs one kernel per set, _weight_scan, which weighs
 the messages of weight w (first nonzero value 1) against a systematic
 matrix in chunks, computing only the n - k redundancy columns by machine
 adds (_AdditiveForm).  A block's codewords are prefix sums P plus v times
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FiniteField, batched, field_spec_string, smallest_uint
-from . import gflinalg
+from . import gf, gflinalg
 from .poly import monomial_values, monomials
 from .projective import BudgetExceeded, Surface, canonical_order, normalizing_scalars
 
@@ -485,36 +484,43 @@ def _chunk_rows(fld: FiniteField, n: int, messages: int, parts: int) -> int:
     return max(1, min(_BATCH_TARGET // (n * fld.n), -(-messages // parts)))
 
 
-def _weight_one_round(fld: FiniteField, sysmats: np.ndarray, state: _SweepState, budget: int,
-                      part: tuple[int, int] = (0, 1)) -> bool:
-    """Round 1 of every set in one pass: the weight-1 codewords of a set are
-    the rows of its systematic matrix (sysmats[set]), so their weights are
-    nonzero counts over the stack, taken in blocks of sets without a copy.
+def _weight_one_round(fld: FiniteField, sets: _InformationSets, state: _SweepState, budget: int,
+                      part: tuple[int, int] = (0, 1)) -> int:
+    """Round 1, a block of sets at a time: the weight-1 codewords of a set
+    are the rows of its systematic matrix, so their weights are nonzero counts.
 
     The rows are taken as one _weight_scan per set would take them: chunks
     of _chunk_rows rows, chunk c of each set to worker c mod W, and the
     budget cut in serial order (set by set, chunk by chunk), which ends the
-    round at the first chunk that does not fit.  The lexicographically first
-    of the lightest rows taken is offered.  Returns the number of sets whose
-    round ran whole, the first ones in serial order.
+    round, and the sets built, at the first chunk that does not fit.  The
+    lexicographically first of the lightest rows is offered once.  Returns
+    the number of sets whose round ran whole, the first ones in serial order.
     """
-    sets, k, n = sysmats.shape
+    k, n = sets.matrix.shape
     index, parts = part
     rows = _chunk_rows(fld, n, k, parts)
     chunk = np.arange(k) // rows
     # row r of set i is taken when its chunk ends within the budget
     chunk_end = np.minimum(k, (chunk + 1) * rows)
-    taken = (np.arange(sets)[:, None] * k + chunk_end <= budget) & (chunk % parts == index)
-    reach = int(taken.any(axis=1).sum())  # taken rows lie in the first sets
-    weights = np.empty((reach, k), dtype=np.int64)
-    for lo, hi in batched(reach, max(1, _BATCH_TARGET // (k * n))):
-        weights[lo:hi] = np.count_nonzero(sysmats[lo:hi], axis=2)
-    taken = taken[:reach]
-    state.update(weights[taken])
-    if taken.any():
-        at, row = np.nonzero(taken & (weights == weights[taken].min()))
-        state.offer(np.array(min(sysmats[at, row].tolist())))
-    return min(sets, max(0, budget // k))
+    low, best = n + 1, None
+    reach = max(0, budget - int(chunk_end[0]) + k) // k  # the sets whose first chunk fits
+    for lo, sysmats in sets.systematic(reach):
+        taken = np.arange(lo, lo + len(sysmats))[:, None] * k + chunk_end <= budget
+        taken &= chunk % parts == index
+        weights = np.where(taken, np.count_nonzero(sysmats, axis=2), n + 1)
+        state.update(weights[taken])
+        block_low = int(weights.min())
+        if block_low <= min(low, n):
+            tied = sysmats[weights == block_low]
+            if block_low == low:
+                tied = np.concatenate([best[None], tied])
+            at, j = np.arange(len(tied)), 0
+            while len(at) > 1 and j < n:
+                at, j = at[tied[at, j] == tied[at, j].min()], j + 1
+            low, best = block_low, tied[at[0]]
+    if best is not None:
+        state.offer(best)
+    return min(sets.select(max(0, budget // k) + 1), max(0, budget // k))
 
 
 def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepState, budget: int,
@@ -597,22 +603,22 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     return True
 
 
-def _rounds(fld: FiniteField, sysmats: np.ndarray, ranks, state: _SweepState, budget: int,
+def _rounds(fld: FiniteField, sets: _InformationSets, state: _SweepState, budget: int,
             stop: bool = False, part: tuple[int, int] = (0, 1)) -> tuple[int, int]:
-    """Weight rounds w = 1..k over the sets, systematic matrices sysmats and
-    relative ranks ranks; returns the progress (w, j): every set finished round
-    w, the first j sets round w + 1 too.  Round 1 weighs all sets in one pass
-    (_weight_one_round), each later round runs one _weight_scan per set with
-    the budget left by all parts' scans before it.  With stop, the rounds end
-    at the first scan before which the bound meets the running minimum weight."""
-    sets, k, _ = sysmats.shape
-    done = _weight_one_round(fld, sysmats, state, budget, part)
-    if done < sets:
+    """Weight rounds w = 1..k over the information sets; returns the progress
+    (w, j): every set finished round w, the first j sets round w + 1 too.
+    Round 1 is _weight_one_round, each later round runs one _weight_scan per
+    set with the budget left by all parts' scans before it.  With stop, the
+    rounds end at the first scan before which the bound meets the running
+    minimum weight."""
+    k = len(sets.matrix)
+    done = _weight_one_round(fld, sets, state, budget, part)
+    if done < len(sets.ranks):
         return 0, done
-    spent, buffers = sets * k, _CounterBuffers()
+    spent, buffers = done * k, _CounterBuffers()
     for w in range(2, k + 1):
-        for j, sysmat in enumerate(sysmats):
-            if stop and _lower_bound(k, ranks, (w - 1, j)) >= state.min_weight:
+        for j, sysmat in enumerate(s for _, block in sets.systematic(done) for s in block):
+            if stop and _lower_bound(k, sets.ranks, (w - 1, j)) >= state.min_weight:
                 return w - 1, j
             if not _weight_scan(fld, sysmat, w, state, budget - spent, part, buffers):
                 return w - 1, j
@@ -632,7 +638,7 @@ def _lower_bound(k: int, ranks, progress: tuple[int, int]) -> int:
 def _sweep(args) -> tuple[_SweepState, int]:
     fld, matrix, budget, part = args
     state = _SweepState(matrix.shape[1])
-    return state, _rounds(fld, matrix[None], [len(matrix)], state, budget, part=part)[0]
+    return state, _rounds(fld, _InformationSets(fld, matrix, greedy=False), state, budget, part=part)[0]
 
 
 def exhaustive_sweep(
@@ -727,47 +733,71 @@ def _pivots(fld: FiniteField, window: np.ndarray) -> list[int]:
     return pivots
 
 
-def _information_sets(fld: FiniteField, matrix: np.ndarray):
-    """Greedy systematic forms: (systematic matrices stacked [set, :, :],
-    list of relative ranks).
+class _InformationSets:
+    """Greedy information sets, chosen and multiplied out a block at a time
+    as round 1 reaches them; without greedy, the generator alone.
 
-    Set i takes the first k independent columns in the order (unused
-    ascending, then used ascending); the sets end when one adds no unused
-    column.  Greedy pivots are prefix-stable, so they are read from a window
-    of that order, 4k columns wide and doubled while its rank is short of k.
-    The systematic form of a set is B_i^-1 G, B_i the generator on the set's
-    columns in pivot order: all B_i are inverted by one stacked
-    gflinalg.invert and multiplied into G in blocks of sets.
+    A set's pivots come from a window of its column order, as wide as the
+    last set's (4k at first), doubled while short of rank k: the unused
+    columns earlier windows left (head), those none reached (cursor on),
+    then the used ones.  A block of 2 gf.CHUNK_ELEMS // (k n m) sets takes
+    one gflinalg.invert and one gflinalg.matmul; the first blocks are kept
+    while they fit in 8 gf.CHUNK_ELEMS bytes, and later rounds multiply the
+    others out again from their inverses.
     """
-    k, n = matrix.shape
-    used = np.zeros(n, dtype=bool)
-    bases, ranks = [], []
-    while not used.all():
-        order = np.argsort(used, kind="stable")
-        width = 4 * k
-        while True:
-            window = order[:width]
-            cols = window[_pivots(fld, matrix[:, window])]
-            if len(cols) == k or width >= n:
-                break
-            width *= 2
-        if len(cols) != k:
-            raise ValueError("generator matrix is not full rank")
-        new = int((~used[cols]).sum())
-        if not new:
-            break
-        used[cols] = True
-        bases.append(cols)
-        ranks.append(new)
-    inverses = gflinalg.invert(fld, matrix[:, np.array(bases)].transpose(1, 0, 2))
-    # the smallest type that holds an encoding: at q = 49 and n = 2451 the
-    # 354 sets take 6 MB instead of 48 MB of int64
-    sysmats = np.empty((len(bases), k, n), dtype=smallest_uint((fld.q - 1).bit_length()))
-    # each product holds at most 2^19 GF(p) digits, so its int64 result at most 4 MB
-    block = max(1, (_BATCH_TARGET // 4) // (k * n * fld.n))
-    for lo, hi in batched(len(bases), block):
-        sysmats[lo:hi] = gflinalg.matmul(fld, inverses[lo:hi], matrix)
-    return sysmats, ranks
+
+    def __init__(self, fld: FiniteField, matrix: np.ndarray, greedy: bool = True):
+        k, n = matrix.shape
+        self.fld, self.matrix, self.ranks, self.bases = fld, matrix, [] if greedy else [k], []
+        self.complete = not greedy
+        self.block = max(1, 2 * gf.CHUNK_ELEMS // (k * n * fld.n))
+        self.room = 8 * gf.CHUNK_ELEMS  # bytes left for kept blocks
+        self.kept, self.inverses = ([], []) if greedy else ([matrix[None]], [None])
+        self.used, self.head, self.cursor, self.width = np.zeros(n, dtype=bool), np.arange(0), 0, 4 * k
+
+    def select(self, count: int) -> int:
+        """Choose sets until there are `count` or one adds no unused column; how many there are."""
+        k, n = self.matrix.shape
+        while len(self.ranks) < count and not self.complete:
+            while True:
+                if len(self.head) < self.width:
+                    end = min(n, self.cursor + self.width - len(self.head))
+                    self.head, self.cursor = np.concatenate([self.head, np.arange(self.cursor, end)]), end
+                window = self.head[:self.width]
+                if len(window) < self.width:  # the unused columns run out: the used ones follow
+                    window = np.concatenate([window, np.flatnonzero(self.used)[:self.width - len(window)]])
+                cols = window[_pivots(self.fld, self.matrix[:, window])]
+                if len(cols) == k or self.width >= n:
+                    break
+                self.width *= 2
+            if len(cols) != k:
+                raise ValueError("generator matrix is not full rank")
+            new = int((~self.used[cols]).sum())
+            self.used[cols] = True
+            self.head = self.head[~self.used[self.head]]
+            self.complete = not new or self.cursor == n and not len(self.head)
+            if new:
+                self.bases.append(cols)
+                self.ranks.append(new)
+        return len(self.ranks)
+
+    def _multiply(self, inverses: np.ndarray) -> np.ndarray:
+        # G^T B^-T: matmul expands the digits of its right factor, here the small inverses
+        product = gflinalg.matmul(self.fld, self.matrix.T, inverses.transpose(0, 2, 1))
+        return product.transpose(0, 2, 1).astype(smallest_uint((self.fld.q - 1).bit_length()), order="C")
+
+    def systematic(self, stop: int):
+        """(first set, systematic matrices [set, :, :]) of the sets before
+        `stop`, by blocks; round 1's walk builds them."""
+        for b, lo in enumerate(range(0, self.select(stop), self.block)):
+            if b == len(self.inverses):
+                bases = np.array(self.bases[lo:lo + self.block])
+                self.inverses.append(gflinalg.invert(self.fld, self.matrix[:, bases].transpose(1, 0, 2)))
+            sysmats = self.kept[b] if b < len(self.kept) else self._multiply(self.inverses[b])
+            if b == len(self.kept) and sysmats.nbytes <= self.room:
+                self.kept.append(sysmats)
+                self.room -= sysmats.nbytes
+            yield lo, sysmats
 
 
 def _distance_result(code: LinearCode, ranks, state: _SweepState, progress, method: str) -> DistanceResult:
@@ -797,13 +827,13 @@ def information_set_distance(
 ) -> DistanceResult:
     """Brouwer-Zimmermann certification within a codeword budget."""
     hint = _checked_hint(code, upper_hint)
-    sysmats, ranks = _information_sets(code.fld, code.matrix)
+    sets = _InformationSets(code.fld, code.matrix)
     state = _SweepState(code.n)
     if hint is not None:  # before the scan: the early stop reads it
         state.offer(hint)
-    progress = _rounds(code.fld, sysmats, ranks, state, budget, stop=True)
+    progress = _rounds(code.fld, sets, state, budget, stop=True)
     method = "information-set" + ("+geometric-witness" if hint is not None else "")
-    return _distance_result(code, ranks, state, progress, method)
+    return _distance_result(code, sets.ranks, state, progress, method)
 
 
 def min_distance(

@@ -3,20 +3,23 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_invertible
-from evalcodes import codes, gflinalg
+from evalcodes import codes, gf, gflinalg
 from evalcodes.codes import (
     LinearCode,
     _AdditiveForm,
+    _InformationSets,
     _SweepState,
     _identity_columns,
-    _information_sets,
     _lower_bound,
     _rounds,
     _weight_one_round,
@@ -42,6 +45,14 @@ def _plain_code(fld, matrix):
     k, n = matrix.shape
     dummy = np.zeros((n, 1), dtype=np.int64)
     return LinearCode(fld, n, k, matrix, dummy, 1)
+
+
+def _information_sets(fld, matrix):
+    """Every greedy set of a generator, as the builder multiplies them out
+    block by block: (systematic matrices stacked [set, :, :], relative ranks)."""
+    sets = _InformationSets(fld, matrix)
+    blocks = [sysmats for _, sysmats in sets.systematic(matrix.shape[1])]
+    return np.concatenate(blocks), sets.ranks
 
 
 def _random_code(fld, k, n, rng):
@@ -184,6 +195,28 @@ def test_information_set_run_out_in_round_one_reports_lower_one():
     assert d.method == "information-set" and not d.exact
 
 
+@pytest.mark.parametrize("budget", [3, 9, 41])
+def test_round_one_builds_no_set_past_the_budget(monkeypatch, budget):
+    # 50 sets of 4 rows, each round-1 scan one chunk, in blocks of two sets:
+    # the budget reaches 0, 2 and 10 sets, and no more than those plus one
+    # block is inverted, not all 50
+    code = _random_code(F7, 4, 200, random.Random(5))
+    assert len(_information_sets(F7, code.matrix)[1]) == 50
+    full = min_distance(code, "isd", budget=budget)
+    monkeypatch.setattr(gf, "CHUNK_ELEMS", 4 * 200)
+    inverted, invert = [], gflinalg.invert
+
+    def counting_invert(fld, mat):
+        inverted.append(math.prod(np.shape(mat)[:-2]))
+        return invert(fld, mat)
+    monkeypatch.setattr(gflinalg, "invert", counting_invert)
+    d = min_distance(code, "isd", budget=budget)
+    reached = budget // 4
+    assert (d.lower, d.upper, d.work) == (full.lower, full.upper, full.work)
+    assert d.work == 4 * reached
+    assert sum(inverted) <= reached + 2
+
+
 def test_weight_round_checks_budget_before_allocating():
     # weight 2 over GF(2^20) has ~10^6 messages per support; a 50-codeword
     # budget must end the scan before they are built
@@ -227,6 +260,58 @@ def test_weight_round_slices_large_supports():
         tracemalloc.stop()
     assert (d.lower, d.upper, d.work) == (4, 5, 196_613)
     assert peak < 64 << 20
+
+
+def _traced_peak(run):
+    """(run(), its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_information_sets_are_built_within_their_blocks():
+    # a [6000, 4] code over GF(47) has 1500 sets, 34 MiB of systematic
+    # matrices in all; a block's product holds at most 2 CHUNK_ELEMS int64
+    # values (4 MiB), and the run stays within three of them
+    code = _random_code(make_field(47), 4, 6000, random.Random(47))
+    d, peak = _traced_peak(lambda: min_distance(code, "isd", budget=10_000))
+    assert (d.lower, d.upper, d.work) == (3014, 5827, 9864)
+    assert peak < 3 * 2 * gf.CHUNK_ELEMS * 8
+
+
+def test_exhaustive_engines_stay_within_one_chunk(dp6_q9):
+    # a chunk of the sweep holds _BATCH_TARGET GF(p) coordinates of
+    # codewords; both the exhaustive sweep and the weight enumerator of the
+    # [91, 7] code over GF(9) (597,871 messages) stay below one chunk's
+    # coordinates as int64
+    code = build_code(dp6_q9, 1)
+    d, peak = _traced_peak(lambda: min_distance(code, "exhaustive"))
+    assert d.exact and (d.d, d.work) == (71, 597_871)
+    assert peak < 8 * codes._BATCH_TARGET
+    wenum, peak = _traced_peak(lambda: weight_enumerator(code))
+    assert wenum.counts[71] > 0 and peak < 8 * codes._BATCH_TARGET
+
+
+@pytest.mark.slow
+def test_long_code_information_sets_stay_within_their_blocks():
+    # Shioda m=4 over GF(251): n = 63504, k = 4.  Round 1 at 5*10^4
+    # reaches 12,500 sets; their systematic matrices at once took 3.9 GB
+    src = str(Path(codes.__file__).resolve().parents[1])
+    run = (f"import sys; sys.path.insert(0, {src!r}); from evalcodes import codes, families, gf; "
+           "code = codes.build_code(families.shioda_surface(4, gf.make_field(251)), 1); "
+           "d = codes.min_distance(code, 'isd', 50_000); print(d.lower, d.upper, d.work)")
+    # a child's max RSS starts from the peak of the process that spawns it,
+    # so the run gets a small parent of its own, which reports it in KiB
+    wrapper = ("import resource, subprocess, sys; "
+               f"out = subprocess.run([sys.executable, '-c', {run!r}], capture_output=True, text=True, "
+               "check=True).stdout; print(out.strip(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    out = subprocess.run([sys.executable, "-c", wrapper], capture_output=True, text=True, check=True)
+    *interval, max_rss_kib = map(int, out.stdout.split())
+    assert interval == [25_000, 63_002, 50_000]
+    assert max_rss_kib < 256 << 10
 
 
 P31 = 2**31 - 1
@@ -442,9 +527,9 @@ def _reference_scan(fld, sysmat, w, count):
 
 
 def _scan(fld, sysmat, w, state, budget):
-    # weight 1 is weighed for a whole stack of sets at once
+    # weight 1 is weighed a block of sets at a time
     if w == 1:
-        return _weight_one_round(fld, sysmat[None], state, budget)
+        return _weight_one_round(fld, _InformationSets(fld, sysmat, greedy=False), state, budget)
     return _weight_scan(fld, sysmat, w, state, budget)
 
 
@@ -610,7 +695,9 @@ def test_rounds_match_matmul_encoding(case):
     per_set = [math.comb(k, u) * (fld.q - 1) ** (u - 1) for u in range(1, w + 1)]
     state = _SweepState(n)
     # the budget ends the rounds exactly after round w of every set
-    assert _rounds(fld, sysmats, ranks, state, len(sysmats) * sum(per_set)) == (w, 0)
+    sets = _InformationSets(fld, matrix)
+    assert _rounds(fld, sets, state, len(sysmats) * sum(per_set)) == (w, 0)
+    assert sets.ranks == ranks
     histogram, best = np.zeros(n + 1, dtype=np.int64), (n + 1, None)
     for sysmat in sysmats:
         for u, count in enumerate(per_set, start=1):
@@ -681,7 +768,7 @@ def test_lower_bound_credits_each_set_as_it_finishes(case):
     exact = min_distance(code, "exhaustive").d
     # without the early stop the rounds run to the budget's edge in every round
     state = _SweepState(code.n)
-    progress = _rounds(fld, _information_sets(fld, code.matrix)[0], ranks, state, budget)
+    progress = _rounds(fld, _InformationSets(fld, code.matrix), state, budget)
     bound = _lower_bound(k, ranks, progress)
     assert bound == _credited_bound(fld.q, k, ranks, budget)
     assert min(bound, state.min_weight) <= exact <= state.min_weight
@@ -750,8 +837,48 @@ def test_information_sets_match_one_rref_per_set(case):
     sysmats, ranks = _information_sets(fld, matrix)
     reference = _reference_information_sets(fld, matrix)
     assert ranks == [r for _, r in reference]
+    assert len(sysmats) == len(reference)
     for sysmat, (ref, _) in zip(sysmats, reference):
         assert sysmat.astype(np.int64).tobytes() == ref.tobytes()
+
+
+@st.composite
+def block_edge_runs(draw):
+    """A repetitive code with a budget, or a cut run, and a chunk budget
+    that makes blocks of one set, none kept, or of two, the first few kept."""
+    if draw(st.booleans()):
+        fld, matrix = draw(repetitive_codes())
+        code, budget = _plain_code(fld, matrix), draw(st.integers(0, 3000))
+    else:
+        code, _, budget = draw(cut_runs())
+    return code, budget, draw(st.sampled_from([1, code.k * code.n * code.fld.n]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(block_edge_runs())
+def test_information_set_run_is_the_same_at_any_block_size(case):
+    code, budget, chunk = case
+    default = min_distance(code, "isd", budget)
+    sysmats, ranks = _information_sets(code.fld, code.matrix)
+    states = [_SweepState(code.n), _SweepState(code.n)]
+    # without the early stop the rounds run on to the budget's edge
+    progress = _rounds(code.fld, _InformationSets(code.fld, code.matrix), states[0], budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "CHUNK_ELEMS", chunk)
+        assert _rounds(code.fld, _InformationSets(code.fld, code.matrix), states[1], budget) == progress
+        d = min_distance(code, "isd", budget)
+        sets = _InformationSets(code.fld, code.matrix)
+        built = [block for _, block in sets.systematic(code.n)]
+        assert sets.ranks == ranks and max(map(len, built)) <= 2
+        assert np.array_equal(np.concatenate(built), sysmats)
+        # a later walk multiplies the blocks that were not kept out again
+        again = [block for _, block in sets.systematic(code.n)]
+        assert np.array_equal(np.concatenate(again), sysmats)
+    assert np.array_equal(states[0].histogram, states[1].histogram)
+    assert states[0].witness == states[1].witness
+    assert (d.lower, d.upper, d.work) == (default.lower, default.upper, default.work)
+    assert (d.witness is None) == (default.witness is None)
+    assert d.witness is None or np.array_equal(d.witness, default.witness)
 
 
 @pytest.mark.parametrize("p, m", [(2, 5), (7, 2), (3, 22)])

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from evalcodes.cli import main
-from evalcodes.codes import _information_sets, build_code, min_distance
+from evalcodes.codes import _InformationSets, build_code, min_distance
 from evalcodes.families import del_pezzo6, frobenius_orbit, geometric_witness_dp6
 from evalcodes.gf import parse_field_spec
 
@@ -104,7 +104,9 @@ def test_long_code_isd_witness_matches_golden():
     # 354 information sets, the last six of ranks 4, 4, 4, 4, 4, 1: the
     # golden pins the rank-deficient tail, whose pivots fall on used columns
     code = build_code(del_pezzo6(frobenius_orbit(parse_field_spec("7^2"), seed=1)), 1)
-    _, ranks = _information_sets(code.fld, code.matrix)
+    sets = _InformationSets(code.fld, code.matrix)
+    sets.select(code.n)
+    ranks = sets.ranks
     assert (len(ranks), ranks[-6:]) == (354, [4, 4, 4, 4, 4, 1])
     _check_isd_witness("min_dist_dp6_q49_s1_isd_budget50k", code, None, 50_000, (739, 2351, 49_854))
 
@@ -124,7 +126,8 @@ def test_c12_isd_stops_within_a_round(c12_sample):
     # to 38, the weight of the lightest codeword found, and the run stops
     # there, with five sets of round 6 left unenumerated
     code = build_code(c12_sample.surface, 2)
-    assert _information_sets(code.fld, code.matrix)[1] == [10] * 5 + [9, 5]
+    sets = _InformationSets(code.fld, code.matrix)
+    assert (sets.select(code.n), sets.ranks) == (7, [10] * 5 + [9, 5])
     _check_isd_witness("min_dist_c12_q7_s2", code, None, 20_000_000, (38, 38, 5_901_784))
 
 
