@@ -385,52 +385,58 @@ def _add_common(sp, *, surface_source=True):
     sp.add_argument("--out", help="write JSON here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {  # name: (help, function)
+    "build-code": ("construct a code and certify its distance", cmd_build_code),
+    "min-dist": ("certify minimum distance only", cmd_min_dist),
+    "classify": ("zeta-class a cubic surface by point counts", cmd_classify),
+    "scan-sections": ("hyperplane section point-count histogram", cmd_scan_sections),
+    "search": ("seeded random search for classified cubics", cmd_search),
+    "verify-paper": ("run the desk-scale reproduction table", cmd_verify_paper),
+}
+
+
+def _add_flags(sp: argparse.ArgumentParser, command: str):
+    """The help and flags of one subcommand, whose parser was made without them."""
+    sp.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS,
+                    help="show this help message and exit")
+    _add_common(sp, surface_source=command not in ("search", "verify-paper"))
+    if command in ("build-code", "min-dist"):
+        degree_help = "evaluation degree s" if command == "build-code" else None
+        sp.add_argument("--degree", type=int, default=1, help=degree_help)
+        sp.add_argument("--strategy", default="auto", choices=["auto", "exhaustive", "isd", "information-set"])
+    if command == "build-code":
+        sp.add_argument("--enumerator", action="store_true", help="include the weight enumerator")
+        sp.add_argument("--matrix", action="store_true", help="include the generator matrix")
+    if command == "classify":
+        sp.add_argument("--depth", type=positive_int, default=3, help="max extension degree for counts")
+    if command == "search":
+        sp.add_argument("--family", help="cayley-salmon | random-cubic (default)")
+        sp.add_argument("--target", help="C10..C14 for random-cubic searches")
+        sp.add_argument("--substreams", type=positive_int, default=1)
+        sp.add_argument("--depth", type=positive_int, default=3, help="classification depth")
+        sp.add_argument("--budget-distance", type=positive_int, default=DEFAULT_BUDGET)
+    if command == "verify-paper":
+        # the paper's table is drawn at seed 1; every other command defaults to 0
+        sp.set_defaults(seed=1)
+    sp.set_defaults(fn=_COMMANDS[command][1])
+
+
+def _subcommands(ap: argparse.ArgumentParser) -> dict:
+    return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def build_parser(flags: bool = True) -> argparse.ArgumentParser:
+    """The CLI parser; without flags, the subcommands have only their names."""
     ap = argparse.ArgumentParser(
         prog="evalcodes",
         description="evaluation codes from projective surfaces over finite fields",
     )
     ap.add_argument("--config", help="JSON file of default flag values (flags win)")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("build-code", help="construct a code and certify its distance")
-    _add_common(sp)
-    sp.add_argument("--degree", type=int, default=1, help="evaluation degree s")
-    sp.add_argument("--strategy", default="auto", choices=["auto", "exhaustive", "isd", "information-set"])
-    sp.add_argument("--enumerator", action="store_true", help="include the weight enumerator")
-    sp.add_argument("--matrix", action="store_true", help="include the generator matrix")
-    sp.set_defaults(fn=cmd_build_code)
-
-    sp = sub.add_parser("min-dist", help="certify minimum distance only")
-    _add_common(sp)
-    sp.add_argument("--degree", type=int, default=1)
-    sp.add_argument("--strategy", default="auto", choices=["auto", "exhaustive", "isd", "information-set"])
-    sp.set_defaults(fn=cmd_min_dist)
-
-    sp = sub.add_parser("classify", help="zeta-class a cubic surface by point counts")
-    _add_common(sp)
-    sp.add_argument("--depth", type=positive_int, default=3, help="max extension degree for counts")
-    sp.set_defaults(fn=cmd_classify)
-
-    sp = sub.add_parser("scan-sections", help="hyperplane section point-count histogram")
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_scan_sections)
-
-    sp = sub.add_parser("search", help="seeded random search for classified cubics")
-    _add_common(sp, surface_source=False)
-    sp.add_argument("--family", help="cayley-salmon | random-cubic (default)")
-    sp.add_argument("--target", help="C10..C14 for random-cubic searches")
-    sp.add_argument("--substreams", type=positive_int, default=1)
-    sp.add_argument("--depth", type=positive_int, default=3, help="classification depth")
-    sp.add_argument("--budget-distance", type=positive_int, default=DEFAULT_BUDGET)
-    sp.set_defaults(fn=cmd_search)
-
-    sp = sub.add_parser("verify-paper", help="run the desk-scale reproduction table")
-    _add_common(sp, surface_source=False)
-    # the paper's table is drawn at seed 1; every other command defaults to 0
-    next(a for a in sp._actions if a.dest == "seed").default = 1
-    sp.set_defaults(fn=cmd_verify_paper)
-
+    for name, (help_text, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text, add_help=False)
+        if flags:
+            _add_flags(sp, name)
     return ap
 
 
@@ -457,8 +463,7 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
         overrides = json.loads(Path(args.config).read_text())
         if not isinstance(overrides, dict):
             raise ValueError(f"config file {args.config} does not hold a JSON object")
-        commands = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-        command = commands.choices[args.command]
+        command = _subcommands(ap)[args.command]
         actions = {a.dest: a for a in command._actions if hasattr(args, a.dest)}
         defaults = {}
         for key, value in overrides.items():
@@ -473,9 +478,13 @@ def _apply_config(ap: argparse.ArgumentParser, argv: list[str]) -> argparse.Name
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _apply_config(ap, list(sys.argv[1:] if argv is None else argv))
+        # a first parse finds the command; only its flags are built for the second
+        ap = build_parser(flags=False)
+        command = ap.parse_known_args(argv)[0].command
+        _add_flags(_subcommands(ap)[command], command)
+        args = _apply_config(ap, argv)
         return args.fn(args)
     except (ValueError, OSError, json.JSONDecodeError, DegenerateInput, BudgetExceeded) as exc:
         _info(f"error: {exc}")

@@ -38,7 +38,8 @@ multiples (_prefix_sums).  Coordinate j is zero for the single v =
 -P_j / y_j, or for every v where P_j = y_j = 0, so the zeros of all q - 1
 last values are counted at once, in one of two exact ways chosen from q
 alone (_zero_count): below _RATIO_MIN_Q by packed zero counters, one
-table lookup per coordinate and prefix (_ZeroCounters); from
+table lookup per coordinate and prefix, summed a slab of coordinates at a
+time into one word per prefix (_ZeroCounters); from
 _RATIO_MIN_Q on by one histogram of the ratios (_ratio_weights).  Only the
 digit regime, which has no log table, compares P against each of the
 q - 1 negated multiples -v y.  The witness candidates, the codewords at the
@@ -80,6 +81,10 @@ _BATCH_TARGET = 1 << 21  # GF(p) coordinates of the codewords in one chunk
 # 3*10^6 codewords), the histogram from q = 16 on (0.88 against 1.20 s at
 # q = 16, s = 2).
 _RATIO_MIN_Q = 16
+# (prefix, coordinate) pairs the zero counters weigh per pass: of 2^13..2^16
+# and whole blocks, 2^15 was the fastest, or within 5%, on every shape measured
+# (dp6 and C12 sweeps and information sets, random codes over GF(2), 3 and 5).
+_SLAB_ELEMS = 1 << 15
 
 
 @dataclass
@@ -229,7 +234,7 @@ class _AdditiveForm:
             return self._lut[enc]
         if self.packed and self.fld.n > 1:
             return self._pack(self.fld._digits_of(enc))
-        return enc.astype(self.dtype)
+        return enc.astype(self.dtype, copy=False)
 
     def value(self, sums: np.ndarray) -> np.ndarray:
         """The encodings of the values of sums, in their own dtype, which for
@@ -317,7 +322,7 @@ def _prefix_sums(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, sup: np
     return sums[:, a - h0 * run:b - h0 * run]
 
 
-def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, buffers: _CounterBuffers):
+def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
     """The zero count of one scan, as weigh(prefix, last, c0, c1): the
     nonzero counts [support, message] over the n - k coordinates of P + v y,
     P the prefix sums [support, prefix, :] as _prefix_sums leaves them, y
@@ -339,38 +344,29 @@ def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray, buffers:
         of_prefix[0] = 2 * q - 2
         of_last = np.where(red == 0, 2 * q - 2, q - 1 - fld._log[fld.neg(red)].astype(np.int64))
         return functools.partial(_ratio_weights, fld, form, of_prefix, of_last)
-    return _ZeroCounters(fld, form, red, buffers)
-
-
-class _CounterBuffers:
-    """The table indices and counter words of a block of _ZeroCounters, grown
-    to the largest block and kept by one run of weight rounds (_rounds)
-    across its scans, so a run faults their pages in once, not every scan."""
-
-    def __init__(self):
-        self.at, self.word = np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint64)
-
-    def take(self, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        size = math.prod(shape)
-        if len(self.at) < size:
-            self.at, self.word = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.uint64)
-        return self.at[:size].reshape(shape), self.word[:size].reshape(shape)
+    return _ZeroCounters(fld, form, red)
 
 
 class _ZeroCounters:
     """The zero count by packed counters.  For a prefix sum P_j = s (the sum
     of at most two encodings, below form.span) and y = red[row], the entry
-    counts[word, offsets[row, j] + s] holds a b-bit counter for each last
+    counts[word, (j k + row) span + s] holds a b-bit counter for each last
     value v, per_word of them to a uint64 word: 1 where v zeroes coordinate
-    j.  With 2^b > n - k no counter carries into the next, so one take per
-    word, summed over the coordinates and subtracted from full (n - k in
-    every counter), holds the nonzero counts of all last values of a prefix,
-    unpacked by shift and mask.  The table has k (n - k) span words entries,
-    span below 2p for prime fields: 14.4 MB at w >= 3 for k = 8 and
-    n = 3000 over GF(13), where b = 12 and 3 words hold the 12 counters.
+    j.  With 2^b > n - k no counter carries into the next, so the words
+    taken at a prefix's n - k coordinates, summed into one uint64
+    accumulator per prefix and word and subtracted from full (n - k in
+    every counter), hold the nonzero counts of all its last values,
+    unpacked by shift and mask.  The table has k (n - k) span words
+    entries, span below 2p for prime fields: 14.4 MB at w >= 3 for k = 8
+    and n = 3000 over GF(13), where b = 12 and 3 words hold the 12 counters.
+
+    A block's sums are copied coordinate-major ([coordinate, support, prefix]
+    in the form's narrow dtype) and weighed in slabs of whole coordinates,
+    _SLAB_ELEMS (prefix, coordinate) pairs or one coordinate: a block holds
+    three slab arrays of offsets, indices and words, not 8 bytes per pair.
     """
 
-    def __init__(self, fld: FiniteField, form: _AdditiveForm, red: np.ndarray, buffers: _CounterBuffers):
+    def __init__(self, fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
         q = fld.q
         k, r = red.shape
         self.bits = max(1, r.bit_length())
@@ -382,24 +378,33 @@ class _ZeroCounters:
         enc = form.value(np.arange(form.span, dtype=form.dtype))
         by_y = one_hot[:, fld.mul(fld.neg(enc), fld._inv[:, None])]  # [word, y, P_j]
         by_y[:, 0, enc == 0] = one_hot.sum(axis=1)[:, None]
-        self.counts = by_y[:, red].reshape(len(one_hot), -1)
-        self.offsets = (np.arange(k)[:, None] * r + np.arange(r)) * form.span
+        self.counts = by_y[:, red.T].reshape(len(one_hot), -1)  # [word, (j, row, P_j)]
+        self.span, self.stride = form.span, k * form.span  # entries per row, per coordinate
         self.full = r * one_hot.sum(axis=1)
-        self.buffers = buffers
 
     def __call__(self, prefix: np.ndarray, last: np.ndarray, c0: int, c1: int) -> np.ndarray:
-        g, n_pre, _ = prefix.shape
-        at, word = self.buffers.take(prefix.shape)
-        np.add(prefix, self.offsets[last][:, None, :], out=at)
-        weights = np.empty((g, n_pre, c1 - c0), dtype=np.int64)
-        for t in range(c0 // self.per_word, -(-c1 // self.per_word)):
+        g, n_pre, r = prefix.shape
+        sums = np.ascontiguousarray(prefix.transpose(2, 0, 1)).reshape(r, g * n_pre)
+        words = range(c0 // self.per_word, -(-c1 // self.per_word))
+        zeros = np.zeros((len(words), g * n_pre), dtype=np.uint64)
+        slab = max(1, min(r, _SLAB_ELEMS // (g * n_pre)))
+        # the table offsets [coordinate, (support, prefix)] from the slab's first coordinate on
+        rel = np.repeat(last * self.span, n_pre) + self.stride * np.arange(slab)[:, None]
+        at, word = np.empty_like(rel), np.empty(rel.shape, dtype=np.uint64)
+        for j in range(0, r, slab):
+            s = min(slab, r - j)
+            np.add(sums[j:j + s], rel[:s], out=at[:s])
+            for i, t in enumerate(words):
+                # every index lies in the table: clip only spares the checked
+                # mode's copy of the output
+                self.counts[t, j * self.stride:].take(at[:s], out=word[:s], mode="clip")
+                zeros[i] += word[:s].sum(axis=0)
+        weights = np.empty((g * n_pre, c1 - c0), dtype=np.int64)
+        for i, t in enumerate(words):
             lo, hi = max(c0, t * self.per_word), min(c1, (t + 1) * self.per_word)
-            # every index lies in the table: clip only spares the checked
-            # mode's copy of the output
-            self.counts[t].take(at, out=word, mode="clip")
-            nonzero = (self.full[t] - word.sum(axis=-1)).view(np.int64)
-            np.right_shift(nonzero[:, :, None], self.bits * (np.arange(lo, hi) % self.per_word),
-                           out=weights[:, :, lo - c0:hi - c0])
+            nonzero = (self.full[t] - zeros[i]).view(np.int64)
+            np.right_shift(nonzero[:, None], self.bits * (np.arange(lo, hi) % self.per_word),
+                           out=weights[:, lo - c0:hi - c0])
         weights &= (1 << self.bits) - 1
         return weights.reshape(g, -1)
 
@@ -524,7 +529,7 @@ def _weight_one_round(fld: FiniteField, sets: _InformationSets, state: _SweepSta
 
 
 def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepState, budget: int,
-                 part: tuple[int, int] = (0, 1), buffers: _CounterBuffers | None = None) -> bool:
+                 part: tuple[int, int] = (0, 1)) -> bool:
     """Enumerate the weight-w projective messages, w >= 2, against a
     systematic matrix.
 
@@ -548,8 +553,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     when that weight does not exceed the running minimum: their message
     fills the identity columns, and their redundancy columns are P + v y
     from their own prefix sums P, so no codeword is encoded again.  Round 1
-    is _weight_one_round.  The packed zero counters work in `buffers`, the
-    run's (_rounds) or fresh ones.
+    is _weight_one_round.
     """
     k, n = sysmat.shape
     q = fld.q
@@ -563,7 +567,9 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
     else:
         chunks = (([sup], lo, hi) for sup in supports for lo, hi in batched(repeats, rows))
     ident = _identity_columns(sysmat)
-    red, redundancy = np.delete(sysmat, ident, axis=1), np.delete(np.arange(n), ident)
+    # narrow, as the information sets' matrices are: the sweep's generator is int64
+    red = np.delete(sysmat, ident, axis=1).astype(smallest_uint((q - 1).bit_length()))
+    redundancy = np.delete(np.arange(n), ident)
     form = _AdditiveForm(fld, w)
     weigh = None
     spent = 0
@@ -574,7 +580,7 @@ def _weight_scan(fld: FiniteField, sysmat: np.ndarray, w: int, state: _SweepStat
         if c % parts != index:
             continue
         if weigh is None:  # after the first budget check: a cut scan builds no table
-            weigh = _zero_count(fld, form, red, buffers or _CounterBuffers())
+            weigh = _zero_count(fld, form, red)
         sup = np.array(group)
         low, tied = state.min_weight, []  # the chunk's lightest: (supports, values, prefix sums)
         for a, b, c0, c1 in _blocks(lo, hi, q - 1):
@@ -615,12 +621,12 @@ def _rounds(fld: FiniteField, sets: _InformationSets, state: _SweepState, budget
     done = _weight_one_round(fld, sets, state, budget, part)
     if done < len(sets.ranks):
         return 0, done
-    spent, buffers = done * k, _CounterBuffers()
+    spent = done * k
     for w in range(2, k + 1):
         for j, sysmat in enumerate(s for _, block in sets.systematic(done) for s in block):
             if stop and _lower_bound(k, sets.ranks, (w - 1, j)) >= state.min_weight:
                 return w - 1, j
-            if not _weight_scan(fld, sysmat, w, state, budget - spent, part, buffers):
+            if not _weight_scan(fld, sysmat, w, state, budget - spent, part):
                 return w - 1, j
             spent += math.comb(k, w) * (fld.q - 1) ** (w - 1)
     return k, 0

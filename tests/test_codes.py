@@ -286,13 +286,13 @@ def test_exhaustive_engines_stay_within_one_chunk(dp6_q9):
     # a chunk of the sweep holds _BATCH_TARGET GF(p) coordinates of
     # codewords; both the exhaustive sweep and the weight enumerator of the
     # [91, 7] code over GF(9) (597,871 messages) stay below one chunk's
-    # coordinates as int64
+    # coordinates as bytes (1.5 MiB; 4.0 MiB with whole blocks of counters)
     code = build_code(dp6_q9, 1)
     d, peak = _traced_peak(lambda: min_distance(code, "exhaustive"))
     assert d.exact and (d.d, d.work) == (71, 597_871)
-    assert peak < 8 * codes._BATCH_TARGET
+    assert peak < codes._BATCH_TARGET
     wenum, peak = _traced_peak(lambda: weight_enumerator(code))
-    assert wenum.counts[71] > 0 and peak < 8 * codes._BATCH_TARGET
+    assert wenum.counts[71] > 0 and peak < codes._BATCH_TARGET
 
 
 @pytest.mark.slow
@@ -879,6 +879,70 @@ def test_information_set_run_is_the_same_at_any_block_size(case):
     assert (d.lower, d.upper, d.work) == (default.lower, default.upper, default.work)
     assert (d.witness is None) == (default.witness is None)
     assert d.witness is None or np.array_equal(d.witness, default.witness)
+
+
+# the packed zero counters take a slab of coordinates per pass; GF(25) counts by
+# ratio histogram unless _RATIO_MIN_Q is raised past it
+SLAB_FIELDS = [make_field(2), make_field(3), make_field(2, 2), make_field(7), make_field(2, 3),
+               make_field(3, 2), make_field(5, 2)]
+
+
+@st.composite
+def slab_runs(draw):
+    """A code with zero, repeated and sparse columns, a budget, and chunks of
+    the default size or of 5 messages, which slice every support of more
+    messages than that, (q - 1)^(w - 1) > 5."""
+    fld = draw(st.sampled_from(SLAB_FIELDS))
+    k = draw(st.integers(2, 4 if fld.q <= 9 else 3))
+    matrix = _round_matrix(fld, random.Random(draw(st.integers(0, 2**32))), k, draw(st.integers(k + 1, k + 40)))
+    assume(len(matrix) == k)
+    return _plain_code(fld, matrix), draw(st.integers(0, 4000)), draw(st.sampled_from([None, 5]))
+
+
+def _slab_run(code, budget):
+    """Everything a run reports: the information-set and exhaustive intervals,
+    work and witnesses, and the progress, histogram and witness of _rounds
+    without the early stop."""
+    runs = [min_distance(code, strategy, budget) for strategy in ("isd", "exhaustive")]
+    state = _SweepState(code.n)
+    progress = _rounds(code.fld, _InformationSets(code.fld, code.matrix), state, budget)
+    return ([(d.lower, d.upper, d.work, None if d.witness is None else d.witness.tolist()) for d in runs],
+            progress, state.histogram.tolist(), state.witness, state.work)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(slab_runs())
+def test_zero_counters_are_the_same_in_any_slab(case):
+    # one coordinate per pass, or a whole block in one, as at the default
+    code, budget, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        if rows:
+            mp.setattr(codes, "_BATCH_TARGET", rows * code.n * code.fld.n)
+        default = _slab_run(code, budget)
+        mp.setattr(codes, "_RATIO_MIN_Q", code.fld.q + 1)
+        for slab in (1, 1 << 40):
+            mp.setattr(codes, "_SLAB_ELEMS", slab)
+            assert _slab_run(code, budget) == default
+
+
+def test_zero_counters_stay_within_their_slabs(dp6_q7):
+    # the [57, 7] code over GF(7): a weight-7 chunk is a slice of 6132
+    # prefixes of one support, whose 8-byte table indices and words over the
+    # 50 redundancy coordinates took 9 MiB at once
+    code = build_code(dp6_q7, 1)
+    d, peak = _traced_peak(lambda: min_distance(code, "exhaustive"))
+    assert d.exact and (d.d, d.work) == (41, 137_257)
+    assert peak < 3 << 20
+
+
+def test_binary_sweep_stays_within_its_slabs():
+    # a random [300, 18] binary code: its chunks hold 6990 supports of one
+    # prefix over 282 coordinates; whole blocks of 8-byte indices and words
+    # peaked at 52 MiB
+    code = _random_code(make_field(2), 18, 300, random.Random(18))
+    d, peak = _traced_peak(lambda: min_distance(code, "exhaustive"))
+    assert d.exact and d.work == 2**18 - 1
+    assert peak < 26 << 20
 
 
 @pytest.mark.parametrize("p, m", [(2, 5), (7, 2), (3, 22)])
