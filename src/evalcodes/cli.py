@@ -425,8 +425,8 @@ def _subcommands(ap: argparse.ArgumentParser) -> dict:
     return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
-def build_parser(flags: bool = True) -> argparse.ArgumentParser:
-    """The CLI parser; without flags, the subcommands have only their names."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, whose subcommands have only their names (see `_add_flags`)."""
     ap = argparse.ArgumentParser(
         prog="evalcodes",
         description="evaluation codes from projective surfaces over finite fields",
@@ -434,9 +434,7 @@ def build_parser(flags: bool = True) -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file of default flag values (flags win)")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text, add_help=False)
-        if flags:
-            _add_flags(sp, name)
+        sub.add_parser(name, help=help_text, add_help=False)
     return ap
 
 
@@ -481,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         # a first parse finds the command; only its flags are built for the second
-        ap = build_parser(flags=False)
+        ap = build_parser()
         command = ap.parse_known_args(argv)[0].command
         _add_flags(_subcommands(ap)[command], command)
         args = _apply_config(ap, argv)

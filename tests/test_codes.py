@@ -913,14 +913,16 @@ def _slab_run(code, budget):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(slab_runs())
 def test_zero_counters_are_the_same_in_any_slab(case):
-    # one coordinate per pass, or a whole block in one, as at the default
+    # one coordinate per pass; slabs of 7 pairs, a few coordinates of a small
+    # block, whose last slab is shorter than the others; or a whole block in
+    # one, as at the default
     code, budget, rows = case
     with pytest.MonkeyPatch.context() as mp:
         if rows:
             mp.setattr(codes, "_BATCH_TARGET", rows * code.n * code.fld.n)
         default = _slab_run(code, budget)
         mp.setattr(codes, "_RATIO_MIN_Q", code.fld.q + 1)
-        for slab in (1, 1 << 40):
+        for slab in (1, 7, 1 << 40):
             mp.setattr(codes, "_SLAB_ELEMS", slab)
             assert _slab_run(code, budget) == default
 
@@ -937,11 +939,11 @@ def test_zero_counters_stay_within_their_slabs(dp6_q7):
 
 def test_binary_sweep_stays_within_its_slabs():
     # a random [300, 18] binary code: its chunks hold 6990 supports of one
-    # prefix over 282 coordinates; whole blocks of 8-byte indices and words
-    # peaked at 52 MiB
+    # prefix over 282 coordinates, whose last slab is shorter than the
+    # others; whole blocks of 8-byte indices and words peaked at 52 MiB
     code = _random_code(make_field(2), 18, 300, random.Random(18))
     d, peak = _traced_peak(lambda: min_distance(code, "exhaustive"))
-    assert d.exact and d.work == 2**18 - 1
+    assert d.exact and (d.d, d.work) == (107, 2**18 - 1)
     assert peak < 26 << 20
 
 
