@@ -237,15 +237,18 @@ class _AdditiveForm:
         return enc.astype(self.dtype, copy=False)
 
     def value(self, sums: np.ndarray) -> np.ndarray:
-        """The encodings of the values of sums, in their own dtype, which for
-        odd p holds every encoding: q = p^m < 2^(m b)."""
+        """The encodings of the values of sums of at most two encodings, in
+        their own dtype, which for odd p holds every encoding: q = p^m <
+        2^(m b).  Every digit sum s is below 2p, so s mod p is min(s, s - p),
+        the unsigned difference wrapping past s where s < p."""
         if self.plain or not self.packed:
             return sums
+        p = self.fld.p
         if self.fld.n == 1:
-            return sums % self.fld.p
+            return np.minimum(sums, sums - p)
         mask = (1 << self.bits) - 1
-        return sum((sums >> shift & mask) % self.fld.p * power
-                   for shift, power in zip(self._shifts.tolist(), self.fld._pow_p.tolist()))
+        digits = (sums >> shift & mask for shift in self._shifts.tolist())
+        return sum(np.minimum(d, d - p) * power for d, power in zip(digits, self.fld._pow_p.tolist()))
 
 
 def _message_values(t: np.ndarray, w: int, q: int) -> np.ndarray:
@@ -375,7 +378,11 @@ class _ZeroCounters:
         one_hot = np.zeros((-(-(q - 1) // self.per_word), q), dtype=np.uint64)  # [word, v]
         one_hot[slot // self.per_word, slot + 1] = (
             np.uint64(1) << (self.bits * (slot % self.per_word)).astype(np.uint64))
-        enc = form.value(np.arange(form.span, dtype=form.dtype))
+        # the values of the sums of two encodings; no prefix sum takes the other keys below span
+        keys = np.arange(form.span, dtype=form.dtype)
+        if form.packed and not form.plain:
+            keys[(keys[:, None] >> form._shifts & (1 << form.bits) - 1).max(axis=1) > 2 * fld.p - 2] = 0
+        enc = form.value(keys)
         by_y = one_hot[:, fld.mul(fld.neg(enc), fld._inv[:, None])]  # [word, y, P_j]
         by_y[:, 0, enc == 0] = one_hot.sum(axis=1)[:, None]
         self.counts = by_y[:, red.T].reshape(len(one_hot), -1)  # [word, (j, row, P_j)]
@@ -747,9 +754,11 @@ class _InformationSets:
     last set's (4k at first), doubled while short of rank k: the unused
     columns earlier windows left (head), those none reached (cursor on),
     then the used ones.  A block of 2 gf.CHUNK_ELEMS // (k n m) sets takes
-    one gflinalg.invert and one gflinalg.matmul; the first blocks are kept
-    while they fit in 8 gf.CHUNK_ELEMS bytes, and later rounds multiply the
-    others out again from their inverses.
+    one gflinalg.invert and one gflinalg.matmul, which writes G^T B^-T a
+    slice of G's columns at a time into the block's [set, k, n] stack in the
+    narrowest unsigned dtype, so the block holds no int64 or float product;
+    the first blocks are kept while they fit in 8 gf.CHUNK_ELEMS bytes, and
+    later rounds multiply the others out again from their inverses.
     """
 
     def __init__(self, fld: FiniteField, matrix: np.ndarray, greedy: bool = True):
@@ -788,9 +797,12 @@ class _InformationSets:
         return len(self.ranks)
 
     def _multiply(self, inverses: np.ndarray) -> np.ndarray:
-        # G^T B^-T: matmul expands the digits of its right factor, here the small inverses
-        product = gflinalg.matmul(self.fld, self.matrix.T, inverses.transpose(0, 2, 1))
-        return product.transpose(0, 2, 1).astype(smallest_uint((self.fld.q - 1).bit_length()), order="C")
+        # G^T B^-T: matmul expands the digits of its right factor, here the small inverses,
+        # and writes each slice of G's columns straight into the narrow [set, k, n] stack
+        k, n = self.matrix.shape
+        stack = np.empty((len(inverses), k, n), dtype=smallest_uint((self.fld.q - 1).bit_length()))
+        gflinalg.matmul(self.fld, self.matrix.T, inverses.transpose(0, 2, 1), out=stack.transpose(0, 2, 1))
+        return stack
 
     def systematic(self, stop: int):
         """(first set, systematic matrices [set, :, :]) of the sets before

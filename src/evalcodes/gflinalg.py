@@ -4,7 +4,9 @@ Row reduction uses a fixed pivot rule (first nonzero entry in a column-major
 scan), and reduced echelon form is unique, so every derived object here --
 ranks, kernels, generator matrices -- is byte-reproducible across runs.
 Inversion is one Gauss-Jordan elimination run on a whole stack of square
-matrices at once.
+matrices at once.  A product is formed a slice of the left factor's rows at
+a time, each slice within gf.CHUNK_ELEMS // 4 output entries, and written
+into an output array the caller may pass in its own narrow dtype.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 
 import numpy as np
 
+from . import gf
 from .gf import FiniteField, smallest_uint
 
 
@@ -73,8 +76,10 @@ def kernel_basis(field: FiniteField, mat) -> np.ndarray:
     return basis
 
 
-def matmul(field: FiniteField, a, b) -> np.ndarray:
-    """Exact GF matrix product, broadcast over leading stack dimensions.
+def matmul(field: FiniteField, a, b, out=None) -> np.ndarray:
+    """Exact GF matrix product, broadcast over leading stack dimensions,
+    written into `out` (int64 when None; any integer array of the product's
+    shape that holds q - 1, a strided view too) and returned.
 
     Over GF(p^m) the product is GF(p)-linear in the base-p digits of `a`:
     row j*m + i of the expanded right factor holds the digits of p^i * b[j]
@@ -91,25 +96,26 @@ def matmul(field: FiniteField, a, b) -> np.ndarray:
     reduction alone.  Where a digit sum needs more than 53 bits, an int64
     loop reduces each product mod p before adding instead (FiniteField
     keeps (p-1)^2 below 2^63, so no product overflows).
+
+    The right factor is expanded and packed once; the product is formed a
+    slice of `a`'s rows at a time, each slice at most gf.CHUNK_ELEMS // 4
+    output entries (one row at least), so no temporary grows with the rows.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     p, m = field.p, field.n
-    stack, cols, terms = b.shape[:-2], b.shape[-1], a.shape[-1] * m
+    stack, rows, cols, terms = b.shape[:-2], a.shape[-2], b.shape[-1], a.shape[-1] * m
+    shape = np.broadcast_shapes(a.shape[:-2], stack) + (rows, cols)
+    if out is None:
+        out = np.empty(shape, dtype=np.int64)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, the product {shape}")
     if m > 1:
-        a = field._digits_of(a).reshape(a.shape[:-1] + (terms,))
         b = field._digits_of(field.mul(b[..., None, :], field._pow_p[:, None]))
     b = b.reshape(stack + (terms, cols, m))  # [..., j*m + i, column, digit d]
     bits = max(1, ((p - 1) ** 2 * terms).bit_length())
-    if bits > 53:
-        sums = 0
-        for j in range(terms):
-            sums = (sums + a[..., j, None, None] * b[..., None, j, :, :] % p) % p
-
-        def digit(d):
-            return sums[..., d]
-    else:
+    if bits <= 53:
         per = min(m, 53 // bits)
         dtype = smallest_uint(max(bits, field.q.bit_length()))
         words = -(-m // per)
@@ -117,20 +123,35 @@ def matmul(field: FiniteField, a, b) -> np.ndarray:
         for d in range(m):
             packed[..., d // per] += b[..., d] << bits * (d % per)
         ftype = np.float32 if per * bits <= 24 else np.float64
-        sums = np.matmul(a.astype(ftype), packed.reshape(stack + (terms, cols * words)).astype(ftype))
-        sums = sums.reshape(sums.shape[:-1] + (cols, words)).astype(smallest_uint(per * bits))
+        packed = packed.reshape(stack + (terms, cols * words)).astype(ftype)
 
-        def digit(d):
-            word = sums[..., d // per]
-            if per > 1:
-                word = word >> bits * (d % per) & (1 << bits) - 1
-            word = word.astype(dtype)
-            word -= word // p * p  # numpy vectorizes floor division by a scalar, not %
-            return word
-    out = digit(m - 1)
-    for d in range(m - 2, -1, -1):
-        out = out * p + digit(d)
-    return out.astype(np.int64)
+    def digit(sums, d):
+        if bits > 53:
+            return sums[..., d]
+        word = sums[..., d // per]
+        if per > 1:
+            word = word >> bits * (d % per) & (1 << bits) - 1
+        word = word.astype(dtype)
+        word -= word // p * p  # numpy vectorizes floor division by a scalar, not %
+        return word
+
+    step = max(1, gf.CHUNK_ELEMS // 4 // max(1, math.prod(shape[:-2]) * cols))
+    for lo in range(0, rows, step):
+        part = a[..., lo:lo + step, :]
+        if m > 1:
+            part = field._digits_of(part).reshape(part.shape[:-1] + (terms,))
+        if bits > 53:
+            sums = 0
+            for j in range(terms):
+                sums = (sums + part[..., j, None, None] * b[..., None, j, :, :] % p) % p
+        else:
+            sums = np.matmul(part.astype(ftype), packed)
+            sums = sums.reshape(sums.shape[:-1] + (cols, words)).astype(smallest_uint(per * bits))
+        value = digit(sums, m - 1)
+        for d in range(m - 2, -1, -1):
+            value = value * p + digit(sums, d)
+        out[..., lo:lo + step, :] = value
+    return out
 
 
 def vecmat(field: FiniteField, v, m) -> np.ndarray:

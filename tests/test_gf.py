@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_invertible
 
-from evalcodes import gflinalg
+from evalcodes import gf, gflinalg
 from evalcodes.gf import (
     FULL_TABLE_MAX,
     FiniteField,
@@ -480,6 +480,81 @@ def test_matmul_at_the_digit_sum_edges(p, m, inner, x, y):
     expected = fld.mul(fld.mul(x, y), inner % p)  # inner * x * y, inner in the prime field
     assert np.array_equal(gflinalg.matmul(fld, a, b), np.full((2, 3), expected))
     assert np.array_equal(gflinalg.matmul(fld, a[None], b), np.full((1, 2, 3), expected))
+
+
+@st.composite
+def products_into(draw):
+    """Factors over GF(7) (a prime field), GF(3^2) and GF(7^2) (packed
+    extension fields), GF(2^5) and GF(2^8) (characteristic 2) or GF(P26)
+    with 3 or 4 inner terms (the int64 loop); each factor 2-d, stacked or
+    with a stack axis of 1 to broadcast; an `out` of the narrowest unsigned
+    type that holds q - 1, or of uint16, or int64, maybe a transposed view;
+    and slices of 1 to 3 rows, so that 5 or 7 rows leave a ragged last one."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (3, 2), (7, 2), (2, 5), (2, 8), (P26, 1)])))
+    stack, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    inner = draw(st.integers(3, 4) if fld.p == P26 else st.integers(1, 4))
+    elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
+
+    def factor(shape):
+        lead = draw(st.sampled_from([(), (1,), (stack,)]))
+        size = math.prod(lead + shape)
+        return np.array(draw(st.lists(elems, min_size=size, max_size=size)), dtype=np.int64).reshape(lead + shape)
+
+    a, b = factor((rows, inner)), factor((inner, cols))
+    narrow = smallest_uint((fld.q - 1).bit_length())
+    dtype = draw(st.sampled_from([narrow, np.int64] + ([np.uint16] if narrow == np.uint8 else [])))
+    return fld, a, b, dtype, draw(st.booleans()), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(products_into())
+def test_matmul_into_out_matches_the_int64_product(case):
+    fld, a, b, dtype, transposed, step = case
+    expected = gflinalg.matmul(fld, a, b)
+    shape = expected.shape
+    lead = math.prod(shape[:-2])
+    buf = np.empty(shape[:-2] + shape[:-3:-1] if transposed else shape, dtype=dtype)
+    out = buf.swapaxes(-1, -2) if transposed else buf
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gf, "CHUNK_ELEMS", 4 * step * lead * shape[-1])  # `step` rows to a slice
+        assert gflinalg.matmul(fld, a, b, out=out) is out
+    assert out.dtype == dtype and np.array_equal(out, expected)
+    assert expected.dtype == np.int64
+    a3, b3 = np.broadcast_to(a, shape[:-2] + a.shape[-2:]), np.broadcast_to(b, shape[:-2] + b.shape[-2:])
+    for i in np.ndindex(shape[:-2]):
+        assert out[i].tolist() == _reference_matmul(fld, a3[i].tolist(), b3[i].tolist())
+
+
+def test_matmul_refuses_an_out_of_another_shape():
+    fld = make_field(7)
+    with pytest.raises(ValueError, match="shape"):
+        gflinalg.matmul(fld, np.ones((2, 3), dtype=np.int64), np.ones((3, 4), dtype=np.int64),
+                        out=np.empty((4, 2), dtype=np.uint8))
+
+
+def test_block_product_stays_within_its_slices():
+    # one block of information sets of the dp6 s=1 code over GF(47): 33
+    # systematic [7, 2257] matrices, written into a narrow stack through its
+    # transposed view; slices of CHUNK_ELEMS // 4 entries keep the product's
+    # temporaries (float32 sums, uint16 digits) to about 1 MiB, where the
+    # whole block's int64 product alone takes 4 MiB
+    fld, rng = make_field(47), random.Random(47)
+    g = np.array([[rng.randrange(47) for _ in range(2257)] for _ in range(7)], dtype=np.int64)
+    inverses = np.array([random_invertible(fld, 7, rng) for _ in range(33)])
+
+    def product():
+        out = np.empty((33, 7, 2257), dtype=np.uint8)
+        gflinalg.matmul(fld, g.T, inverses.transpose(0, 2, 1), out=out.transpose(0, 2, 1))
+        return out
+
+    tracemalloc.start()
+    try:
+        out = product()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out, gflinalg.matmul(fld, inverses, g))
+    assert peak < out.nbytes + (3 << 19)  # out + 1.5 MiB
 
 
 @st.composite
