@@ -40,12 +40,10 @@ last values are counted at once, in one of two exact ways chosen from q
 alone (_zero_count): below _RATIO_MIN_Q by packed zero counters, one
 table lookup per coordinate and prefix, summed a slab of coordinates at a
 time into one word per prefix (_ZeroCounters); from
-_RATIO_MIN_Q on by one histogram of the ratios (_ratio_weights).  Only the
-digit regime, which has no log table, compares P against each of the
-q - 1 negated multiples -v y.  The witness candidates, the codewords at the
-minimum weight of a chunk's blocks, are read back from the sums once per
-chunk (_first_codeword): the message on the identity columns, P + v y on
-the others.
+_RATIO_MIN_Q on by one histogram of the ratios (_ratio_weights).  The
+witness candidates, the codewords at the minimum weight of a chunk's
+blocks, are read back from the sums once per chunk (_first_codeword): the
+message on the identity columns, P + v y on the others.
 
 Budgets are counted in enumerated codewords.  A chunk runs whole or not at
 all: the first chunk that does not fit the budget left ends the run, which
@@ -74,12 +72,11 @@ DEFAULT_DISTANCE_BUDGET = 50_000_000
 DEFAULT_ENUMERATOR_BUDGET = 100_000_000  # field operations, messages * n
 EXHAUSTIVE_AUTO_LIMIT = 100_000_000  # q^k above this switches auto to info-set
 _BATCH_TARGET = 1 << 21  # GF(p) coordinates of the codewords in one chunk
-# From this q on, fields with log tables count a block's zeros by ratio
-# histogram instead of packed zero counters.  Measured by information-set
-# runs of 3*10^5 and 3*10^6 codewords on the dp6 s=1 and s=2 codes: the
-# counters are faster up to q = 13 (0.44 against 0.62 s at q = 11, s = 2,
-# 3*10^6 codewords), the histogram from q = 16 on (0.88 against 1.20 s at
-# q = 16, s = 2).
+# From this q on, a block's zeros are counted by ratio histogram instead of
+# packed zero counters.  Measured by information-set runs of 3*10^5 and
+# 3*10^6 codewords on the dp6 s=1 and s=2 codes: the counters are faster up
+# to q = 13 (0.44 against 0.62 s at q = 11, s = 2, 3*10^6 codewords), the
+# histogram from q = 16 on (0.88 against 1.20 s at q = 16, s = 2).
 _RATIO_MIN_Q = 16
 # (prefix, coordinate) pairs the zero counters weigh per pass: of 2^13..2^16
 # and whole blocks, 2^15 was the fastest, or within 5%, on every shape measured
@@ -193,36 +190,31 @@ class _AdditiveForm:
     base-p digits packed into fields of b bits, b the bit length of the
     largest digit sum 2(p - 1) of two encodings, which every sum the kernel
     forms is (_prefix_sums), so a plain add never carries from one digit
-    into the next.  The width follows from p alone.  Where m fields of b
-    bits would exceed 63 bits, sums stay encodings added by
-    FiniteField.add, which reduces every digit mod p at each addition.  At
-    w = 2 no sum is formed (a prefix sum is the first row), and the form is
-    the encodings themselves.  Every sum of two encodings lies below span.
-    Sums leave this form as encodings (value), which the ratio and compare
-    counts weigh and the witness read-back adds to; the packed zero
-    counters read the sums of two encodings directly.
+    into the next.  The width follows from p alone; under the field cap the
+    m fields fill at most 30 bits (GF(3^10)).  At w = 2 no sum is formed (a
+    prefix sum is the first row), and the form is the encodings themselves.
+    Every sum of two encodings lies below span.  Sums leave this form as
+    encodings (value), which the ratio count weighs and the witness
+    read-back adds to; the packed zero counters read the sums of two
+    encodings directly.
     """
 
     def __init__(self, fld: FiniteField, w: int):
         p, m = fld.p, fld.n
         self.fld = fld
         self.bits = (2 * (p - 1)).bit_length()
-        self.packed = p > 2 and m * self.bits <= 63
+        self.packed = p > 2
         if p == 2:
             self.add, self.dtype = np.bitwise_xor, smallest_uint(m)
-        elif self.packed:
-            self.add, self.dtype = np.add, smallest_uint(m * self.bits)
         else:
-            self.add, self.dtype = fld.add, np.int64
+            self.add, self.dtype = np.add, smallest_uint(m * self.bits)
         self._shifts = self.bits * np.arange(m)
         self.plain = w <= 2
         self.span = fld.q
         if self.packed and not self.plain:
             self.span = int(self._pack(np.full(m, 2 * (p - 1)))) + 1
-        # one size-q lookup maps encodings to packed digits where the digit table exists
-        self._lut = None
-        if self.packed and m > 1 and fld._digits is not None:
-            self._lut = self._pack(fld._digits)
+        # one size-q lookup maps encodings to packed digits
+        self._lut = self._pack(fld._digits) if self.packed and m > 1 else None
 
     def _pack(self, digits: np.ndarray) -> np.ndarray:
         return (digits << self._shifts).sum(axis=-1).astype(self.dtype)
@@ -232,8 +224,6 @@ class _AdditiveForm:
             return enc
         if self._lut is not None:
             return self._lut[enc]
-        if self.packed and self.fld.n > 1:
-            return self._pack(self.fld._digits_of(enc))
         return enc.astype(self.dtype, copy=False)
 
     def value(self, sums: np.ndarray) -> np.ndarray:
@@ -263,12 +253,8 @@ def _message_values(t: np.ndarray, w: int, q: int) -> np.ndarray:
 
 
 def _multiples(fld: FiniteField, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """values[i] * rows[u] as array [u, i, :].  Table fields gather; the digit
-    regime multiplies entry by entry through a digit convolution, so there one
-    outer product through gflinalg.matmul expands the digits only once."""
-    if fld._digits is not None:
-        return fld.mul(values[:, None], rows[:, None, :])
-    return gflinalg.matmul(fld, values[:, None], rows[:, None, :])
+    """values[i] * rows[u] as array [u, i, :]."""
+    return fld.mul(values[:, None], rows[:, None, :])
 
 
 def _blocks(lo: int, hi: int, width: int):
@@ -336,12 +322,9 @@ def _zero_count(fld: FiniteField, form: _AdditiveForm, red: np.ndarray):
     every v when P_j = y_j = 0, so the zeros of all q - 1 last values are
     counted at once: by packed zero counters below _RATIO_MIN_Q
     (_ZeroCounters), by a histogram of the ratios from it on
-    (_ratio_weights).  The digit regime has no log table and compares P
-    against each negated multiple -v y (_compare_weights).
+    (_ratio_weights).
     """
     q = fld.q
-    if fld._log is None:
-        return functools.partial(_compare_weights, fld, form, red)
     if q >= _RATIO_MIN_Q:
         of_prefix = fld._log.astype(np.int64)
         of_prefix[0] = 2 * q - 2
@@ -435,18 +418,6 @@ def _ratio_weights(fld: FiniteField, form: _AdditiveForm, of_prefix: np.ndarray,
     t = fld._log[c0 + 1:c1 + 1].astype(np.int64)
     zeros = hist[:, t + q - 1] + hist[:, t] + hist[:, -1:]
     return (r - zeros).reshape(g, -1)
-
-
-def _compare_weights(fld: FiniteField, form: _AdditiveForm, red: np.ndarray,
-                     prefix: np.ndarray, last: np.ndarray, c0: int, c1: int) -> np.ndarray:
-    """The zero count by comparison: coordinate j of a codeword is zero
-    exactly where P_j equals the negated multiple -v y_j, one broadcast
-    comparison against the q - 1 multiples per block."""
-    enc = form.value(prefix)
-    rows, row_at = np.unique(last, return_inverse=True)
-    neg = _multiples(fld, fld.neg(np.arange(c0 + 1, c1 + 1)), red[rows]).astype(enc.dtype)[row_at]
-    nonzero = enc[:, :, None, :] != neg[:, None, :, :]
-    return nonzero.sum(axis=-1, dtype=np.int32).reshape(len(enc), -1)
 
 
 def _first_codeword(ident: np.ndarray, redundancy: np.ndarray, sup: np.ndarray, vals: np.ndarray,

@@ -7,13 +7,13 @@ accept plain ints or numpy integer arrays of encodings and are exact; they
 return ints for scalars and int64 arrays otherwise (add, sub, neg, mul, inv,
 pow, _digits_of, and FieldEmbedding.embed and descend).
 
-Three internal regimes, chosen by field size:
+Every field has exp/log/inverse tables plus digit tables, so
+``make_field`` refuses q > LOG_TABLE_MAX = 2^17: a surface over a larger
+field has over 10^10 points, far past any budget.  Two regimes, chosen by
+field size:
   * q <= FULL_TABLE_MAX:  full q x q mul tables, and add tables for odd p,
-  * q <= LOG_TABLE_MAX:   exp/log/inverse tables plus digit tables,
-  * larger q:             table-free digit-vector arithmetic (slower but
-                          unbounded; keeps large-characteristic searches
-                          possible); every power and inverse is one
-                          vectorized square-and-multiply in ``pow``.
+  * q <= LOG_TABLE_MAX:   products through the log tables, sums digit by
+                          digit.
 In characteristic 2, a + b = a - b = a ^ b and -a = a in every regime, with
 no add or negation table.
 
@@ -33,7 +33,7 @@ q - 1, and the exp table is filled by doubling (exp[m:2m] = exp[:m] * g^m,
 one GF(p) matrix product per step).  ``_digits_of`` is the one base-p
 expansion of encodings, and ``_prime_factors`` the one trial division.
 A subfield embedding (``FieldEmbedding``) is an exponent map on the log
-tables, so its target must have them.
+tables.
 
 Fields are immutable after construction and cached, so repeated
 ``make_field(p, n)`` calls share tables.  Elements are plain values; every
@@ -180,13 +180,17 @@ class FiniteField:
     """GF(p^n) over the prime field, with encoded-integer element arithmetic."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...] | None = None):
-        if _prime_factors(p) != [p]:
-            raise ValueError(f"characteristic {p} is not prime")
         if n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n}")
-        if n * (p - 1) ** 2 >= 1 << 63:
-            # digit multiplication sums n products below p^2 in int64
-            raise ValueError(f"GF({p}^{n}) products cannot be computed exactly in int64")
+        # before the trial division, which a huge p would keep busy for
+        # minutes; any p >= 2 passes the cap by its 18th power, so a huge n
+        # costs nothing
+        if p > 1 and p ** min(n, LOG_TABLE_MAX.bit_length()) > LOG_TABLE_MAX:
+            name = f"GF({p}^{n})" if n > 1 else f"GF({p})"
+            raise ValueError(f"{name} has more than LOG_TABLE_MAX = {LOG_TABLE_MAX} elements, "
+                             "the largest field with log tables")
+        if _prime_factors(p) != [p]:
+            raise ValueError(f"characteristic {p} is not prime")
         if modulus is None:
             modulus = _canonical_modulus(p, n)
         else:
@@ -200,34 +204,20 @@ class FiniteField:
         self.q = p**n
         self.modulus = modulus
         self._pow_p = np.array([p**i for i in range(n)], dtype=np.int64)
-        # x^(n+j) mod f as digit rows, for vectorized reduction in huge fields
-        red = []
-        cur = [0] * n + [1]
-        for _ in range(n - 1):
-            cur = _poly_modred(cur, list(modulus), p) + [0] * n
-            red.append(cur[:n])
-            cur = [0] + cur[:n]
-        self._reduction = np.array(red, dtype=np.int64).reshape(max(n - 1, 0), n)
-
-        self._digits = self._exp = self._log = self._inv = None
         self._add_table = self._mul_table = self._neg_table = None
         self.generator = self._find_primitive_scalar() if self.q > 2 else 1
-        if self.q <= LOG_TABLE_MAX:
-            # digit i of encoding a is index n - 1 - i of a in a (p, ..., p) grid
-            self._digits = np.ascontiguousarray(
-                np.indices((p,) * n, dtype=smallest_uint((p - 1).bit_length())).reshape(n, -1)[::-1].T)
-            self._build_log_tables()
-            if self.q <= FULL_TABLE_MAX:
-                self._build_full_tables()
+        # digit i of encoding a is index n - 1 - i of a in a (p, ..., p) grid
+        self._digits = np.ascontiguousarray(
+            np.indices((p,) * n, dtype=smallest_uint((p - 1).bit_length())).reshape(n, -1)[::-1].T)
+        self._build_log_tables()
+        if self.q <= FULL_TABLE_MAX:
+            self._build_full_tables()
 
     # -- construction helpers ------------------------------------------------
 
     def _digits_of(self, a):
-        """Base-p digit rows for encodings; works with or without the table."""
-        a = np.asarray(a, dtype=np.int64)
-        if self._digits is not None:
-            return self._digits[a].astype(np.int64)
-        return a[..., None] // self._pow_p % self.p
+        """Base-p digit rows for encodings."""
+        return self._digits[np.asarray(a, dtype=np.int64)].astype(np.int64)
 
     def _recompose(self, digits: np.ndarray) -> np.ndarray:
         return digits @ self._pow_p
@@ -317,9 +307,7 @@ class FiniteField:
     def neg(self, a):
         if self.p == 2:
             return _int64(np.array(a))
-        if self._neg_table is not None:
-            return _int64(self._neg_table[a])
-        return _int64(self._recompose((-self._digits_of(a)) % self.p))
+        return _int64(self._neg_table[a])
 
     def sub(self, a, b):
         if self.p == 2:  # -b = b: the XOR itself, no copy of b
@@ -329,27 +317,14 @@ class FiniteField:
     def mul(self, a, b):
         if self._mul_table is not None:
             return _int64(self._mul_table[a, b])
-        if self._exp is None:
-            return self._mul_digits(a, b)
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         out = self._exp[np.add(self._log[a], self._log[b], dtype=np.int64) % (self.q - 1)]
         return _int64(np.where((a == 0) | (b == 0), 0, out))
 
-    def _mul_digits(self, a, b):
-        scalar = isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
-        da, db = np.broadcast_arrays(self._digits_of(a), self._digits_of(b))
-        n = self.n
-        conv = np.zeros(da.shape[:-1] + (2 * n - 1,), dtype=np.int64)
-        for i in range(n):
-            conv[..., i : i + n] += da[..., i : i + 1] * db
-        conv %= self.p  # the high digits x^(n+j) fold back through their reductions
-        out = self._recompose((conv[..., :n] + conv[..., n:] @ self._reduction) % self.p)
-        return int(out) if scalar else out
-
     def inv(self, a):
         if np.any(np.asarray(a) == 0):
             raise ZeroDivisionError("inverse of 0 in GF")
-        return self.pow(a, self.q - 2) if self._inv is None else _int64(self._inv[a])
+        return _int64(self._inv[a])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -358,27 +333,16 @@ class FiniteField:
         """a**e with 0**0 = 1; e must be a nonnegative integer."""
         if e < 0:
             raise ValueError("negative exponent; use inv() first")
-        scalar = isinstance(a, (int, np.integer))
-        if scalar and self._log is not None:
+        if isinstance(a, (int, np.integer)):
             if e == 0:
                 return 1
             return 0 if a == 0 else int(self._exp[(int(self._log[a]) * e) % (self.q - 1)])
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
-            return 1 if scalar else np.ones_like(a)
-        if self._log is not None:
-            # e > 0 here; reduced first so the int64 product cannot overflow
-            out = self._exp[np.multiply(self._log[a], e % (self.q - 1), dtype=np.int64) % (self.q - 1)]
-            return np.where(a == 0, 0, out.astype(np.int64))
-        out = np.ones_like(a)  # digit regime: square-and-multiply on digit vectors
-        base = a.copy()
-        while e:
-            if e & 1:
-                out = self._mul_digits(out, base)
-            e >>= 1
-            if e:
-                base = self._mul_digits(base, base)
-        return int(out) if scalar else out
+            return np.ones_like(a)
+        # e > 0 here; reduced first so the int64 product cannot overflow
+        out = self._exp[np.multiply(self._log[a], e % (self.q - 1), dtype=np.int64) % (self.q - 1)]
+        return np.where(a == 0, 0, out.astype(np.int64))
 
     def frobenius(self, a, base_power: int = 1):
         """The p^base_power-power map; an automorphism fixing GF(p^base_power)."""
@@ -418,9 +382,6 @@ class FieldEmbedding:
             raise ValueError(
                 f"target degree {target.n} is not a multiple of source degree {source.n}"
             )
-        if target._log is None:
-            raise ValueError(f"embedding into {target} needs its log table; "
-                             "only table-range targets are supported")
         self.source = source
         self.target = target
         self._m = (target.q - 1) // (source.q - 1)
@@ -470,7 +431,8 @@ _EMBED_CACHE: dict[tuple, FieldEmbedding] = {}
 
 
 def make_field(p: int, n: int = 1, modulus=None) -> FiniteField:
-    """Construct (or fetch the cached) GF(p^n).
+    """Construct (or fetch the cached) GF(p^n); ValueError beyond
+    LOG_TABLE_MAX elements.
 
     Without an explicit modulus the canonical irreducible is used, so two
     calls always produce identical arithmetic tables.

@@ -4,9 +4,10 @@ Row reduction uses a fixed pivot rule (first nonzero entry in a column-major
 scan), and reduced echelon form is unique, so every derived object here --
 ranks, kernels, generator matrices -- is byte-reproducible across runs.
 Inversion is one Gauss-Jordan elimination run on a whole stack of square
-matrices at once.  A product is formed a slice of the left factor's rows at
-a time, each slice within gf.CHUNK_ELEMS // 4 output entries, and written
-into an output array the caller may pass in its own narrow dtype.
+matrices at once.  A product is formed by float BLAS products that are exact
+or refused: a slice of the left factor's rows at a time, each slice within
+gf.CHUNK_ELEMS // 4 output entries, written into an output array the caller
+may pass in its own narrow dtype.
 """
 
 from __future__ import annotations
@@ -93,9 +94,9 @@ def matmul(field: FiniteField, a, b, out=None) -> np.ndarray:
     Each field is unpacked by shift and mask, reduced mod p in the smallest
     unsigned dtype that holds it, and the digits fold back to encodings by
     Horner's rule; a prime field (m = 1, one digit per word) takes the
-    reduction alone.  Where a digit sum needs more than 53 bits, an int64
-    loop reduces each product mod p before adding instead (FiniteField
-    keeps (p-1)^2 below 2^63, so no product overflows).
+    reduction alone.  A product whose digit sums need more than 53 bits is
+    refused with ValueError before anything is expanded: under the field
+    cap that takes an inner dimension of 524,305 over GF(131071).
 
     The right factor is expanded and packed once; the product is formed a
     slice of `a`'s rows at a time, each slice at most gf.CHUNK_ELEMS // 4
@@ -106,6 +107,10 @@ def matmul(field: FiniteField, a, b, out=None) -> np.ndarray:
         raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
     p, m = field.p, field.n
     stack, rows, cols, terms = b.shape[:-2], a.shape[-2], b.shape[-1], a.shape[-1] * m
+    widest = (p - 1) ** 2 * terms  # the largest digit sum
+    if widest >> 53:
+        raise ValueError(f"{field} digit sums over an inner dimension of {a.shape[-1]} "
+                         "need more than float64's 53 bits")
     shape = np.broadcast_shapes(a.shape[:-2], stack) + (rows, cols)
     if out is None:
         out = np.empty(shape, dtype=np.int64)
@@ -114,20 +119,17 @@ def matmul(field: FiniteField, a, b, out=None) -> np.ndarray:
     if m > 1:
         b = field._digits_of(field.mul(b[..., None, :], field._pow_p[:, None]))
     b = b.reshape(stack + (terms, cols, m))  # [..., j*m + i, column, digit d]
-    bits = max(1, ((p - 1) ** 2 * terms).bit_length())
-    if bits <= 53:
-        per = min(m, 53 // bits)
-        dtype = smallest_uint(max(bits, field.q.bit_length()))
-        words = -(-m // per)
-        packed = np.zeros(stack + (terms, cols, words), dtype=np.int64)
-        for d in range(m):
-            packed[..., d // per] += b[..., d] << bits * (d % per)
-        ftype = np.float32 if per * bits <= 24 else np.float64
-        packed = packed.reshape(stack + (terms, cols * words)).astype(ftype)
+    bits = max(1, widest.bit_length())
+    per = min(m, 53 // bits)
+    dtype = smallest_uint(max(bits, field.q.bit_length()))
+    words = -(-m // per)
+    packed = np.zeros(stack + (terms, cols, words), dtype=np.int64)
+    for d in range(m):
+        packed[..., d // per] += b[..., d] << bits * (d % per)
+    ftype = np.float32 if per * bits <= 24 else np.float64
+    packed = packed.reshape(stack + (terms, cols * words)).astype(ftype)
 
     def digit(sums, d):
-        if bits > 53:
-            return sums[..., d]
         word = sums[..., d // per]
         if per > 1:
             word = word >> bits * (d % per) & (1 << bits) - 1
@@ -140,13 +142,8 @@ def matmul(field: FiniteField, a, b, out=None) -> np.ndarray:
         part = a[..., lo:lo + step, :]
         if m > 1:
             part = field._digits_of(part).reshape(part.shape[:-1] + (terms,))
-        if bits > 53:
-            sums = 0
-            for j in range(terms):
-                sums = (sums + part[..., j, None, None] * b[..., None, j, :, :] % p) % p
-        else:
-            sums = np.matmul(part.astype(ftype), packed)
-            sums = sums.reshape(sums.shape[:-1] + (cols, words)).astype(smallest_uint(per * bits))
+        sums = np.matmul(part.astype(ftype), packed)
+        sums = sums.reshape(sums.shape[:-1] + (cols, words)).astype(smallest_uint(per * bits))
         value = digit(sums, m - 1)
         for d in range(m - 2, -1, -1):
             value = value * p + digit(sums, d)

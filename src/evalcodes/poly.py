@@ -229,28 +229,21 @@ class HomogPoly:
 
 def monomial_values(fld: FiniteField, points, exps) -> np.ndarray:
     """Values [point, monomial] of the monomials with exponent rows exps at
-    an (N, nvars) array of encodings, with 0^0 = 1.  With log tables, one
-    product of the logs (exponents e > 0 cut to (e - 1) mod (q - 1) + 1,
-    the same x^e) with the exponent rows gives each monomial's log; a 0 has
-    log `zero`, above any sum of other logs.  Without, each variable's power
-    is computed once per distinct exponent."""
+    an (N, nvars) array of encodings, with 0^0 = 1.  One product of the logs
+    (exponents e > 0 cut to (e - 1) mod (q - 1) + 1, the same x^e) with the
+    exponent rows gives each monomial's log; a 0 has log `zero`, above any
+    sum of other logs."""
     pts, exps, q = np.asarray(points, dtype=np.int64), np.asarray(exps, dtype=np.int64), fld.q
-    if fld._log is not None:
-        e = np.where(exps > 0, (exps - 1) % (q - 1) + 1, 0).T
-        degree = int(e.sum(axis=0).max(initial=0))
-        zero = degree * (q - 2) + 1
-        if degree * zero >= 1 << 63:
-            raise ValueError("monomial logs would overflow int64")
-        sums = np.where(pts == 0, zero, fld._log[pts].astype(np.int64)) @ e
-        # floor division vectorizes, % does not
-        vals = fld._exp[sums - sums // (q - 1) * (q - 1)].astype(np.int64)
-        vals[sums >= zero] = 0
-        return vals
-    vals = np.ones((len(exps), len(pts)), dtype=np.int64)
-    for col, powers in zip(pts.T, exps.T, strict=True):
-        for e in np.unique(powers).tolist():
-            vals[powers == e] = fld.mul(vals[powers == e], fld.pow(col, e))
-    return vals.T
+    e = np.where(exps > 0, (exps - 1) % (q - 1) + 1, 0).T
+    degree = int(e.sum(axis=0).max(initial=0))
+    zero = degree * (q - 2) + 1
+    if degree * zero >= 1 << 63:
+        raise ValueError("monomial logs would overflow int64")
+    sums = np.where(pts == 0, zero, fld._log[pts].astype(np.int64)) @ e
+    # floor division vectorizes, % does not
+    vals = fld._exp[sums - sums // (q - 1) * (q - 1)].astype(np.int64)
+    vals[sums >= zero] = 0
+    return vals
 
 
 # -- fast evaluation over full affine grids ------------------------------------

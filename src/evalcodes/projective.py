@@ -426,9 +426,9 @@ def level_scan(
     P^ambient.
     """
     fld0 = surface.fld
-    ext = fld0 if r == 1 else make_field(fld0.p, fld0.n * r)
-    if projective_space_size(ext.q, surface.ambient) > max_enum:
+    if projective_space_size(fld0.q**r, surface.ambient) > max_enum:  # before building GF(q^r)
         raise BudgetExceeded(f"extension degree {r} exceeds enumeration budget")
+    ext = fld0 if r == 1 else make_field(fld0.p, fld0.n * r)
     gens, fld = _generators_over(surface.generators, ext)
     if surface.ambient == 3 and len(gens) == 1 and gens[0].degree == 3 and fld.p != 3:
         return _fibered_cubic_scan(gens[0], singular)

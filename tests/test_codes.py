@@ -38,6 +38,7 @@ from evalcodes.poly import HomogPoly
 from evalcodes.projective import BudgetExceeded, Surface
 
 F7 = make_field(7)
+P17 = 131071  # the largest prime below the field cap
 
 
 def _plain_code(fld, matrix):
@@ -87,10 +88,10 @@ def test_projective_message_count():
 def test_exhaustive_matches_information_set_on_random_codes():
     rng = random.Random(20240)
     cases = 0
-    # the last three take k = 2: GF(2^11) log tables, GF(131101) and GF(2^18)
-    # digit vectors
+    # the last three take k = 2: GF(2^11), and GF(131071) and GF(2^17) at
+    # the field cap, all with log tables only
     fields = [make_field(2), make_field(3), make_field(2, 2), make_field(5), make_field(7),
-              make_field(2, 11), make_field(131101), make_field(2, 18)]
+              make_field(2, 11), make_field(P17), make_field(2, 17)]
     while cases < 50:
         fld = fields[cases % len(fields)]
         k = rng.randrange(3, 7)
@@ -218,9 +219,10 @@ def test_round_one_builds_no_set_past_the_budget(monkeypatch, budget):
 
 
 def test_weight_round_checks_budget_before_allocating():
-    # weight 2 over GF(2^20) has ~10^6 messages per support; a 50-codeword
-    # budget must end the scan before they are built
-    code = _random_code(make_field(2, 20), 4, 12, random.Random(8))
+    # weight 2 over GF(2^17) has ~1.3 * 10^5 messages per support, and its
+    # first chunk of 10280 of them peaks at 5.6 MB; a 50-codeword budget
+    # must end the scan before any is built
+    code = _random_code(make_field(2, 17), 4, 12, random.Random(8))
     tracemalloc.start()
     try:
         d = min_distance(code, "isd", budget=50)
@@ -228,7 +230,7 @@ def test_weight_round_checks_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert d.work == 12 and not d.exact
-    assert peak < 64 << 20
+    assert peak < 1 << 20
 
 
 def test_zero_counters_are_built_within_the_budget():
@@ -317,26 +319,24 @@ def test_long_code_information_sets_stay_within_their_blocks():
     assert max_rss_kib < 64 << 10
 
 
-P31 = 2**31 - 1
-
-
-def test_isd_over_gf_2_31_minus_1_certifies_without_huge_rows():
-    # the weight-1 round closes the interval; nothing of size q may be built
-    code = _plain_code(make_field(P31), [[1, 0, 0, P31 - 1, P31 - 2],
-                                         [0, 1, 0, P31 - 3, P31 - 1],
-                                         [0, 0, 1, P31 - 1, P31 - 5]])
+def test_isd_over_the_largest_prime_field_certifies_in_round_one():
+    # the weight-1 round closes the interval
+    code = _plain_code(make_field(P17), [[1, 0, 0, P17 - 1, P17 - 2],
+                                         [0, 1, 0, P17 - 3, P17 - 1],
+                                         [0, 0, 1, P17 - 1, P17 - 5]])
     d = min_distance(code, "isd")
     assert d.exact and d.d == 3
     assert code.contains_word(d.witness)
 
 
-def test_exhaustive_scan_over_gf_2_31_minus_1_encodes_exactly():
-    code = _plain_code(make_field(P31), [[1, 0, 288545019, 1222356006],
-                                         [0, 1, 1819850096, 1722851097]])
-    # each worker takes one weight-1 message and one 2^19-message weight-2
-    # slice; the third slice would take the two past the budget
-    state, swept = exhaustive_sweep(code, budget=1_100_000, workers=2)
-    assert swept == 1 and state.work == 1_048_578
+def test_exhaustive_scan_over_the_largest_prime_field_encodes_exactly():
+    code = _plain_code(make_field(P17), [[1, 0, 28854, 122235],
+                                         [0, 1, 81985, 72285]])
+    # each worker takes one weight-1 message; of the two 65535-message
+    # weight-2 slices the first fits the budget and goes to worker 0, and
+    # the second would take the two past it
+    state, swept = exhaustive_sweep(code, budget=100_000, workers=2)
+    assert swept == 1 and state.work == 65_537
     assert code.contains_word(np.array(state.witness, dtype=np.int64))
 
 
@@ -489,18 +489,18 @@ def test_k_detects_vanishing_forms():
 
 SCAN_BUDGET = 40_000
 # (field, largest k, range of n - k): each field's first chunk fits SCAN_BUDGET,
-# so every case scans something; GF(2^31 - 1) and GF(3^12) are cut to slices
+# so every case scans something; GF(131071) and GF(3^10) are cut to slices
 SCAN_FIELDS = [
     (make_field(2), 6, (0, 8)),
     (make_field(2, 3), 5, (0, 8)),
     (make_field(2, 11), 2, (0, 8)),
     (make_field(7), 6, (0, 8)),
-    (make_field(P31), 2, (80, 100)),
+    (make_field(P17), 2, (80, 100)),
     (make_field(3, 2), 6, (0, 8)),  # w up to 6: sums of two encodings in 3-bit digit fields
     (make_field(7, 2), 3, (0, 8)),
     (make_field(5, 2), 3, (0, 8)),  # w = 3: two 4-bit digit fields fill a uint8
     (make_field(3, 5), 3, (0, 8)),  # w = 3: five 3-bit fields in a uint16, digit powers up to 81
-    (make_field(3, 12), 2, (4, 8)),  # digit regime, packed into 36 bits
+    (make_field(3, 10), 2, (4, 8)),  # at the field cap, packed into 30 bits
 ]
 
 
@@ -593,16 +593,14 @@ def test_weight_scan_matches_matmul_encoding(case):
     # long codes: slices of one support start and end inside a prefix
     (2, 4, 4, 196, 4),
     (5, 2, 3, 1900, 3),
-    # w = 16: every sum is still of two encodings, 12 digits of 3 bits
-    (3, 12, 16, 2, 16),
+    # w = 16: every sum is still of two encodings, 10 digits of 3 bits
+    (3, 10, 16, 2, 16),
     # q = 9: digit sums of two encodings fit 3 bits, so the counter table
     # spans 37 sums at w = 5 and at w = 8 alike
     (3, 2, 6, 22, 5),
     (3, 2, 8, 20, 8),
-    # 21 digits of 3 bits fill 63 bits; 22 would not, so over GF(3^22) sums
-    # add by FiniteField.add instead
-    (3, 21, 4, 3, 3),
-    (3, 22, 4, 3, 3),
+    # 10 digits of 3 bits fill 30 bits, the widest form under the field cap
+    (3, 10, 4, 3, 3),
     # zero counters: n - k >= 64 takes 7-bit counters, 9 to a word, so the
     # 10 or 12 last values span two uint64 words
     (11, 1, 4, 70, 3),
@@ -616,7 +614,7 @@ def test_weight_scan_matches_matmul_encoding_at_the_edges(p, m, k, redundancy, w
     fld = make_field(p, m)
     if p == 3 and w > 2:
         form = _AdditiveForm(fld, w)
-        assert form.packed == (m <= 21)
+        assert form.packed
         assert m != 2 or form.span == 37
     _check_scan(fld, _systematic(fld, k, redundancy, random.Random(k)), w, SCAN_BUDGET)
 
@@ -819,8 +817,8 @@ def _reference_information_sets(fld, matrix):
     return sets
 
 
-# the table regimes and the digit regime (GF(131101), GF(2^18))
-SET_FIELDS = [make_field(7), make_field(2, 5), make_field(7, 2), make_field(131101), make_field(2, 18)]
+# full tables, and log tables at the field cap (GF(131071), GF(2^17))
+SET_FIELDS = [make_field(7), make_field(2, 5), make_field(7, 2), make_field(P17), make_field(2, 17)]
 
 
 @st.composite
@@ -962,15 +960,15 @@ def test_binary_sweep_stays_within_its_slabs():
     assert peak < 26 << 20
 
 
-@pytest.mark.parametrize("p, m", [(2, 5), (7, 2), (3, 22)])
+@pytest.mark.parametrize("p, m", [(2, 5), (7, 2), (3, 10)])
 def test_tied_witness_is_the_encoding_of_its_message(p, m):
-    # one field per additive form: XOR, packed digits, field additions
+    # one field per additive form: XOR, packed digits, the widest packed digits
     fld = make_field(p, m)
     code = _random_code(fld, 4, 12, random.Random(m))
     for sysmat in _information_sets(fld, code.matrix)[0]:
         for w in range(1, code.k + 1):
             form = _AdditiveForm(fld, w)
-            assert (p == 2) or form.packed == (m == 2)
+            assert form.packed == (p > 2)
             state = _SweepState(code.n)
             _scan(fld, sysmat, w, state, 100_000)
             word = np.array(state.witness, dtype=np.int64)

@@ -236,7 +236,7 @@ def test_cayley_salmon_builds_no_field_beyond_gf_q3(monkeypatch):
 
 
 def test_cayley_salmon_c12_over_gf8(f8):
-    # forming the cubic in GF(q^6) would need GF(2^18), which has no log tables
+    # forming the cubic in GF(q^6) would need GF(2^18), beyond the field cap
     sample = sample_cayley_salmon(f8, seed=1)
     assert sample.classification.matched == "C12"
     assert sample.classification.observed == {r: predicted_Nr("C12", 8, r) for r in (1, 2, 3)}

@@ -13,6 +13,7 @@ from conftest import random_invertible
 from evalcodes import gf, gflinalg
 from evalcodes.gf import (
     FULL_TABLE_MAX,
+    LOG_TABLE_MAX,
     FiniteField,
     NotInSubfield,
     get_embedding,
@@ -229,9 +230,14 @@ def test_embedding_matches_a_root_search_over_the_whole_target(src_spec, tgt_spe
     assert np.array_equal(emb.embed(v), horner)
 
 
-def test_embedding_refuses_a_digit_regime_target():
-    with pytest.raises(ValueError, match="table-range"):
-        get_embedding(make_field(2), make_field(2, 18))
+@pytest.mark.parametrize("p, n", [(131101, 1), (2, 18), (3, 11), (2**31 - 1, 1), (2**89 - 1, 1)])
+def test_make_field_refuses_fields_beyond_the_log_tables(p, n):
+    # the smallest prime, power of 2 and power of 3 past LOG_TABLE_MAX, a far
+    # one, and a prime whose trial division would run for hours
+    with pytest.raises(ValueError, match="131072"):
+        make_field(p, n)
+    assert not any(key[:2] == (p, n) for key in gf._FIELD_CACHE)
+    assert LOG_TABLE_MAX == 131072
 
 
 def test_make_field_determinism():
@@ -292,21 +298,22 @@ def test_parse_field_spec():
 
 
 def test_large_field_digit_arithmetic():
-    # beyond table range: GF(37^6); scalar ops must still satisfy field laws
-    fld = make_field(37, 6)
-    a, b = 123_456_789, 987_654_321
+    # beyond the full tables GF(3^10) adds digit by digit; scalar ops must
+    # still satisfy field laws
+    fld = make_field(3, 10)
+    a, b = 12_345, 54_321
     ab = fld.mul(a, b)
     assert fld.mul(ab, fld.inv(b)) == a
     assert fld.add(a, fld.neg(a)) == 0
     assert fld.pow(a, fld.q - 1) == 1
 
 
-DIGIT_FIELDS = [(2, 18), (131101, 1), (3, 12), (2**31 - 1, 1)]  # beyond the log tables
+CAP_FIELDS = [(2, 17), (131071, 1), (3, 10)]  # the largest fields with log tables
 
 
 @st.composite
-def digit_regime_elements(draw):
-    fld = make_field(*draw(st.sampled_from(DIGIT_FIELDS)))
+def cap_edge_elements(draw):
+    fld = make_field(*draw(st.sampled_from(CAP_FIELDS)))
     edges = [0, 1, fld.p ** (fld.n - 1), fld.q - 1]  # x^(n-1) is the top basis element
     elems = st.one_of(st.sampled_from(edges), st.integers(0, fld.q - 1))
     a, b, c = (draw(elems) for _ in range(3))
@@ -314,10 +321,9 @@ def digit_regime_elements(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(digit_regime_elements())
-def test_digit_regime_field_axioms(case):
+@given(cap_edge_elements())
+def test_cap_edge_field_axioms(case):
     fld, a, b, c, e = case
-    assert fld._digits is None and fld._exp is None  # table-free digit vectors
     ref = fld._mul_scalar_raw
     mul, add = fld.mul, fld.add
     assert mul(a, b) == ref(a, b) == ref(b, a)
@@ -366,14 +372,38 @@ def test_exp_log_tables_follow_the_smallest_generator(case):
     assert fld._log[fld._exp[i]] == i
 
 
-def test_products_beyond_float64_stay_exact():
-    p = 2**31 - 1
-    fld = make_field(p)
-    assert fld.mul(p - 1, p - 1) == 1
-    assert gflinalg.matmul(fld, [[p - 1, p - 1]], [[p - 1], [p - 1]]).tolist() == [[2]]
+# the widest inner dimension over GF(131071): 524304 (p - 1)^2 < 2^53 <= 524305 (p - 1)^2
+P17, WIDEST_INNER = 131071, 524304
 
 
-@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2), (2, 18)])
+def test_matmul_is_exact_up_to_53_bit_digit_sums():
+    fld, rng = make_field(P17), np.random.default_rng(17)
+    a = rng.integers(0, P17, (2, WIDEST_INNER))
+    a[0] = P17 - 1  # the largest digit sum, every product (p - 1)^2
+    b = np.full((WIDEST_INNER, 1), P17 - 1, dtype=np.int64)
+    b[::3] = rng.integers(0, P17, (len(b[::3]), 1))
+    expected = [[sum(x * y for x, y in zip(row, b[:, 0].tolist())) % P17] for row in a.tolist()]
+    assert gflinalg.matmul(fld, a, b).tolist() == expected
+    assert gflinalg.matmul(fld, a[:1, :], np.full_like(b, P17 - 1)).tolist() == [[WIDEST_INNER % P17]]
+
+
+def test_matmul_refuses_wider_digit_sums_before_expanding():
+    fld = make_field(P17)
+    # zero-copy views: the refusal must come before anything is copied or
+    # packed, which would take 16 MiB per factor
+    a = np.broadcast_to(np.int64(P17 - 1), (4, WIDEST_INNER + 1))
+    b = np.broadcast_to(np.int64(P17 - 1), (WIDEST_INNER + 1, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="53 bits"):
+            gflinalg.matmul(fld, a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+@pytest.mark.parametrize("p, m", [(7, 1), (2, 3), (3, 2), (2, 17)])
 @pytest.mark.parametrize("a_shape, b_shape", [((0, 2), (2, 3)), ((2, 2), (2, 0)), ((2, 0), (0, 3))])
 def test_matmul_with_an_empty_factor_is_the_zero_product(p, m, a_shape, b_shape):
     fld = make_field(p, m)
@@ -405,10 +435,10 @@ def _reference_matmul(fld, a, b):
 @st.composite
 def stacked_products(draw):
     """Factors over GF(7), GF(9), GF(2^5), GF(7^2), GF(3^5), GF(2^10) (full
-    tables), GF(2^11) (log tables), GF(2^18) (digit vectors) or GF(2^31 - 1)
-    (beyond float64); one or both factors carry a stack axis."""
+    tables), GF(2^11), GF(2^17), GF(3^10) or GF(131071) (log tables); one or
+    both factors carry a stack axis."""
     fld = make_field(*draw(st.sampled_from([(7, 1), (3, 2), (2, 5), (7, 2), (3, 5), (2, 10), (2, 11),
-                                            (2, 18), (2**31 - 1, 1)])))
+                                            *CAP_FIELDS])))
     stack, rows, inner, cols = (draw(st.integers(1, 3)) for _ in range(4))
     elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
 
@@ -444,9 +474,6 @@ def _widest_digit_sum_factor(fld):
     return int(np.flatnonzero((fld._digits_of(products)[..., 0] == fld.p - 1).all(axis=1))[0])
 
 
-P26 = 67108859  # the largest prime below 2^26: 2 (P26 - 1)^2 < 2^53 < 3 (P26 - 2)^2
-
-
 # (p, m, inner, x, y): every entry of the left factor is x and of the right
 # factor y, so every product entry is inner * x * y; "widest" is the y of
 # _widest_digit_sum_factor.  With per = min(m, 53 // bits) digits to a float
@@ -465,16 +492,13 @@ MATMUL_EDGES = [
     (2, 10, 3, "q-1", "widest"),  # 30 < 2^5: ten 5-bit digits, 50 bits in one word
     (2, 10, 4, "q-1", "widest"),  # 2^5 < 40: 6 bits, eight digits and two to a word
     (2, 10, 4, "q-1", "q-1"),
-    (P26, 1, 2, "q-2", "q-2"),  # (p - 1)^2 * 2 < 2^53: float64, exact
-    (P26, 1, 3, "q-2", "q-2"),  # 2^53 < (p - 2)^2 * 3, an odd sum that float64 would round: int64 loop
 ]
 
 
 @pytest.mark.parametrize("p, m, inner, x, y", MATMUL_EDGES)
 def test_matmul_at_the_digit_sum_edges(p, m, inner, x, y):
     fld = make_field(p, m)
-    x, y = (fld.q - 2 if v == "q-2" else fld.q - 1 if v == "q-1" else _widest_digit_sum_factor(fld)
-            for v in (x, y))
+    x, y = (fld.q - 1 if v == "q-1" else _widest_digit_sum_factor(fld) for v in (x, y))
     a = np.full((2, inner), x, dtype=np.int64)
     b = np.full((inner, 3), y, dtype=np.int64)
     expected = fld.mul(fld.mul(x, y), inner % p)  # inner * x * y, inner in the prime field
@@ -484,15 +508,15 @@ def test_matmul_at_the_digit_sum_edges(p, m, inner, x, y):
 
 @st.composite
 def products_into(draw):
-    """Factors over GF(7) (a prime field), GF(3^2) and GF(7^2) (packed
-    extension fields), GF(2^5) and GF(2^8) (characteristic 2) or GF(P26)
-    with 3 or 4 inner terms (the int64 loop); each factor 2-d, stacked or
-    with a stack axis of 1 to broadcast; an `out` of the narrowest unsigned
-    type that holds q - 1, or of uint16, or int64, maybe a transposed view;
-    and slices of 1 to 3 rows, so that 5 or 7 rows leave a ragged last one."""
-    fld = make_field(*draw(st.sampled_from([(7, 1), (3, 2), (7, 2), (2, 5), (2, 8), (P26, 1)])))
+    """Factors over GF(7) and GF(131071) (prime fields, float64 words for
+    the latter), GF(3^2) and GF(7^2) (packed extension fields), GF(2^5) and
+    GF(2^8) (characteristic 2); each factor 2-d, stacked or with a stack
+    axis of 1 to broadcast; an `out` of the narrowest unsigned type that
+    holds q - 1, or of uint16, or int64, maybe a transposed view; and slices
+    of 1 to 3 rows, so that 5 or 7 rows leave a ragged last one."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (3, 2), (7, 2), (2, 5), (2, 8), (P17, 1)])))
     stack, rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
-    inner = draw(st.integers(3, 4) if fld.p == P26 else st.integers(1, 4))
+    inner = draw(st.integers(1, 4))
     elems = st.one_of(st.sampled_from([0, 1, fld.q - 1]), st.integers(0, fld.q - 1))
 
     def factor(shape):
@@ -560,9 +584,9 @@ def test_block_product_stays_within_its_slices():
 @st.composite
 def stacked_inverses(draw):
     """A (k, k) matrix or an (s, k, k) stack of invertible matrices over
-    GF(7), GF(8), GF(9), GF(49) (tables), GF(131101) or GF(2^18) (digit
-    vectors), and the index of a member to make singular."""
-    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 3), (3, 2), (7, 2), (131101, 1), (2, 18)])))
+    GF(7), GF(8), GF(9), GF(49) (full tables), GF(131071), GF(2^17) or
+    GF(3^10) (log tables), and the index of a member to make singular."""
+    fld = make_field(*draw(st.sampled_from([(7, 1), (2, 3), (3, 2), (7, 2), *CAP_FIELDS])))
     k = draw(st.integers(1, 5))
     shape = draw(st.sampled_from([(), (draw(st.integers(1, 4)),)]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -585,11 +609,6 @@ def test_stacked_invert_inverts_every_member_and_refuses_a_singular_one(case):
     singular[bad, 0] = fld.mul(singular[bad, -1], fld.q - 1) if k > 1 else 0
     with pytest.raises(ValueError, match="singular"):
         gflinalg.invert(fld, singular.reshape(b.shape))
-
-
-def test_field_refuses_products_that_overflow_int64():
-    with pytest.raises(ValueError, match="exactly"):
-        make_field(4294967311)
 
 
 # -- narrow tables: every op widens to int64 -----------------------------------
@@ -645,7 +664,7 @@ def test_ops_widen_narrow_tables_to_int64(case):
         assert all(type(out) is int for out in (fld.mul(x, y), fld.add(x, y), fld.neg(x), fld.pow(x, e)))
 
 
-@pytest.mark.parametrize("m", [16, 18])  # log tables; digits only
+@pytest.mark.parametrize("m", [16, 17])  # log tables, up to the cap
 def test_sub_in_characteristic_2_is_the_xor(monkeypatch, m):
     fld = make_field(2, m)
     monkeypatch.setattr(type(fld), "neg", lambda self, a: pytest.fail("sub negated its operand"))

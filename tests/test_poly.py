@@ -89,10 +89,10 @@ def test_eval_points_matches_eval_at():
         assert [p.eval_at(tuple(pt)) for pt in pts] == [int(v) for v in vec]
 
 
-# fields with full tables, with log tables alone (GF(7^3) has both) and one
-# in the digit regime, which has neither
+# fields with full tables, and with log tables alone (GF(7^3) has both),
+# GF(2^17) and GF(131071) at the field cap
 EVAL_FIELDS = [make_field(2), make_field(7), make_field(2, 3), make_field(3, 2), make_field(7, 3),
-               make_field(2, 18)]
+               make_field(2, 17), make_field(131071)]
 
 
 def _scalar_value(fld, poly, point):
@@ -126,7 +126,7 @@ def evaluations(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(evaluations())
 @example((HomogPoly(make_field(7), 3, 0, {(0, 0, 0): 5}), np.zeros((3, 3), dtype=np.int64), 2))
-@example((HomogPoly.zero(make_field(2, 18), 2, 2), np.array([[0, 5], [7, 0], [1, 1]]), 2))
+@example((HomogPoly.zero(make_field(2, 17), 2, 2), np.array([[0, 5], [7, 0], [1, 1]]), 2))
 def test_evaluator_matches_scalar_reference(case):
     poly, points, chunk = case
     with pytest.MonkeyPatch.context() as mp:

@@ -317,6 +317,19 @@ def test_fibered_scan_peak_does_not_depend_on_a3():
     assert max(peaks) < 3 << 20
 
 
+def test_level_scan_checks_its_budget_before_building_the_extension():
+    # P^3 over GF(53^3) has about 3.3 * 10^15 points, past the default
+    # budget, and GF(53^3) lies beyond the field cap: building the field
+    # first would turn the budget note of a classification into a ValueError
+    fld = make_field(53)
+    fermat = HomogPoly.from_int_terms(fld, 4, 3, {e: 1 for e in monomials(4, 3) if max(e) == 3})
+    surface = Surface(fld, 3, [fermat], degree=3)
+    for scan in (lambda: level_scan(surface, 3), lambda: surface.count_points(3)):
+        with pytest.raises(BudgetExceeded):
+            scan()
+    assert not any(key[:2] == (53, 3) for key in gf._FIELD_CACHE)
+
+
 def _traced_peak(fn):
     """(fn(), its tracemalloc peak in bytes)."""
     tracemalloc.start()
