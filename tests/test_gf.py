@@ -374,6 +374,7 @@ def test_exp_log_tables_follow_the_smallest_generator(case):
 
 # the widest inner dimension over GF(131071): 524304 (p - 1)^2 < 2^53 <= 524305 (p - 1)^2
 P17, WIDEST_INNER = 131071, 524304
+P26 = 67108859  # the largest prime below 2^26: 2 (P26 - 1)^2 < 2^53 < 3 (P26 - 2)^2
 
 
 def test_matmul_is_exact_up_to_53_bit_digit_sums():
@@ -385,6 +386,16 @@ def test_matmul_is_exact_up_to_53_bit_digit_sums():
     expected = [[sum(x * y for x, y in zip(row, b[:, 0].tolist())) % P17] for row in a.tolist()]
     assert gflinalg.matmul(fld, a, b).tolist() == expected
     assert gflinalg.matmul(fld, a[:1, :], np.full_like(b, P17 - 1)).tolist() == [[WIDEST_INNER % P17]]
+
+
+def test_products_beyond_float64_stay_exact():
+    # a single product (p - 1)^2 needs p > 2^26 to pass float64's 53 bits,
+    # far beyond the log tables: such a field is refused, never rounded
+    with pytest.raises(ValueError, match="131072"):
+        make_field(2**31 - 1)
+    fld = make_field(P17)  # the largest prime field: (p - 1)^2 < 2^34
+    assert fld.mul(P17 - 1, P17 - 1) == 1
+    assert gflinalg.matmul(fld, [[P17 - 1, P17 - 1]], [[P17 - 1], [P17 - 1]]).tolist() == [[2]]
 
 
 def test_matmul_refuses_wider_digit_sums_before_expanding():
@@ -492,11 +503,16 @@ MATMUL_EDGES = [
     (2, 10, 3, "q-1", "widest"),  # 30 < 2^5: ten 5-bit digits, 50 bits in one word
     (2, 10, 4, "q-1", "widest"),  # 2^5 < 40: 6 bits, eight digits and two to a word
     (2, 10, 4, "q-1", "q-1"),
+    (P26, 1, 3, "q-2", "q-2"),  # 2^53 < (p - 2)^2 * 3, an odd sum that float64 would round: the field is refused
 ]
 
 
 @pytest.mark.parametrize("p, m, inner, x, y", MATMUL_EDGES)
 def test_matmul_at_the_digit_sum_edges(p, m, inner, x, y):
+    if p**m > LOG_TABLE_MAX:  # no field, so no digit sum to round
+        with pytest.raises(ValueError, match="131072"):
+            make_field(p, m)
+        return
     fld = make_field(p, m)
     x, y = (fld.q - 1 if v == "q-1" else _widest_digit_sum_factor(fld) for v in (x, y))
     a = np.full((2, inner), x, dtype=np.int64)
